@@ -18,10 +18,19 @@ go test -race -count=1 \
 
 # Hot-path gate, part 1: the zero-allocation contract of the batched
 # ingest path, uncached so it cannot rot behind the test cache. These
-# tests pin AllocsPerRun == 0 on core.UpdateBatch, the engine batcher,
-# trace replay (batched and unbatched) and the streaming pcap replay.
+# tests pin AllocsPerRun == 0 on core.UpdateBatch, the engine batcher and
+# first-free-shard UpdateBatch, Ring.UpdateBatch and the ring's coarsening
+# scan, trace replay (batched and unbatched) and the streaming pcap replay.
 go test -count=1 -run 'Allocs' \
-  ./internal/engine/ ./internal/trace/
+  ./internal/engine/ ./internal/trace/ ./internal/window/
+
+# Batch-placement race gate: first-free-shard UpdateBatch writers (batch
+# sizes 1..1000) racing key-affinity writers and snapshots must still merge
+# to the serial registers, and one writer's batches must reach every shard.
+# Repeated under -race so rare interleavings of TryLock get a chance.
+go test -race -count=10 \
+  -run 'TestShardedConcurrentWritersAndSnapshots|TestUpdateBatchRoundRobinSpread' \
+  . ./internal/engine/
 
 # Hot-path gate, part 2: bench smoke. One iteration of every ingest
 # benchmark — not a perf measurement (CI boxes are noisy), just a gate

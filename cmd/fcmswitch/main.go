@@ -280,29 +280,25 @@ func shardedEngine(sw *pisa.Switch, shards int, seed uint32) (*engine.Engine, er
 	})
 }
 
-// replaySharded splits the replay across one writer goroutine per shard
-// (shard-ownership mode: the per-shard lock is uncontended). The packet
-// partition is arbitrary — the exact merge makes the result independent of
-// which shard absorbed which packet.
+// replaySharded splits the replay across one writer goroutine per shard,
+// each replaying a contiguous slice of the trace in batches through
+// Engine.UpdateBatch (one lock per batch, on the first free shard). The
+// packet partition is arbitrary — the exact merge makes the result
+// independent of which shard absorbed which packet.
 func replaySharded(tr *trace.Trace, eng *engine.Engine) {
 	n := eng.NumShards()
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
+		sub := &trace.Trace{Keys: tr.Keys, Order: tr.Order[w*len(tr.Order)/n : (w+1)*len(tr.Order)/n]}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			// Label the writer so CPU/goroutine profiles attribute ingest
-			// cost per shard (pprof label sets survive into the profile).
+			// cost per writer (pprof label sets survive into the profile).
 			pprof.Do(context.Background(),
-				pprof.Labels("subsystem", "engine", "op", "shard_writer", "shard", fmt.Sprint(w)),
+				pprof.Labels("subsystem", "engine", "op", "batch_writer", "writer", fmt.Sprint(w)),
 				func(context.Context) {
-					i := 0
-					tr.ForEachPacket(func(_ int, key []byte) {
-						if i%n == w {
-							eng.UpdateShard(w, key, 1)
-						}
-						i++
-					})
+					trace.NewBatchReplayer(256).Replay(sub, eng)
 				})
 		}(w)
 	}

@@ -57,3 +57,31 @@ func TestPrintAllocation(t *testing.T) {
 	}
 	printAllocation(sw.Allocation())
 }
+
+// TestReplayShardedMatchesSerial: the batched sharded replay, each writer
+// on a contiguous slice of the trace, merges to registers bit-identical to
+// the switch's own sketch fed every packet serially.
+func TestReplayShardedMatchesSerial(t *testing.T) {
+	tr, err := trace.CAIDALike(20000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3, 4} {
+		sw, err := pisa.NewSwitch(pisa.SwitchConfig{Program: pisa.ProgramFCM, MemoryBytes: 1 << 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := shardedEngine(sw, shards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replaySharded(tr, eng)
+		tr.ForEachPacket(func(_ int, key []byte) { sw.Update(key, 1) })
+		if got, want := eng.Generation(), uint64(tr.NumPackets()); got != want {
+			t.Fatalf("shards %d: engine absorbed %d updates, want %d", shards, got, want)
+		}
+		if d := sw.Sketch().FirstRegisterDiff(eng.SnapshotSketch()); d != "" {
+			t.Fatalf("shards %d: sharded replay differs from serial: %s", shards, d)
+		}
+	}
+}

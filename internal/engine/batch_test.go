@@ -145,6 +145,81 @@ func TestUpdateShardBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestEngineUpdateBatchEquivalence: batches placed on the first free
+// shard must merge to registers bit-identical to the same stream fed
+// through key-affinity Update, and advance Generation by len(keys).
+func TestEngineUpdateBatchEquivalence(t *testing.T) {
+	for gi, geom := range geometries {
+		rng := rand.New(rand.NewSource(int64(gi)))
+		plain, err := New(Config{Shards: 3, Build: build(geom, 9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batched, err := New(Config{Shards: 3, Build: build(geom, 9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 40; round++ {
+			keys := make([][]byte, rng.Intn(65)) // includes empty batches
+			for i := range keys {
+				keys[i] = key(uint64(rng.Intn(300)))
+			}
+			inc := uint64(1 + rng.Intn(5))
+			for _, k := range keys {
+				plain.Update(k, inc)
+			}
+			batched.UpdateBatch(keys, inc)
+		}
+		a, _ := plain.Snapshot()
+		b, _ := batched.Snapshot()
+		registersEqual(t, a, b)
+		if plain.Generation() != batched.Generation() {
+			t.Errorf("generation %d != %d: batch must advance by len(keys)",
+				plain.Generation(), batched.Generation())
+		}
+	}
+}
+
+// TestUpdateBatchRoundRobinSpread: one goroutine's UpdateBatch calls never
+// find a busy lock, so the round-robin start alone must spread them over
+// every shard — otherwise a single writer would never exercise the merge.
+func TestUpdateBatchRoundRobinSpread(t *testing.T) {
+	eng, err := New(Config{Shards: 3, Build: build(geometries[0], 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := [][]byte{key(1), key(2), key(3), key(4)}
+	for i := 0; i < 3; i++ {
+		eng.UpdateBatch(keys, 1)
+	}
+	for i := range eng.shards {
+		if got := eng.shards[i].gen.Load(); got != uint64(len(keys)) {
+			t.Errorf("shard %d absorbed %d updates, want %d (one batch per shard)", i, got, len(keys))
+		}
+		if eng.shards[i].sk.TotalCount(0) == 0 {
+			t.Errorf("shard %d is empty after round-robin batches", i)
+		}
+	}
+}
+
+// TestEngineUpdateBatchAllocs: the first-free-shard batch update is
+// allocation-free.
+func TestEngineUpdateBatchAllocs(t *testing.T) {
+	eng, err := New(Config{Shards: 3, Build: build(geometries[0], 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = key(uint64(i))
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		eng.UpdateBatch(keys, 1)
+	}); avg != 0 {
+		t.Errorf("UpdateBatch allocates %.1f per call, want 0", avg)
+	}
+}
+
 var _ interface {
 	Update(key []byte, inc uint64)
 	UpdateBatch(keys [][]byte, inc uint64)

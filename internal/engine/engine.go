@@ -6,14 +6,19 @@
 // serially — sharding costs nothing in accuracy, only memory for the
 // per-shard replicas.
 //
-// Writers pick shards two ways:
+// Writers pick shards three ways:
 //
 //   - Key affinity (Update): the shard is chosen by an independent hash of
 //     the key, so one flow's packets always serialize on the same shard
 //     lock. This is the drop-in mode for arbitrary goroutine pools.
-//   - Shard ownership (UpdateShard): the caller assigns one shard per
-//     writer goroutine. The per-shard mutex is then uncontended and the
-//     engine scales with writer count.
+//   - First free shard (UpdateBatch): a whole batch lands on the first
+//     shard whose lock is free, probing from a round-robin start. Any
+//     goroutine may call it; concurrent writers drift onto disjoint shards,
+//     and one writer still spreads its batches over every shard. The exact
+//     merge makes where a key lands irrelevant to every snapshot.
+//   - Shard ownership (UpdateShard, UpdateShardBatch): the caller assigns
+//     one shard per writer goroutine. The per-shard mutex is then
+//     uncontended and the engine scales with writer count.
 //
 // Readers never stall ingest: Snapshot copies each shard's registers under
 // that shard's lock only for the duration of the copy, then merges the
@@ -58,6 +63,8 @@ type shard struct {
 type Engine struct {
 	shards []shard
 	hasher hashing.Hasher
+	// next is the round-robin start of UpdateBatch's shard probe.
+	next atomic.Uint64
 
 	// Latency histograms, nil until Instrument; read-plane only, so a nil
 	// check per Snapshot/Rotate is the whole uninstrumented cost.
@@ -136,9 +143,44 @@ func (e *Engine) UpdateShardBatch(i int, keys [][]byte, inc uint64) {
 	}
 	sh := &e.shards[i]
 	sh.mu.Lock()
+	sh.updateBatch(keys, inc)
+	sh.mu.Unlock()
+}
+
+// UpdateBatch records inc occurrences of every key in keys under ONE lock
+// acquisition, on the first shard whose lock is free. The probe starts at
+// a round-robin shard and tries each lock once; if every shard is busy it
+// blocks on the starting one. Keys of one batch thus share a shard
+// regardless of their hash — harmless, since the exact merge gives the
+// same snapshot for any split of the stream — and concurrent writers
+// settle on different shards instead of bouncing every shard's lock
+// between cores. Safe for any number of concurrent callers.
+func (e *Engine) UpdateBatch(keys [][]byte, inc uint64) {
+	if len(keys) == 0 {
+		return
+	}
+	n := len(e.shards)
+	start := int(e.next.Add(1) % uint64(n))
+	for j := 0; j < n; j++ {
+		sh := &e.shards[(start+j)%n]
+		if sh.mu.TryLock() {
+			sh.updateBatch(keys, inc)
+			sh.mu.Unlock()
+			return
+		}
+	}
+	sh := &e.shards[start]
+	sh.mu.Lock()
+	sh.updateBatch(keys, inc)
+	sh.mu.Unlock()
+}
+
+// updateBatch applies a batch to the shard's sketch and advances its
+// generation by len(keys), so Generation counts updates, not calls. The
+// caller holds sh.mu.
+func (sh *shard) updateBatch(keys [][]byte, inc uint64) {
 	sh.sk.UpdateBatch(keys, inc)
 	sh.gen.Add(uint64(len(keys)))
-	sh.mu.Unlock()
 }
 
 // MergeShard folds o — which must share the shards' geometry and hash

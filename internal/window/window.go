@@ -392,26 +392,24 @@ func (r *Ring) coarsenLocked() {
 
 // lowestOverfullLocked finds the lowest coarsening level holding more
 // than SpanCap buckets, returning the level and the index of its oldest
-// bucket, or (-1, -1) when the invariant holds.
+// bucket, or (-1, -1) when the invariant holds. Levels are non-increasing
+// oldest→newest, so each level is one contiguous run and the runs rise
+// in level from the newest end: one backward pass over the runs finds the
+// lowest overfull level without allocating.
 func (r *Ring) lowestOverfullLocked() (int, int) {
-	counts := make(map[int]int)
-	oldest := make(map[int]int)
-	for i, b := range r.buckets {
-		if counts[b.level] == 0 {
-			oldest[b.level] = i
+	bs := r.buckets
+	for end := len(bs); end > 0; {
+		lvl := bs[end-1].level
+		start := end - 1
+		for start > 0 && bs[start-1].level == lvl {
+			start--
 		}
-		counts[b.level]++
-	}
-	best := -1
-	for lvl, c := range counts {
-		if c > r.cfg.SpanCap && (best < 0 || lvl < best) {
-			best = lvl
+		if end-start > r.cfg.SpanCap {
+			return lvl, start
 		}
+		end = start
 	}
-	if best < 0 {
-		return -1, -1
-	}
-	return best, oldest[best]
+	return -1, -1
 }
 
 // mergeAdjacentLocked merges buckets[i] and buckets[i+1] into one bucket
@@ -435,7 +433,12 @@ func (r *Ring) mergeAdjacentLocked(i int) {
 		packets:  a.packets + b.packets,
 	}
 	r.buckets[i] = merged
-	r.buckets = append(r.buckets[:i+1], r.buckets[i+2:]...)
+	// Compact in place and nil the vacated tail slot, so the backing
+	// array does not keep a stale bucket's sketch reachable.
+	last := len(r.buckets) - 1
+	copy(r.buckets[i+1:], r.buckets[i+2:])
+	r.buckets[last] = nil
+	r.buckets = r.buckets[:last]
 	r.coarsenMerges.Add(1)
 }
 
@@ -465,6 +468,9 @@ func (r *Ring) retainLocked() {
 	floor := r.gen - uint64(r.cfg.MaxWindows)
 	for len(r.buckets) > 0 && r.buckets[0].lastGen <= floor {
 		r.droppedWindows.Add(uint64(r.buckets[0].span))
+		// Nil the vacated slot so the backing array does not keep the
+		// dropped sketch reachable until the next reallocation.
+		r.buckets[0] = nil
 		r.buckets = r.buckets[1:]
 	}
 }

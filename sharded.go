@@ -15,10 +15,13 @@ import (
 // identical to a single Sketch that ingested the whole stream serially —
 // sharding changes throughput, never accuracy.
 //
-// Writers choose between two modes:
+// Writers choose between three modes:
 //
 //   - Update routes each key to a fixed shard by an independent hash
 //     (key affinity), so any goroutine may call it at any time.
+//   - UpdateBatch places a whole batch on the first shard whose lock is
+//     free, under one lock acquisition; any goroutine may call it, and
+//     concurrent batch writers settle on different shards.
 //   - UpdateShard lets each writer goroutine own one shard outright; the
 //     per-shard lock is then uncontended and ingest scales with writers.
 //
@@ -66,15 +69,12 @@ func (s *Sharded) UpdateShard(i int, key []byte, inc uint64) {
 	s.eng.UpdateShard(i, key, inc)
 }
 
-// UpdateBatch records inc occurrences of every key in keys, each routed to
-// its key-affinity shard. For sustained batched ingest prefer
-// Engine().NewBatcher, which groups keys per shard and takes each shard
-// lock once per batch rather than once per key.
-func (s *Sharded) UpdateBatch(keys [][]byte, inc uint64) {
-	for _, k := range keys {
-		s.eng.Update(k, inc)
-	}
-}
+// UpdateBatch records inc occurrences of every key in keys on the first
+// free shard, probing from a round-robin start, under one lock
+// acquisition (engine.Engine.UpdateBatch). Safe for any number of
+// concurrent callers; the exact merge keeps snapshots bit-identical to
+// serial ingest whichever shard a batch lands on.
+func (s *Sharded) UpdateBatch(keys [][]byte, inc uint64) { s.eng.UpdateBatch(keys, inc) }
 
 // UpdateShardBatch records inc occurrences of every key in keys on shard i
 // under one lock acquisition — the batched ownership path.

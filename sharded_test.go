@@ -88,8 +88,11 @@ func TestShardedBitIdenticalToSerial(t *testing.T) {
 
 // TestShardedConcurrentWritersAndSnapshots runs more than four concurrent
 // writers against a Sharded while snapshots are taken in parallel, then
-// checks the final snapshot is bit-identical to a serial replay. Run under
-// -race this is the data-race gate for the engine.
+// checks the final snapshot is bit-identical to a serial replay. Half the
+// writers use per-key Update, half UpdateBatch with batch sizes cycling
+// through 1, 7, 256 and 1000, so first-free-shard batches race key-affinity
+// updates and snapshots. Run under -race this is the data-race gate for
+// the engine.
 func TestShardedConcurrentWritersAndSnapshots(t *testing.T) {
 	cfg := Config{LeafWidth: 1024, Seed: 3}
 	const writers = 6
@@ -105,13 +108,23 @@ func TestShardedConcurrentWritersAndSnapshots(t *testing.T) {
 		streams[w] = keys
 	}
 
+	batchSizes := []int{1, 7, 256, 1000}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for _, k := range streams[w] {
-				sh.Update(k, 1)
+			keys := streams[w]
+			if w%2 == 0 {
+				for _, k := range keys {
+					sh.Update(k, 1)
+				}
+				return
+			}
+			for i := w; len(keys) > 0; i++ {
+				n := min(batchSizes[i%len(batchSizes)], len(keys))
+				sh.UpdateBatch(keys[:n], 1)
+				keys = keys[n:]
 			}
 		}(w)
 	}
