@@ -32,6 +32,20 @@ go test -race -count=10 \
   -run 'TestShardedConcurrentWritersAndSnapshots|TestUpdateBatchRoundRobinSpread' \
   . ./internal/engine/
 
+# Rotation-authority race gate: the engine alone decides which window an
+# update lands in and counts its packets there. Writers racing Rotate on a
+# ring must leave filed + live packets equal to the packets sent, and the
+# lock-free Framework.Update must still put each update in exactly one
+# window. Repeated under -race so rare rotate interleavings get a chance.
+go test -race -count=10 \
+  -run 'TestWindowPacketsConservedUnderRotate|TestFrameworkRotateUnderConcurrentUpdate' \
+  . ./internal/window/
+
+# Benchmark compile gate: perfbench is a nested module, so the root
+# `go build ./...` skips it; vet and test it here so an API change that
+# breaks the benchmark fails this gate instead of the benchmark run.
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 # Hot-path gate, part 2: bench smoke. One iteration of every ingest
 # benchmark — not a perf measurement (CI boxes are noisy), just a gate
 # that the benchmarks still compile and run, so the numbers recorded in
@@ -75,6 +89,10 @@ go test -race -count=1 \
 go test -race -count=1 \
   -run 'Fleet|Delta|Aggregator|Scheduler|Gate' \
   ./internal/collect/
+# The steady-state delta test waits for the server's post-write read
+# counter before its exact assertions; repeat it so a regression of that
+# wait (a flake a few runs in a hundred) cannot hide.
+go test -race -count=200 -run 'TestDeltaProtocolSteadyState' ./internal/collect/
 
 # Differential gate: the oracle-backed equivalence and metamorphic suite
 # (internal/difftest) under -race and uncached. This is the proof that all
@@ -114,8 +132,9 @@ go test -run NOMATCH -fuzz '^FuzzWindowOps$' -fuzztime 10s ./internal/difftest/
 # uncached — every over-time query must equal the same query against a
 # serial ingest of the concatenated covering windows, bit-exact, including
 # with rotations racing live writers; plus the in-package ring suite
-# (attach/retention/lookback/handler/telemetry) and the windowed snapshot
-# codec golden vectors with their every-bit-flip rejection sweep.
+# (exact window packets/retention/lookback/handler/telemetry) and the
+# windowed snapshot codec golden vectors with their every-bit-flip
+# rejection sweep.
 go test -race -count=1 -run 'Window' \
   ./internal/difftest/ ./internal/window/ ./internal/collect/
 

@@ -12,25 +12,19 @@ import (
 // (EM), entropy, and heavy-change detection across adjacent measurement
 // windows.
 //
-// The data plane is a Sharded sketch, so Update is safe for any number of
-// concurrent writers and Rotate is safe to call while updates are in
-// flight: an update lands in exactly one window. Rotate closes the current
-// window and keeps its exact merge as the previous window, so heavy
-// changes can be detected by comparing count queries across the two
-// (§4.4).
+// The data plane is a Sharded sketch, whose engine is the one rotation
+// authority: Update goes straight to it, so it is safe for any number of
+// concurrent writers, and Rotate is safe while updates are in flight — an
+// update lands, and is counted, in exactly one window. Rotate keeps the
+// closed window's exact merge as the previous window, so heavy changes can
+// be detected by comparing count queries across the two (§4.4).
 type Framework struct {
-	cfg Config
-
-	// mu orders window rotation against updates and queries: updates and
-	// reads share the lock, Rotate takes it exclusively for the swap.
-	mu   sync.RWMutex
 	cur  *Sharded
-	prev *Sketch // exact merge of the closed window
+	prev atomic.Pointer[Sketch] // exact merge of the closed window
 
-	// windowPackets counts packets in the current window; needed by the
-	// entropy estimator and exposed for monitoring.
-	windowPackets atomic.Uint64
-	prevPackets   atomic.Uint64
+	// mu pairs Rotate's swap with HeavyChanges' candidate scan, so a scan
+	// always compares two adjacent windows. Updates and queries skip it.
+	mu sync.Mutex
 }
 
 // NewFramework builds a framework with a single-shard data plane — the
@@ -53,104 +47,58 @@ func NewShardedFramework(cfg Config, shards int) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Framework{cfg: cur.Config(), cur: cur, prev: prev}, nil
+	f := &Framework{cur: cur}
+	f.prev.Store(prev)
+	return f, nil
 }
 
 // Update records inc occurrences of key in the current window. Safe for
 // concurrent use, including concurrently with Rotate.
-func (f *Framework) Update(key []byte, inc uint64) {
-	f.mu.RLock()
-	f.cur.Update(key, inc)
-	f.windowPackets.Add(inc)
-	f.mu.RUnlock()
-}
+func (f *Framework) Update(key []byte, inc uint64) { f.cur.Update(key, inc) }
 
 // UpdateShard records inc occurrences of key on shard i of the current
 // window — the ownership path for pipelines with one shard per writer.
-func (f *Framework) UpdateShard(i int, key []byte, inc uint64) {
-	f.mu.RLock()
-	f.cur.UpdateShard(i, key, inc)
-	f.windowPackets.Add(inc)
-	f.mu.RUnlock()
-}
+func (f *Framework) UpdateShard(i int, key []byte, inc uint64) { f.cur.UpdateShard(i, key, inc) }
 
 // Rotate closes the current window: its exact merge becomes the previous
 // window and the cleared shards start the next one. Updates concurrent
 // with Rotate land in exactly one of the two windows.
-func (f *Framework) Rotate() { f.RotateClosed() }
-
-// RotateClosed is the windowed-mode rotation hook: it rotates like Rotate
-// and additionally returns the closed window's exact merge together with
-// the number of packets that window recorded. Temporal layers (such as
-// internal/window's ring of sketches) call it to file each closed window
-// as an immutable bucket; the returned sketch is also retained as the
-// previous window for HeavyChanges, so callers must treat it as read-only.
-func (f *Framework) RotateClosed() (*Sketch, uint64) {
+func (f *Framework) Rotate() {
 	f.mu.Lock()
-	closed := f.cur.Rotate()
-	packets := f.windowPackets.Swap(0)
-	f.prev = closed
-	f.prevPackets.Store(packets)
+	closed, _ := f.cur.Rotate()
+	f.prev.Store(closed)
 	f.mu.Unlock()
-	return closed, packets
 }
 
 // Config returns the framework's effective configuration (defaults
-// applied), so windowed layers can build merge-compatible sketches.
-func (f *Framework) Config() Config { return f.cfg }
+// applied), so callers can build merge-compatible sketches for Absorb.
+func (f *Framework) Config() Config { return f.cur.Config() }
 
 // Absorb folds a remote sketch into the current window — the aggregation
 // step of network-wide monitoring: switch snapshots are collected, restored,
 // and absorbed here, so the framework's queries answer over the union of
 // the streams. The sketch must share the framework's configuration (the
 // merge is exact, per §5). packets is how many packets sk represents and
-// feeds the window packet counter used by the entropy estimator; pass 0
-// when unknown. Safe for concurrent use, including concurrently with
+// is added to the window packet count used by the entropy estimator; pass
+// 0 when unknown. Safe for concurrent use, including concurrently with
 // Update and Rotate.
-func (f *Framework) Absorb(sk *Sketch, packets uint64) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if err := f.cur.MergeFrom(sk); err != nil {
-		return err
-	}
-	f.windowPackets.Add(packets)
-	return nil
-}
-
-// Shards returns the data plane's shard count.
-func (f *Framework) Shards() int { return f.cur.Shards() }
+func (f *Framework) Absorb(sk *Sketch, packets uint64) error { return f.cur.absorb(sk, packets) }
 
 // Estimate returns the current window's count estimate for key.
-func (f *Framework) Estimate(key []byte) uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.cur.Estimate(key)
-}
+func (f *Framework) Estimate(key []byte) uint64 { return f.cur.Estimate(key) }
 
 // PreviousEstimate returns the previous window's count estimate for key.
-func (f *Framework) PreviousEstimate(key []byte) uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.prev.Estimate(key)
-}
+func (f *Framework) PreviousEstimate(key []byte) uint64 { return f.prev.Load().Estimate(key) }
 
 // Cardinality estimates the current window's distinct flows.
-func (f *Framework) Cardinality() float64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.cur.Cardinality()
-}
+func (f *Framework) Cardinality() float64 { return f.cur.Cardinality() }
 
 // WindowPackets returns the number of packets recorded in the current
-// window.
-func (f *Framework) WindowPackets() uint64 { return f.windowPackets.Load() }
+// window, exact at any load (the engine counts them beside its registers).
+func (f *Framework) WindowPackets() uint64 { return f.cur.eng.Packets() }
 
 // Sketch returns an exact-merge snapshot of the current window's sketch.
-func (f *Framework) Sketch() *Sketch {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.cur.Snapshot()
-}
+func (f *Framework) Sketch() *Sketch { return f.cur.Snapshot() }
 
 // FlowSizeDistribution estimates the current window's flow-size
 // distribution with EM (§4.2).
@@ -210,9 +158,9 @@ func (f *Framework) HeavyChanges(candidates [][]byte, threshold uint64) ([]Heavy
 		return nil, fmt.Errorf("fcm: heavy-change threshold must be positive")
 	}
 	// One consistent snapshot per window for the whole candidate scan.
-	f.mu.RLock()
-	cur, prev := f.cur.Snapshot(), f.prev
-	f.mu.RUnlock()
+	f.mu.Lock()
+	cur, prev := f.cur.Snapshot(), f.prev.Load()
+	f.mu.Unlock()
 	var out []HeavyChange
 	seen := make(map[string]bool, len(candidates))
 	for _, k := range candidates {

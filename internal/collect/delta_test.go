@@ -234,7 +234,13 @@ func TestDeltaProtocolSteadyState(t *testing.T) {
 		t.Fatalf("after unchanged read: %+v", st)
 	}
 
+	// The server bumps its read counter after the response write returns,
+	// so the client can hold its third answer before the server has
+	// counted it: wait, bounded, for the count before asserting exactly.
 	st := srv.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.DeltaReads < 3 && time.Now().Before(deadline); st = srv.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.DeltaReads != 3 {
 		t.Fatalf("server delta reads = %d, want 3", st.DeltaReads)
 	}

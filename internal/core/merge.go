@@ -24,7 +24,7 @@ import "fmt"
 // no allocations after the first call on a destination. MergeScalar is the
 // register-at-a-time reference it must stay bit-identical to.
 func (s *Sketch) Merge(o *Sketch) error {
-	if err := s.compatible(o); err != nil {
+	if err := s.Compatible(o); err != nil {
 		return err
 	}
 	last := len(s.widths) - 1
@@ -60,7 +60,7 @@ func (s *Sketch) Merge(o *Sketch) error {
 // carry allocations) differ. Keep this the reference: change it only when
 // the merge semantics themselves change.
 func (s *Sketch) MergeScalar(o *Sketch) error {
-	if err := s.compatible(o); err != nil {
+	if err := s.Compatible(o); err != nil {
 		return err
 	}
 	last := len(s.widths) - 1
@@ -115,8 +115,10 @@ func (s *Sketch) MergeScalar(o *Sketch) error {
 	return nil
 }
 
-// compatible verifies the two sketches share a geometry.
-func (s *Sketch) compatible(o *Sketch) error {
+// Compatible reports why o cannot merge into s — a different geometry,
+// counter encoding, hash mode or one-pass hash seed — or nil when it can.
+// Per-tree hasher equality stays the caller's contract (see Merge).
+func (s *Sketch) Compatible(o *Sketch) error {
 	if o == nil {
 		return fmt.Errorf("core: merge with nil sketch")
 	}

@@ -109,11 +109,17 @@ func TestRotateUnderConcurrentLoad(t *testing.T) {
 			}()
 		}
 		var closed []*fcm.Sketch
+		var packets uint64
 		for r := 2 + int(uint64(seed)%3); r > 0; r-- {
 			time.Sleep(200 * time.Microsecond)
-			closed = append(closed, sh.Rotate())
+			c, n := sh.Rotate()
+			closed = append(closed, c)
+			packets += n
 		}
 		wg.Wait()
+		if packets += sh.Engine().Packets(); packets != uint64(len(w.Keys)) {
+			t.Fatalf("closed + live windows counted %d packets, want %d", packets, len(w.Keys))
+		}
 		total := sh.Snapshot()
 		for _, c := range closed {
 			if err := total.Merge(c); err != nil {

@@ -270,7 +270,8 @@ func CheckSWARMergeEqualsScalar(g Geometry, w *Workload) error {
 // CheckRotateLinearity asserts window rotation is linear: ingesting the
 // stream in consecutive windows with a Rotate between each, then merging
 // every closed window with the live remainder, is bit-identical to serial
-// ingest of the whole stream.
+// ingest of the whole stream. Each Rotate must also report exactly the
+// packets its window received.
 func CheckRotateLinearity(g Geometry, w *Workload, ref *core.Sketch, windows, shards int) error {
 	sh, err := newSharded(g, shards)
 	if err != nil {
@@ -283,7 +284,12 @@ func CheckRotateLinearity(g Geometry, w *Workload, ref *core.Sketch, windows, sh
 			sh.Update(k, 1)
 		}
 		if i < len(parts)-1 {
-			closed = append(closed, sh.Rotate())
+			c, packets := sh.Rotate()
+			if packets != uint64(len(p.Keys)) {
+				return fmt.Errorf("rotate(%d windows): window %d reported %d packets, want %d",
+					windows, i, packets, len(p.Keys))
+			}
+			closed = append(closed, c)
 		}
 	}
 	total := sh.Snapshot()

@@ -164,7 +164,7 @@ func RunSketchOps(program []byte) error {
 				return err
 			}
 		case 0x03:
-			closed := m.shard.Rotate()
+			closed, _ := m.shard.Rotate()
 			if d := m.serial.FirstRegisterDiff(closed.Core()); d != "" {
 				return fmt.Errorf("step %d: rotated window diverged from serial: %s", steps, d)
 			}

@@ -16,7 +16,7 @@ import (
 // so the reference is reconstructed from the ring's own answer and the
 // invariant stays honest under exponential-histogram coarsening.
 
-// newRing builds an owned-mode ring for this geometry. The clock is a
+// newRing builds a live ring for this geometry. The clock is a
 // deterministic fake so trials never depend on wall time.
 func newRing(g Geometry, shards, spanCap, maxWindows int) (*window.Ring, error) {
 	return window.New(window.Config{

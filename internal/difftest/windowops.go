@@ -9,7 +9,7 @@ import (
 )
 
 // The window-ops state machine interprets a byte string as a program over
-// the temporal layer: an owned-mode window.Ring driven in lockstep with a
+// the temporal layer: a live window.Ring driven in lockstep with a
 // reference model — one serial core.Sketch per closed window plus one for
 // the live window, and one map-of-exact-counts oracle per window. Queries
 // fold the reference windows through MergeScalar (the exported scalar
@@ -26,8 +26,9 @@ import (
 //	0x03          — Coarsen: force one ring compaction (reference unchanged:
 //	                coarsening must not alter any fold)
 //	0x04          — Audit: at every lookback 1..windows, ring fold ==
-//	                scalar fold of the covering windows; plus the full
-//	                fold with the live window included
+//	                scalar fold of the covering windows and Coverage's
+//	                packets == the oracle's packets over those windows;
+//	                plus the full fold with the live window included
 //	0x05 key      — QueryOverTime(key): equals the scalar fold's estimate
 //	                and is one-sided against the summed oracles
 //	0x06 key n    — Saturation burst: Update(key, (1+n)·8192), driving
@@ -109,8 +110,29 @@ func (m *windowMachine) scalarFold(from, to uint64, withLive bool) (*core.Sketch
 	return sk, nil
 }
 
+// oraclePackets sums the oracle's packets over closed windows [from..to]
+// (1-based, inclusive; [0,0] covers none), plus the live window when
+// withLive.
+func (m *windowMachine) oraclePackets(from, to uint64, withLive bool) uint64 {
+	var n uint64
+	add := func(counts map[uint32]uint64) {
+		for _, c := range counts {
+			n += c
+		}
+	}
+	for gen := from; gen != 0 && gen <= to; gen++ {
+		add(m.oracles[gen-1])
+	}
+	if withLive {
+		add(m.oracleLive)
+	}
+	return n
+}
+
 // audit checks the ring fold against the scalar reference fold at every
-// lookback depth, then the full fold with the live window.
+// lookback depth, then the full fold with the live window. Each fold's
+// Coverage must also count exactly the packets the oracle sent into the
+// covered windows.
 func (m *windowMachine) audit(step int) error {
 	for lb := 1; lb <= len(m.closed); lb++ {
 		got, cov, err := m.ring.SnapshotOverTime(window.LastWindows(lb))
@@ -132,6 +154,9 @@ func (m *windowMachine) audit(step int) error {
 			return fmt.Errorf("step %d: lookback %d (covering [%d,%d]) diverged from scalar fold: %s",
 				step, lb, cov.FirstGeneration, cov.LastGeneration, d)
 		}
+		if want := m.oraclePackets(cov.FirstGeneration, cov.LastGeneration, false); cov.Packets != want {
+			return fmt.Errorf("step %d: lookback %d covers %d packets, oracle sent %d", step, lb, cov.Packets, want)
+		}
 	}
 	// Full fold including the live window.
 	got, cov, err := m.ring.SnapshotOverTime(window.LastWindows(0).WithLive())
@@ -151,6 +176,9 @@ func (m *windowMachine) audit(step int) error {
 	}
 	if d := ref.FirstRegisterDiff(got); d != "" {
 		return fmt.Errorf("step %d: live fold diverged from scalar fold: %s", step, d)
+	}
+	if want := m.oraclePackets(from, to, true); cov.Packets != want {
+		return fmt.Errorf("step %d: live fold covers %d packets, oracle sent %d", step, cov.Packets, want)
 	}
 	return nil
 }

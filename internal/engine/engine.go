@@ -24,6 +24,12 @@
 // that shard's lock only for the duration of the copy, then merges the
 // copies outside all locks. A shard is blocked for one memcpy, not for the
 // encode or network write of a collection.
+//
+// The engine is also the window's only rotation authority. Each shard
+// counts the packets it recorded under the same lock as its registers, so
+// Rotate closes a window together with its exact packet count, and a live
+// snapshot reports the packets its registers hold — exact past root
+// saturation, where the sketch's own totals are only a floor.
 package engine
 
 import (
@@ -53,10 +59,11 @@ type Config struct {
 // shard pads each slot so neighbouring shard locks do not false-share a
 // cache line under concurrent writers.
 type shard struct {
-	mu  sync.Mutex
-	sk  *core.Sketch
-	gen atomic.Uint64 // bumped on every update; snapshot cache validity
-	_   [64 - 8]byte
+	mu      sync.Mutex
+	sk      *core.Sketch
+	gen     atomic.Uint64 // bumped on every update; snapshot cache validity
+	packets uint64        // packets recorded in this window; guarded by mu
+	_       [64 - 8]byte
 }
 
 // Engine is a sharded multi-writer FCM-Sketch.
@@ -128,6 +135,7 @@ func (e *Engine) UpdateShard(i int, key []byte, inc uint64) {
 	sh.mu.Lock()
 	sh.sk.Update(key, inc)
 	sh.gen.Add(1)
+	sh.packets += inc
 	sh.mu.Unlock()
 }
 
@@ -181,13 +189,15 @@ func (e *Engine) UpdateBatch(keys [][]byte, inc uint64) {
 func (sh *shard) updateBatch(keys [][]byte, inc uint64) {
 	sh.sk.UpdateBatch(keys, inc)
 	sh.gen.Add(uint64(len(keys)))
+	sh.packets += inc * uint64(len(keys))
 }
 
 // MergeShard folds o — which must share the shards' geometry and hash
-// functions — into shard i under that shard's lock. The caller keeps
-// ownership of o. Because FCM's merge is exact, this is equivalent to
-// replaying o's whole stream into shard i.
-func (e *Engine) MergeShard(i int, o *core.Sketch) error {
+// functions — into shard i under that shard's lock, and adds packets (the
+// number of packets o represents; 0 when unknown) to the window's count.
+// The caller keeps ownership of o. Because FCM's merge is exact, this is
+// equivalent to replaying o's whole stream into shard i.
+func (e *Engine) MergeShard(i int, o *core.Sketch, packets uint64) error {
 	sh := &e.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -195,6 +205,7 @@ func (e *Engine) MergeShard(i int, o *core.Sketch) error {
 		return err
 	}
 	sh.gen.Add(1)
+	sh.packets += packets
 	return nil
 }
 
@@ -278,25 +289,53 @@ func (e *Engine) Generation() uint64 {
 	return g
 }
 
+// Packets returns the number of packets recorded in the current window:
+// every update's increment plus the packets passed to MergeShard since
+// the last Rotate or Reset.
+func (e *Engine) Packets() uint64 {
+	var n uint64
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		n += sh.packets
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // Snapshot returns the exact merge of every shard as a sketch the caller
 // owns, plus the engine generation the snapshot corresponds to (a lower
 // bound: updates racing with the copy may or may not be included, exactly
 // as with any streaming snapshot). Each shard is locked only while its
 // registers are copied; the merge runs outside all locks.
 func (e *Engine) Snapshot() (*core.Sketch, uint64) {
+	sk, gen, _ := e.snapshot()
+	return sk, gen
+}
+
+// SnapshotPackets is Snapshot with the live window's packet count in
+// place of the generation. Each shard's count is read under the same lock
+// as its register copy, so the count is exactly the packets the returned
+// registers hold.
+func (e *Engine) SnapshotPackets() (*core.Sketch, uint64) {
+	sk, _, packets := e.snapshot()
+	return sk, packets
+}
+
+func (e *Engine) snapshot() (sk *core.Sketch, gen, packets uint64) {
 	if e.snapSeconds != nil {
 		defer e.snapSeconds.ObserveSince(time.Now())
 	}
 	clones := make([]*core.Sketch, len(e.shards))
-	var gen uint64
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
 		clones[i] = sh.sk.Clone()
 		gen += sh.gen.Load()
+		packets += sh.packets
 		sh.mu.Unlock()
 	}
-	return e.mergeClones(clones), gen
+	return e.mergeClones(clones), gen, packets
 }
 
 // mergeClones folds per-shard register copies into one sketch outside all
@@ -317,31 +356,37 @@ func (e *Engine) mergeClones(clones []*core.Sketch) *core.Sketch {
 }
 
 // Rotate atomically snapshots and clears each shard, returning the exact
-// merge of the closed window. Updates concurrent with Rotate land in
-// either the closed or the new window (never both, never neither).
-func (e *Engine) Rotate() *core.Sketch {
+// merge of the closed window and the packets it recorded. Updates
+// concurrent with Rotate land in either the closed or the new window
+// (never both, never neither), and so do their packets: each shard's count
+// is read and zeroed under the lock that copies its registers.
+func (e *Engine) Rotate() (*core.Sketch, uint64) {
 	if e.rotateSeconds != nil {
 		defer e.rotateSeconds.ObserveSince(time.Now())
 	}
 	clones := make([]*core.Sketch, len(e.shards))
+	var packets uint64
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
 		clones[i] = sh.sk.Clone()
+		packets += sh.packets
 		sh.sk.Reset()
 		sh.gen.Add(1)
+		sh.packets = 0
 		sh.mu.Unlock()
 	}
-	return e.mergeClones(clones)
+	return e.mergeClones(clones), packets
 }
 
-// Reset clears every shard.
+// Reset clears every shard and its packet count.
 func (e *Engine) Reset() {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
 		sh.sk.Reset()
 		sh.gen.Add(1)
+		sh.packets = 0
 		sh.mu.Unlock()
 	}
 }

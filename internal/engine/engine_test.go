@@ -161,9 +161,12 @@ func TestRotateReturnsClosedWindow(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		eng.Update(key(uint64(i%50)), 1)
 	}
-	closed := eng.Rotate()
+	closed, packets := eng.Rotate()
 	if got := closed.Estimate(key(7)); got != 20 {
 		t.Errorf("closed-window estimate %d want 20", got)
+	}
+	if packets != 1000 || eng.Packets() != 0 {
+		t.Errorf("closed window counted %d packets (live %d), want 1000 (0)", packets, eng.Packets())
 	}
 	fresh, _ := eng.Snapshot()
 	if got := fresh.Estimate(key(7)); got != 0 {

@@ -41,7 +41,7 @@ func TestMergeShardRefusesMismatch(t *testing.T) {
 		{"hash seed", mk(func(c *core.Config) { c.Hash = hashing.NewBobFamily(99) }), "hash-seed mismatch"},
 	}
 	for _, tc := range cases {
-		err := e.MergeShard(0, tc.o)
+		err := e.MergeShard(0, tc.o, 0)
 		if err == nil {
 			t.Fatalf("%s: MergeShard accepted a mismatched sketch", tc.name)
 		}

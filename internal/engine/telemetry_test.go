@@ -30,7 +30,7 @@ func TestEngineInstrument(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	_ = e.Rotate()
+	_, _ = e.Rotate()
 	if sk, _ := e.Snapshot(); sk == nil {
 		t.Fatal("nil snapshot")
 	}

@@ -1,8 +1,9 @@
 // Package window is the sliding-window temporal layer of the FCM
-// framework: a ring of closed-window sketches over a live fcm.Sharded (or
-// fcm.Framework) data plane, answering *_over_time queries — per-flow
-// count, heavy hitters, cardinality, entropy and flow-size distribution
-// over an arbitrary lookback — without stopping ingest.
+// framework: a ring of closed-window sketches over a live sharded engine
+// (or, in collector mode, over windows filed from elsewhere), answering
+// *_over_time queries — per-flow count, heavy hitters, cardinality,
+// entropy and flow-size distribution over an arbitrary lookback — without
+// stopping ingest.
 //
 // The design leans entirely on the property the paper proves in §5: FCM's
 // merge is exact, so the fold of any set of window sketches is register-
@@ -16,11 +17,12 @@
 // # Ring + exponential-histogram coarsening
 //
 // Rotate closes the live window into a span-1 bucket carrying
-// minTime/maxTime/generation metadata. To keep long lookbacks cheap the
-// ring maintains an exponential histogram over bucket spans: whenever more
-// than SpanCap buckets share a coarsening level, the two oldest of that
-// level are merged (word-wide SWAR kernel) into one bucket of the next
-// level with double the span. A retention of n windows therefore holds
+// minTime/maxTime/generation metadata and the window's exact packet count,
+// which the engine keeps beside each shard's registers. To keep long
+// lookbacks cheap the ring maintains an exponential histogram over bucket
+// spans: whenever more than SpanCap buckets share a coarsening level, the
+// two oldest of that level are merged (word-wide SWAR kernel) into one
+// bucket of the next level with double the span. A retention of n windows therefore holds
 // O(SpanCap · log n) buckets, and any lookback folds O(log n) sketches.
 // Coarsening always allocates the merged sketch fresh — buckets are
 // immutable once filed — so queries that collected bucket references
@@ -53,6 +55,7 @@ import (
 	fcm "github.com/fcmsketch/fcm"
 	"github.com/fcmsketch/fcm/internal/core"
 	"github.com/fcmsketch/fcm/internal/em"
+	"github.com/fcmsketch/fcm/internal/engine"
 )
 
 // Defaults for Config's zero fields.
@@ -69,12 +72,10 @@ var ErrEmpty = errors.New("window: lookback covers no data")
 
 // Config parameterizes a Ring.
 type Config struct {
-	// Sketch is the geometry of every window (owned mode). Attached rings
-	// take it from the framework; collector rings adopt the geometry of
-	// the first filed window.
+	// Sketch is the geometry of every window of a live ring. Collector
+	// rings ignore it and adopt the geometry of the first filed window.
 	Sketch fcm.Config
-	// Shards is the live data plane's shard count in owned mode
-	// (default 1).
+	// Shards is the live engine's shard count (default 1).
 	Shards int
 	// BucketDuration is the nominal duration of one window. It stamps
 	// bucket metadata and resolves Duration lookbacks; the ring itself
@@ -190,16 +191,14 @@ type Coverage struct {
 }
 
 // Ring is the temporal layer: closed-window buckets (oldest first) behind
-// one of three ingest frontends — an owned fcm.Sharded, an attached
-// fcm.Framework, or none at all (collector mode, fed via FileWindow).
-// All methods are safe for concurrent use; Update never takes the ring
-// lock, so the ingest hot path is exactly the underlying data plane's.
+// either a live engine the ring owns, or none at all (collector mode, fed
+// via FileWindow). All methods are safe for concurrent use; Update never
+// takes the ring lock, so the ingest hot path is exactly the engine's.
 type Ring struct {
 	cfg Config
 
-	// live/fw is the ingest frontend; at most one is non-nil.
-	live *fcm.Sharded
-	fw   *fcm.Framework
+	// live is the owned ingest engine; nil in collector mode.
+	live *engine.Engine
 
 	// mu orders rotation, filing, coarsening and the covering-set scan of
 	// queries. The fold itself runs outside it.
@@ -219,8 +218,8 @@ type Ring struct {
 	droppedWindows atomic.Uint64
 }
 
-// New builds a ring that owns its live data plane: an fcm.Sharded with
-// cfg.Shards shards and cfg.Sketch geometry.
+// New builds a ring that owns its live data plane: a sharded engine with
+// cfg.Shards shards of cfg.Sketch geometry.
 func New(cfg Config) (*Ring, error) {
 	cfg = cfg.withDefaults()
 	live, err := fcm.NewSharded(cfg.Sketch, cfg.Shards)
@@ -228,24 +227,7 @@ func New(cfg Config) (*Ring, error) {
 		return nil, fmt.Errorf("window: %w", err)
 	}
 	cfg.Sketch = live.Config()
-	r := &Ring{cfg: cfg, live: live}
-	r.liveStart = cfg.Now()
-	return r, nil
-}
-
-// Attach wraps an existing fcm.Framework in a ring — the framework's
-// windowed mode. The framework keeps working as before (Update,
-// HeavyChanges, ...); Ring.Rotate rotates it and files every closed
-// window, so over-time queries become available on top. cfg.Sketch and
-// cfg.Shards are taken from the framework.
-func Attach(fw *fcm.Framework, cfg Config) (*Ring, error) {
-	if fw == nil {
-		return nil, errors.New("window: cannot attach a nil framework")
-	}
-	cfg = cfg.withDefaults()
-	cfg.Sketch = fw.Config()
-	cfg.Shards = fw.Shards()
-	r := &Ring{cfg: cfg, fw: fw}
+	r := &Ring{cfg: cfg, live: live.Engine()}
 	r.liveStart = cfg.Now()
 	return r, nil
 }
@@ -262,70 +244,53 @@ func NewCollector(cfg Config) *Ring {
 // Config returns the ring's effective configuration.
 func (r *Ring) Config() Config { return r.cfg }
 
+// errCollector is returned by the live-window methods of a collector ring.
+var errCollector = errors.New("window: collector ring has no live window; use FileWindow")
+
 // Update records inc occurrences of key in the live window. It goes
-// straight to the data plane — no ring lock — so the ingest hot path is
+// straight to the engine — no ring lock — so the ingest hot path is
 // unchanged by the temporal layer. Errors only in collector mode.
 func (r *Ring) Update(key []byte, inc uint64) error {
-	switch {
-	case r.live != nil:
-		r.live.Update(key, inc)
-	case r.fw != nil:
-		r.fw.Update(key, inc)
-	default:
-		return errors.New("window: collector ring has no live window; use FileWindow")
+	if r.live == nil {
+		return errCollector
 	}
+	r.live.Update(key, inc)
 	return nil
 }
 
 // UpdateBatch records inc occurrences of every key in keys in the live
 // window. Errors only in collector mode.
 func (r *Ring) UpdateBatch(keys [][]byte, inc uint64) error {
-	switch {
-	case r.live != nil:
-		r.live.UpdateBatch(keys, inc)
-	case r.fw != nil:
-		for _, k := range keys {
-			r.fw.Update(k, inc)
-		}
-	default:
-		return errors.New("window: collector ring has no live window; use FileWindow")
+	if r.live == nil {
+		return errCollector
 	}
+	r.live.UpdateBatch(keys, inc)
 	return nil
 }
 
 // Rotate closes the live window into a fresh span-1 bucket, assigns it
 // the next generation, and runs the coarsening and retention passes.
-// Updates racing Rotate land in exactly one window (the underlying data
-// plane's guarantee), and queries racing it see either the pre- or the
+// Updates racing Rotate land, and are counted, in exactly one window (the
+// engine's guarantee), and queries racing it see either the pre- or the
 // post-rotation bucket set.
 func (r *Ring) Rotate() error {
+	if r.live == nil {
+		return errCollector
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.cfg.Now()
-	var sk *core.Sketch
-	var packets uint64
-	switch {
-	case r.live != nil:
-		closed := r.live.Rotate()
-		sk = closed.Core()
-		// The sharded plane has no per-window packet counter; the per-tree
-		// total is exact below root saturation and a floor above it.
-		packets = sk.TotalCount(0)
-	case r.fw != nil:
-		closed, n := r.fw.RotateClosed()
-		sk, packets = closed.Core(), n
-	default:
-		return errors.New("window: collector ring has no live window to rotate; use FileWindow")
-	}
+	sk, packets := r.live.Rotate()
 	r.fileLocked(sk, r.liveStart, now, packets)
 	r.liveStart = now
 	return nil
 }
 
 // FileWindow appends an externally closed window — collector mode's
-// ingest path. sk must share the geometry of previously filed windows
-// (the first call adopts it) and must not be mutated by the caller
-// afterwards: the ring treats buckets as immutable.
+// ingest path. sk must merge with previously filed windows — same
+// geometry, hash mode, hash seed and counter encoding (the first call
+// adopts them) — and must not be mutated by the caller afterwards: the
+// ring treats buckets as immutable.
 func (r *Ring) FileWindow(sk *core.Sketch, minTime, maxTime time.Time, packets uint64) error {
 	if sk == nil {
 		return errors.New("window: cannot file a nil sketch")
@@ -333,31 +298,12 @@ func (r *Ring) FileWindow(sk *core.Sketch, minTime, maxTime time.Time, packets u
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.buckets) > 0 {
-		if d := describeIncompatible(r.buckets[len(r.buckets)-1].sk, sk); d != "" {
-			return fmt.Errorf("window: filed window geometry mismatch: %s", d)
+		if err := r.buckets[len(r.buckets)-1].sk.Compatible(sk); err != nil {
+			return fmt.Errorf("window: filed window cannot merge: %w", err)
 		}
 	}
 	r.fileLocked(sk, minTime, maxTime, packets)
 	return nil
-}
-
-// describeIncompatible reports a human-readable geometry mismatch between
-// a retained bucket and a candidate, or "" when they are mergeable.
-func describeIncompatible(have, cand *core.Sketch) string {
-	// A zero-value clone merge is the authoritative compatibility check —
-	// but cloning per file is wasteful, so compare the cheap axes first.
-	if have.K() != cand.K() || have.NumTrees() != cand.NumTrees() ||
-		have.Depth() != cand.Depth() || have.LeafWidth() != cand.LeafWidth() {
-		return fmt.Sprintf("k/trees/depth/leaf %d/%d/%d/%d vs %d/%d/%d/%d",
-			cand.K(), cand.NumTrees(), cand.Depth(), cand.LeafWidth(),
-			have.K(), have.NumTrees(), have.Depth(), have.LeafWidth())
-	}
-	for l := 0; l < have.Depth(); l++ {
-		if have.StageWidth(l) != cand.StageWidth(l) {
-			return fmt.Sprintf("stage %d width %d vs %d", l, cand.StageWidth(l), have.StageWidth(l))
-		}
-	}
-	return ""
 }
 
 // fileLocked appends a closed window and re-establishes the exponential
@@ -544,21 +490,15 @@ func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
 		cov.To = covering[len(covering)-1].maxTime
 	}
 	var liveCore *core.Sketch
-	if lb.IncludeLive {
+	if lb.IncludeLive && r.live != nil {
 		// The live snapshot is taken inside the same critical section that
 		// fixed the bucket set, so a racing Rotate cannot move packets
 		// between "closed" and "live" mid-scan.
-		switch {
-		case r.live != nil:
-			liveCore = r.live.Snapshot().Core()
-		case r.fw != nil:
-			liveCore = r.fw.Sketch().Core()
-		}
-		if liveCore != nil {
-			cov.IncludesLive = true
-			cov.Packets += liveCore.TotalCount(0)
-			cov.To = r.cfg.Now()
-		}
+		var packets uint64
+		liveCore, packets = r.live.SnapshotPackets()
+		cov.IncludesLive = true
+		cov.Packets += packets
+		cov.To = r.cfg.Now()
 	}
 	r.mu.Unlock()
 
@@ -600,7 +540,7 @@ func (r *Ring) scratchFor(model *core.Sketch) *core.Sketch {
 			break
 		}
 		sk := v.(*core.Sketch)
-		if describeIncompatible(model, sk) == "" {
+		if model.Compatible(sk) == nil {
 			sk.Reset()
 			return sk
 		}

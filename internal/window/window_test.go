@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	fcm "github.com/fcmsketch/fcm"
 	"github.com/fcmsketch/fcm/internal/collect"
+	"github.com/fcmsketch/fcm/internal/core"
+	"github.com/fcmsketch/fcm/internal/hashing"
 	"github.com/fcmsketch/fcm/internal/telemetry"
 )
 
@@ -25,7 +28,7 @@ func testClock() func() time.Time {
 	}
 }
 
-// testRing builds a small owned-mode ring with a deterministic clock.
+// testRing builds a small live ring with a deterministic clock.
 func testRing(t *testing.T, maxWindows, spanCap int) *Ring {
 	t.Helper()
 	r, err := New(Config{
@@ -64,67 +67,136 @@ func fillWindows(t *testing.T, r *Ring, n, perWindow int) {
 	}
 }
 
-// TestAttachFrameworkWindowedMode pins the framework's windowed mode: a
-// ring attached to an existing fcm.Framework rotates it, files every
-// closed window, and answers over-time queries — while the framework's
-// own query surface keeps working.
-func TestAttachFrameworkWindowedMode(t *testing.T) {
-	fw, err := fcm.NewFramework(fcm.Config{LeafWidth: 512})
+// TestWindowPacketsExactPastRootSaturation pins the engine's exact packet
+// count as the ring's source: 1000 packets of one flow saturate the root
+// of {2,3,4}-bit trees, where the sketch's own total stalls at a floor of
+// 22, yet Coverage and the filed bucket report all 1000 — live, and after
+// Rotate. Half the packets arrive per key, half through UpdateBatch.
+func TestWindowPacketsExactPastRootSaturation(t *testing.T) {
+	r, err := New(Config{
+		Sketch: fcm.Config{LeafWidth: 64, Widths: []int{2, 3, 4}},
+		Shards: 2,
+		Now:    testClock(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Attach(fw, Config{BucketDuration: time.Second, Now: testClock()})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 500; i++ {
+		if err := r.Update(key(1), 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Two windows of 3 + 5 packets for flow 7, rotated through the ring.
-	for i := 0; i < 3; i++ {
-		fw.Update(key(7), 1)
-	}
-	if err := r.Rotate(); err != nil {
-		t.Fatal(err)
+	batch := make([][]byte, 100)
+	for i := range batch {
+		batch[i] = key(1)
 	}
 	for i := 0; i < 5; i++ {
-		fw.Update(key(7), 1)
+		if err := r.UpdateBatch(batch, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, _, err := r.SnapshotOverTime(LastWindows(0).WithLive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor := live.TotalCount(0); floor >= 1000 {
+		t.Fatalf("root did not saturate: TotalCount(0) = %d", floor)
+	}
+	if _, cov, err := r.QueryOverTime(key(1), LastWindows(0).WithLive()); err != nil || cov.Packets != 1000 {
+		t.Fatalf("live coverage packets %d (err %v), want 1000", cov.Packets, err)
 	}
 	if err := r.Rotate(); err != nil {
 		t.Fatal(err)
 	}
+	if _, cov, err := r.QueryOverTime(key(1), LastWindows(0)); err != nil || cov.Packets != 1000 {
+		t.Fatalf("filed coverage packets %d (err %v), want 1000", cov.Packets, err)
+	}
+	if b := r.Buckets(); len(b) != 1 || b[0].Packets != 1000 {
+		t.Fatalf("buckets %+v, want one holding 1000 packets", b)
+	}
+}
 
-	est, cov, err := r.QueryOverTime(key(7), LastWindows(0))
+// TestWindowPacketsConservedUnderRotate races writers — per-key and
+// batched — against Rotate: every packet sent must be counted in exactly
+// one window, so the filed buckets plus the live window hold them all.
+func TestWindowPacketsConservedUnderRotate(t *testing.T) {
+	r, err := New(Config{
+		Sketch:     fcm.Config{LeafWidth: 512},
+		Shards:     3,
+		MaxWindows: 1 << 20, // retention never drops a window here
+		Now:        testClock(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est != 8 {
-		t.Fatalf("over-time estimate %d, want 8", est)
+	const writers, rounds = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			batch := [][]byte{key(uint32(w)), key(7), key(uint32(w + 100))}
+			for i := 0; i < rounds; i++ {
+				if err := r.Update(key(uint32(i%64)), uint64(1+i%3)); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := r.UpdateBatch(batch, 2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
 	}
-	if cov.FirstGeneration != 1 || cov.LastGeneration != 2 || cov.Windows != 2 {
-		t.Fatalf("coverage %+v, want generations [1,2] over 2 windows", cov)
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for rotating := true; rotating; {
+		select {
+		case <-done:
+			rotating = false
+		default:
+			if err := r.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if cov.Packets != 8 {
-		t.Fatalf("coverage packets %d, want 8 (framework counts per-window packets exactly)", cov.Packets)
+	var perWriter uint64
+	for i := 0; i < rounds; i++ {
+		perWriter += uint64(1+i%3) + 3*2
 	}
-	// A single-window lookback sees only the newest window.
-	est, _, err = r.QueryOverTime(key(7), LastWindows(1))
+	sent := writers * perWriter
+
+	// Before the final Rotate the packets sit in filed buckets plus the
+	// live window; after it, in filed buckets alone.
+	_, cov, err := r.SnapshotOverTime(LastWindows(0).WithLive())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est != 5 {
-		t.Fatalf("last-window estimate %d, want 5", est)
+	if cov.Packets != sent {
+		t.Fatalf("filed + live windows hold %d packets, want %d sent", cov.Packets, sent)
 	}
-	// The framework's own (prev-window) surface still answers: Rotate
-	// retains the closed window as the framework's previous window.
-	if got := fw.PreviousEstimate(key(7)); got != 5 {
-		t.Fatalf("framework prev-window estimate %d, want 5", got)
+	if err := r.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	var filed uint64
+	for _, b := range r.Buckets() {
+		filed += b.Packets
+	}
+	if filed != sent || r.Stats().DroppedWindows != 0 {
+		t.Fatalf("filed buckets hold %d packets, want %d sent", filed, sent)
 	}
 }
 
 // TestCollectorRejectsGeometryDrift pins collector-mode validation: a
-// filed window whose geometry deviates from the retained buckets must be
-// refused, naming the mismatched axis.
+// filed window that cannot merge with the retained buckets — another
+// geometry, hash seed, hash mode or counter encoding — must be refused,
+// naming the mismatched axis, and queries must keep answering.
 func TestCollectorRejectsGeometryDrift(t *testing.T) {
 	r := NewCollector(Config{BucketDuration: time.Second, Now: testClock()})
-	a, err := fcm.NewSketch(fcm.Config{LeafWidth: 512})
+	a, err := fcm.NewSketch(fcm.Config{LeafWidth: 512, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +205,43 @@ func TestCollectorRejectsGeometryDrift(t *testing.T) {
 	if err := r.FileWindow(a.Core(), now, now.Add(time.Second), 1); err != nil {
 		t.Fatal(err)
 	}
-	b, err := fcm.NewSketch(fcm.Config{LeafWidth: 256})
+	drift := func(cfg fcm.Config) *core.Sketch {
+		s, err := fcm.NewSketch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Core()
+	}
+	flagBit, err := core.New(core.Config{
+		K: 8, Trees: 2, Widths: core.DefaultWidths(), LeafWidth: 512,
+		Hash:             hashing.NewBobFamily(0xfc3141 ^ 1),
+		FlagBitIndicator: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.FileWindow(b.Core(), now, now.Add(time.Second), 0)
-	if err == nil {
-		t.Fatal("ring accepted a window with a different geometry")
+	cases := []struct {
+		name string
+		sk   *core.Sketch
+		want string
+	}{
+		{"geometry", drift(fcm.Config{LeafWidth: 256, Seed: 1}), "geometry mismatch"},
+		{"seed", drift(fcm.Config{LeafWidth: 512, Seed: 2}), "hash-seed mismatch"},
+		{"hash mode", drift(fcm.Config{LeafWidth: 512, Seed: 1, PerTreeHash: true}), "hash-mode mismatch"},
+		{"encoding", flagBit, "encoding mismatch"},
 	}
-	if !strings.Contains(err.Error(), "geometry mismatch") {
-		t.Fatalf("unhelpful mismatch error: %v", err)
+	for _, tc := range cases {
+		err := r.FileWindow(tc.sk, now, now.Add(time.Second), 0)
+		if err == nil {
+			t.Fatalf("%s: ring accepted a window that cannot merge", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		est, cov, err := r.QueryOverTime(key(1), LastWindows(0))
+		if err != nil || est != 1 || cov.Windows != 1 {
+			t.Fatalf("%s: query after refusal = %d over %+v (err %v), want 1 over 1 window", tc.name, est, cov, err)
+		}
 	}
 	// Updates have no live plane to land in.
 	if err := r.Update(key(1), 1); err == nil {
@@ -425,7 +524,7 @@ func BenchmarkQueryOverTime(b *testing.B) {
 			k := key(1)
 			for w := 0; w < 64; w++ {
 				for p := 0; p < 16; p++ {
-					r.Update(k, 1) //nolint:errcheck // owned mode cannot fail
+					r.Update(k, 1) //nolint:errcheck // a live ring cannot fail
 				}
 				if err := r.Rotate(); err != nil {
 					b.Fatal(err)
@@ -458,7 +557,7 @@ func BenchmarkRotate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Update(k, 1) //nolint:errcheck // owned mode cannot fail
+		r.Update(k, 1) //nolint:errcheck // a live ring cannot fail
 		if err := r.Rotate(); err != nil {
 			b.Fatal(err)
 		}

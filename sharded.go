@@ -109,14 +109,15 @@ func (s *Sharded) Snapshot() *Sketch {
 func (s *Sharded) SnapshotEstimator() sketch.Estimator { return s.Snapshot() }
 
 // Rotate closes the measurement window: every shard is snapshotted and
-// cleared, and the exact merge of the closed window is returned. Updates
-// racing with Rotate land in exactly one of the two windows.
-func (s *Sharded) Rotate() *Sketch {
+// cleared, and the exact merge of the closed window is returned with the
+// number of packets the window recorded. Updates racing with Rotate land
+// in exactly one of the two windows, and are counted in that one.
+func (s *Sharded) Rotate() (*Sketch, uint64) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	merged := s.eng.Rotate()
+	merged, packets := s.eng.Rotate()
 	s.hasCache = false
-	return &Sketch{cfg: s.cfg, s: merged}
+	return &Sketch{cfg: s.cfg, s: merged}, packets
 }
 
 // Estimate answers the count query on the current merged snapshot. For
@@ -157,30 +158,26 @@ func (s *Sharded) Config() Config { return s.cfg }
 func (s *Sharded) Engine() *engine.Engine { return s.eng }
 
 // MergeFrom implements the sketch.Mergeable contract: it folds another
-// *Sharded (or a plain *Sketch) with the same configuration into shard 0.
-// The merge is exact, like Sketch.Merge.
+// *Sharded (with its window's packets) or a plain *Sketch with the same
+// configuration into shard 0. The merge is exact, like Sketch.Merge.
 func (s *Sharded) MergeFrom(other sketch.Estimator) error {
-	var osk *Sketch
 	switch o := other.(type) {
 	case *Sharded:
-		if !configsEqual(s.cfg, o.cfg) {
-			return fmt.Errorf("fcm: merge config mismatch: %+v vs %+v", s.cfg, o.cfg)
-		}
-		osk = o.Snapshot()
+		merged, packets := o.eng.SnapshotPackets()
+		return s.absorb(&Sketch{cfg: o.cfg, s: merged}, packets)
 	case *Sketch:
-		if !configsEqual(s.cfg, o.Config()) {
-			return fmt.Errorf("fcm: merge config mismatch: %+v vs %+v", s.cfg, o.Config())
-		}
-		osk = o
+		return s.absorb(o, 0)
 	default:
 		return fmt.Errorf("fcm: cannot merge %T into *fcm.Sharded", other)
 	}
-	// Fold through the ownership path of shard 0: UpdateShard and Merge
-	// commute with the per-shard lock, so concurrent writers stay safe.
-	return s.mergeIntoShard0(osk)
 }
 
-// mergeIntoShard0 merges o's registers into shard 0 under its lock.
-func (s *Sharded) mergeIntoShard0(o *Sketch) error {
-	return s.eng.MergeShard(0, o.s)
+// absorb is the one merge path into a live window: it checks o's
+// configuration, then folds o and the packets it represents into shard 0
+// under that shard's lock, so concurrent writers stay safe.
+func (s *Sharded) absorb(o *Sketch, packets uint64) error {
+	if !configsEqual(s.cfg, o.cfg) {
+		return fmt.Errorf("fcm: merge config mismatch: %+v vs %+v", s.cfg, o.cfg)
+	}
+	return s.eng.MergeShard(0, o.s, packets)
 }
