@@ -4,6 +4,45 @@
 # server are exercised by multi-writer tests, so -race is the contract).
 set -eux
 
+# listed PATTERN PKG... fails unless PATTERN names at least one test,
+# benchmark or fuzz target in every PKG. `go test -run X` exits 0 with
+# "no tests to run" when X matches nothing, so without this a renamed or
+# deleted test would drop out of its gate without a sound.
+listed() {
+  pattern=$1
+  shift
+  for pkg in "$@"; do
+    if ! go test -list "$pattern" "$pkg" | grep -qv '^ok '; then
+      echo "ci.sh: '$pattern' matches nothing in $pkg" >&2
+      exit 1
+    fi
+  done
+}
+
+# gate PATTERN 'PKG...' [FLAG...] runs the tests PATTERN selects in every
+# PKG, after listed has checked that it selects some in each.
+gate() {
+  pattern=$1 pkgs=$2
+  shift 2
+  listed "$pattern" $pkgs
+  go test "$@" -run "$pattern" $pkgs
+}
+
+# smoke PATTERN PKG... runs one iteration of the benchmarks PATTERN selects
+# — not a perf measurement, a gate that they still compile and run.
+smoke() {
+  pattern=$1
+  shift
+  listed "$pattern" "$@"
+  go test -run NOMATCH -bench "$pattern" -benchtime 1x "$@"
+}
+
+# fuzz TARGET PKG runs a ten-second smoke of one native fuzz target.
+fuzz() {
+  listed "^$1\$" "$2"
+  go test -run NOMATCH -fuzz "^$1\$" -fuzztime 10s "$2"
+}
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -12,34 +51,30 @@ go test -race ./...
 # without test caching) so collection-plane robustness cannot silently
 # rot. Fault schedules are drawn from fixed seeds baked into the tests
 # (chaosSeed=42 and per-test constants), so failures reproduce exactly.
-go test -race -count=1 \
-  -run 'Chaos|Blackhole|AcceptLoop|MaxConns|Idle|Skipped|Retries|StalledPeer|Stop' \
-  ./internal/collect/ ./internal/faultnet/
+gate 'Chaos|Blackhole|AcceptLoop|MaxConns|Idle|Skipped|Retries|StalledPeer|Stop' \
+  './internal/collect/ ./internal/faultnet/' -race -count=1
 
 # Hot-path gate, part 1: the zero-allocation contract of the batched
 # ingest path, uncached so it cannot rot behind the test cache. These
 # tests pin AllocsPerRun == 0 on core.UpdateBatch, the engine batcher and
 # first-free-shard UpdateBatch, Ring.UpdateBatch and the ring's coarsening
 # scan, trace replay (batched and unbatched) and the streaming pcap replay.
-go test -count=1 -run 'Allocs' \
-  ./internal/engine/ ./internal/trace/ ./internal/window/
+gate 'Allocs' './internal/engine/ ./internal/trace/ ./internal/window/' -count=1
 
 # Batch-placement race gate: first-free-shard UpdateBatch writers (batch
 # sizes 1..1000) racing key-affinity writers and snapshots must still merge
 # to the serial registers, and one writer's batches must reach every shard.
 # Repeated under -race so rare interleavings of TryLock get a chance.
-go test -race -count=10 \
-  -run 'TestShardedConcurrentWritersAndSnapshots|TestUpdateBatchRoundRobinSpread' \
-  . ./internal/engine/
+gate 'TestShardedConcurrentWritersAndSnapshots|TestUpdateBatchRoundRobinSpread' \
+  '. ./internal/engine/' -race -count=10
 
 # Rotation-authority race gate: the engine alone decides which window an
 # update lands in and counts its packets there. Writers racing Rotate on a
 # ring must leave filed + live packets equal to the packets sent, and the
 # lock-free Framework.Update must still put each update in exactly one
 # window. Repeated under -race so rare rotate interleavings get a chance.
-go test -race -count=10 \
-  -run 'TestWindowPacketsConservedUnderRotate|TestFrameworkRotateUnderConcurrentUpdate' \
-  . ./internal/window/
+gate 'TestWindowPacketsConservedUnderRotate|TestFrameworkRotateUnderConcurrentUpdate' \
+  '. ./internal/window/' -race -count=10
 
 # Benchmark compile gate: perfbench is a nested module, so the root
 # `go build ./...` skips it; vet and test it here so an API change that
@@ -47,52 +82,43 @@ go test -race -count=10 \
 (cd perfbench && go vet ./... && go test -count=1 ./...)
 
 # Hot-path gate, part 2: bench smoke. One iteration of every ingest
-# benchmark — not a perf measurement (CI boxes are noisy), just a gate
-# that the benchmarks still compile and run, so the numbers recorded in
-# BENCH_hotpath.json and BENCH_compact.json stay regenerable.
-go test -run 'NOMATCH' -bench 'IngestFCM|UpdateBatchFCM|ReplayTraceFCM' \
-  -benchtime 1x .
+# benchmark (CI boxes are too noisy for numbers), so the numbers recorded
+# in BENCH_hotpath.json and BENCH_compact.json stay regenerable.
+smoke 'IngestFCM|UpdateBatchFCM|ReplayTraceFCM' .
 
 # Fold-path gate, part 1: the word-wide (SWAR) merge plane must stay
-# bit-identical to the exported scalar reference walk — the merge/diff
-# suites (geometry sweep, cross-layout seam, equality prescreen) run under
-# -race and uncached, alongside the difftest SWAR-vs-scalar invariant via
-# the battery below.
-go test -race -count=1 \
-  -run 'MergeMatchesScalar|FirstRegisterDiffPrescreen|Merge' \
-  ./internal/core/
+# bit-identical to the scalar reference walk (difftest.MergeScalar) — the
+# merge/diff suites (geometry sweep, equality prescreen) run under -race
+# and uncached, alongside the difftest SWAR-vs-scalar invariant via the
+# battery below.
+gate 'MergeMatchesScalar|FirstRegisterDiffPrescreen|Merge' ./internal/core/ -race -count=1
 # Fold-path gate, part 2: the zero-allocation contracts of the fold plane,
 # uncached — Merge's carry scratch, the serve path's snapshot+encode
 # scratch, and the append-style frame encoders.
-go test -count=1 -run 'TestMergeAllocs|TestServeEncodeAllocs|TestDeltaAppendEncodeMatchesEncode' \
-  ./internal/core/ ./internal/collect/
+gate 'TestMergeAllocs|TestServeEncodeAllocs|TestDeltaAppendEncodeMatchesEncode' \
+  './internal/core/ ./internal/collect/' -count=1
 # Fold-path gate, part 3: bench smoke — one iteration of the fold
-# benchmarks so the numbers in BENCH_foldpath.json stay regenerable.
-go test -run 'NOMATCH' -bench 'MergePair|EqualRegisters' -benchtime 1x ./internal/core/
-go test -run 'NOMATCH' -bench 'AbsorbFleet|DiffSnapshots|StateCRC' -benchtime 1x ./internal/collect/
+# benchmarks, the word-wide merge, equality, fleet-fold and diff paths.
+smoke 'MergePair|EqualRegisters' ./internal/core/
+smoke 'AbsorbFleet|DiffSnapshots|StateCRC' ./internal/collect/
 
 # Lane-layout gate: the compact typed counter slabs (uint8/uint16/uint32
-# lanes) must stay register-exact against the 32-bit widening shim on every
-# path, under -race and uncached. Covers the in-package lane suite
-# (boundaries at 254/65534, resident-byte arithmetic, cross-layout merge and
-# clone), the difftest wide-shim invariant, the layout-independent codec
-# golden vector, and the resident-bytes telemetry gauges.
-go test -race -count=1 \
-  -run 'WideShim|CompactEqualsWide|TypedLanes|LaneRange|SaturationBoundaries|AcrossLayouts|SharesLayout|LayoutIndependent|ResidentBytes' \
-  ./internal/core/ ./internal/collect/ ./internal/engine/
+# lanes), under -race and uncached. Covers the in-package lane suite
+# (boundaries at 254/65534, lane range checks, exact resident-byte
+# arithmetic, clone layout) and the resident-bytes telemetry gauges.
+gate 'TypedLanes|LaneRange|SaturationBoundaries|SharesLayout|ResidentBytes' \
+  './internal/core/ ./internal/engine/' -race -count=1
 
 # Fleet gate: the 200+-switch two-level aggregation test under -race and
 # uncached — delta sessions end to end through faultnet faults, an
 # aggregator outage with member re-homing, heal, injected generation
 # loss, and bit-identity against a flat merge throughout. Also pins the
 # codec v3 golden vectors and the delta protocol suite alongside it.
-go test -race -count=1 \
-  -run 'Fleet|Delta|Aggregator|Scheduler|Gate' \
-  ./internal/collect/
+gate 'Fleet|Delta|Aggregator|Scheduler|Gate' ./internal/collect/ -race -count=1
 # The steady-state delta test waits for the server's post-write read
 # counter before its exact assertions; repeat it so a regression of that
 # wait (a flake a few runs in a hundred) cannot hide.
-go test -race -count=200 -run 'TestDeltaProtocolSteadyState' ./internal/collect/
+gate 'TestDeltaProtocolSteadyState' ./internal/collect/ -race -count=200
 
 # Differential gate: the oracle-backed equivalence and metamorphic suite
 # (internal/difftest) under -race and uncached. This is the proof that all
@@ -113,20 +139,20 @@ done
 dir="internal/collect/testdata/fuzz/FuzzDeltaFrame"
 [ -d "$dir" ]
 [ -n "$(ls -A "$dir")" ]
-go test -count=1 -run 'TestSeedCorpora' ./internal/difftest/
-go test -count=1 -run 'TestWindowSeedCorpus' ./internal/difftest/
-go test -count=1 -run 'TestDeltaSeedCorpus' ./internal/collect/
+gate 'TestSeedCorpora' ./internal/difftest/ -count=1
+gate 'TestWindowSeedCorpus' ./internal/difftest/ -count=1
+gate 'TestDeltaSeedCorpus' ./internal/collect/ -count=1
 
 # Fuzz gate, part 2: short smoke runs of every native fuzz target — the
 # state-machine fuzzer over the ingest ops, the pcap differential fuzzer
 # and the EM input fuzzer — plus the collect codec fuzzers that predate
 # them. Ten seconds each is not a soak; it gates that the targets still
 # build, the corpora still replay, and nothing shallow regressed.
-go test -run NOMATCH -fuzz '^FuzzSketchOps$' -fuzztime 10s ./internal/difftest/
-go test -run NOMATCH -fuzz '^FuzzPcapIngest$' -fuzztime 10s ./internal/difftest/
-go test -run NOMATCH -fuzz '^FuzzEMInput$' -fuzztime 10s ./internal/difftest/
-go test -run NOMATCH -fuzz '^FuzzDeltaFrame$' -fuzztime 10s ./internal/collect/
-go test -run NOMATCH -fuzz '^FuzzWindowOps$' -fuzztime 10s ./internal/difftest/
+fuzz FuzzSketchOps ./internal/difftest/
+fuzz FuzzPcapIngest ./internal/difftest/
+fuzz FuzzEMInput ./internal/difftest/
+fuzz FuzzDeltaFrame ./internal/collect/
+fuzz FuzzWindowOps ./internal/difftest/
 
 # Window gate, part 1: the windowed differential battery under -race and
 # uncached — every over-time query must equal the same query against a
@@ -135,15 +161,14 @@ go test -run NOMATCH -fuzz '^FuzzWindowOps$' -fuzztime 10s ./internal/difftest/
 # (exact window packets/retention/lookback/handler/telemetry) and the
 # windowed snapshot codec golden vectors with their every-bit-flip
 # rejection sweep.
-go test -race -count=1 -run 'Window' \
-  ./internal/difftest/ ./internal/window/ ./internal/collect/
+gate 'Window' './internal/difftest/ ./internal/window/ ./internal/collect/' -race -count=1
 
 # Window gate, part 2: the over-time query-throughput floor at the full
 # 64-bucket lookback (TestOverTimeQueryFloor requires >= 100 queries/s on
 # the test geometry; BENCH_overtime.json records the real numbers), and a
 # bench smoke so those numbers stay regenerable.
-go test -count=1 -run 'TestOverTimeQueryFloor' ./internal/window/
-go test -run NOMATCH -bench 'QueryOverTime|Rotate' -benchtime 1x ./internal/window/
+gate 'TestOverTimeQueryFloor' ./internal/window/ -count=1
+smoke 'QueryOverTime|Rotate' ./internal/window/
 
 # Telemetry gate, part 1: the telemetry-plane suites race-enabled and
 # uncached — registry/export correctness and exposition linting, the
@@ -154,8 +179,7 @@ go test -run NOMATCH -bench 'QueryOverTime|Rotate' -benchtime 1x ./internal/wind
 # (full poll trace: gate wait -> client attempt -> decode -> delta apply
 # -> absorb -> deliver) rides the Trac pattern.
 go test -race -count=1 ./internal/telemetry/... ./internal/insight/
-go test -race -count=1 -run 'Telemetry|Instrument|Trac|Insight' \
-  ./internal/engine/ ./internal/collect/
+gate 'Telemetry|Instrument|Trac|Insight' './internal/engine/ ./internal/collect/' -race -count=1
 
 # Telemetry gate, part 2: end-to-end smoke. Boot a switch with live
 # endpoints, scrape /metrics through fcmctl, and require the key series

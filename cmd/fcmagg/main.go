@@ -52,7 +52,7 @@ func main() {
 		interval = flag.Duration("interval", 5*time.Second, "member collection period (first collections are staggered across one interval)")
 		timeout  = flag.Duration("timeout", 0, "per-member I/O deadline (default: the interval)")
 		retries  = flag.Int("retries", 1, "extra in-collect attempts per member read")
-		delta    = flag.Bool("delta", true, "collect members with the codec v3 delta protocol (falls back to v2 against old switches)")
+		delta    = flag.Bool("delta", true, "collect members with the codec v3 delta protocol (false: v2 full snapshots)")
 		inFlight = flag.Int("max-in-flight", 8, "max concurrent member collections (fan-in bound)")
 		jitter   = flag.Int64("jitter-seed", 1, "stagger jitter seed (decorrelates aggregators sharing an interval)")
 		listen   = flag.String("listen", "", "serve the merged region's registers on this TCP address")

@@ -71,7 +71,7 @@ func main() {
 		dialTO   = flag.Duration("timeout", 5*time.Second, "connection dial timeout")
 		ioTO     = flag.Duration("io-timeout", 5*time.Second, "per-read/write deadline on the wire")
 		retries  = flag.Int("retries", 2, "extra attempts for the register read (reconnect + backoff)")
-		delta    = flag.Bool("delta", false, "use the codec v3 delta protocol: after the first full snapshot only changed registers cross the wire (falls back to v2 against old switches)")
+		delta    = flag.Bool("delta", false, "use the codec v3 delta protocol: after the first full snapshot only changed registers cross the wire")
 		poll     = flag.Duration("poll", 0, "collect repeatedly at this interval instead of once")
 		metrics  = flag.String("metrics", "", "scrape and pretty-print a telemetry endpoint (host:port) instead of collecting")
 		traces   = flag.String("traces", "", "fetch a telemetry endpoint's flight-recorder traces (/debug/traces), slowest first, fallback reasons highlighted")

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,9 +120,6 @@ type ClientStats struct {
 	// state-CRC mismatch, out-of-range block), so the baseline was
 	// discarded and the next request asked for a full snapshot.
 	DeltaFallbacks uint64
-	// V2Downgrades counts permanent downgrades to the v2 protocol after a
-	// server rejected OpReadDelta as unknown.
-	V2Downgrades uint64
 }
 
 // Client pulls snapshots from a Server over a reused connection. It
@@ -143,15 +139,13 @@ type Client struct {
 	deltasApplied  uint64
 	fullSnapshots  uint64
 	deltaFallbacks uint64
-	v2Downgrades   uint64
 
 	// Delta baseline (guarded by mu so InvalidateDeltaState may be called
 	// from another goroutine): the last snapshot whose generation the
 	// server has — or will, on our next request — see acked.
-	baseline      *Snapshot
-	baselineGen   uint64
-	haveBaseline  bool
-	v3Unsupported bool
+	baseline     *Snapshot
+	baselineGen  uint64
+	haveBaseline bool
 
 	log *slog.Logger
 }
@@ -214,7 +208,6 @@ func (c *Client) Stats() ClientStats {
 		DeltasApplied:  c.deltasApplied,
 		FullSnapshots:  c.fullSnapshots,
 		DeltaFallbacks: c.deltaFallbacks,
-		V2Downgrades:   c.v2Downgrades,
 	}
 }
 
@@ -239,29 +232,11 @@ func (c *Client) ReadSketch() (*Snapshot, error) {
 // an in-flight network operation (the connection deadline is yanked), so
 // callers regain control within one operation, not one timeout. With
 // Delta enabled it speaks codec v3 (the returned snapshot is still always
-// complete); a server that rejects the v3 opcode downgrades this client
-// to v2 permanently.
+// complete); a server that rejects OpReadDelta answers with a
+// non-retriable *ServerError.
 func (c *Client) ReadSketchContext(ctx context.Context) (*Snapshot, error) {
 	if c.cfg.Delta {
-		c.mu.Lock()
-		unsupported := c.v3Unsupported
-		c.mu.Unlock()
-		if !unsupported {
-			snap, err := c.readDelta(ctx)
-			var se *ServerError
-			if err != nil && errors.As(err, &se) && strings.Contains(se.Msg, "unknown opcode") {
-				// Version downgrade: the server predates v3. Fall through
-				// to the v2 read below and stop asking.
-				c.mu.Lock()
-				c.v2Downgrades++
-				c.v3Unsupported = true
-				c.mu.Unlock()
-				c.log.Warn("server does not speak codec v3, downgrading to v2",
-					"addr", c.cfg.Addr)
-			} else {
-				return snap, err
-			}
-		}
+		return c.readDelta(ctx)
 	}
 	// Decoding happens inside the retry loop: a snapshot that framed
 	// cleanly but fails its CRC (bit corruption in transit) is an attempt

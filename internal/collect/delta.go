@@ -14,10 +14,9 @@
 //   - generation numbers tie each delta to the exact server-side snapshot
 //     it was diffed against; any mismatch degrades to a full snapshot.
 //
-// The fallback ladder is therefore: v3 delta → v3 full (server-chosen, and
-// also whenever the delta would be larger than the full encoding) → v2
-// full (version downgrade against an old server). Every rung re-converges;
-// none can merge wrong.
+// The fallback is therefore: v3 delta → v3 full (server-chosen, and also
+// whenever the delta would be larger than the full encoding). Both
+// re-converge; neither can merge wrong.
 package collect
 
 import (

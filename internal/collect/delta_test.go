@@ -3,8 +3,10 @@ package collect
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -424,11 +426,13 @@ func TestDeltaProtocolInjectedGenerationLoss(t *testing.T) {
 	}
 }
 
-// TestDeltaProtocolV2Downgrade: against a server that predates codec v3
-// (rejects the opcode), the client downgrades permanently and keeps
-// collecting over v2.
-func TestDeltaProtocolV2Downgrade(t *testing.T) {
-	payload, err := TakeSnapshot(filledSketch(t)).Encode()
+// TestDeltaClientAgainstLegacyServer: a server that predates codec v3
+// rejects OpReadDelta, and a delta client surfaces that rejection as a
+// non-retriable *ServerError after one attempt instead of switching
+// protocols. A v2 client still reads full snapshots from the same server.
+func TestDeltaClientAgainstLegacyServer(t *testing.T) {
+	served := filledSketch(t)
+	payload, err := TakeSnapshot(served).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,6 +444,7 @@ func TestDeltaProtocolV2Downgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	var requests atomic.Int64
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -453,40 +458,61 @@ func TestDeltaProtocolV2Downgrade(t *testing.T) {
 					if err != nil {
 						return
 					}
+					requests.Add(1)
 					if len(req) == 1 && req[0] == OpReadSketch {
 						if err := writeFrame(conn, append([]byte{statusOK}, payload...)); err != nil {
 							return
 						}
 						continue
 					}
-					writeFrame(conn, append([]byte{statusErr}, "unknown opcode 3"...)) //nolint:errcheck
+					writeFrame(conn, append([]byte{statusErr}, fmt.Sprintf("unknown opcode %d", req[0])...)) //nolint:errcheck
 					return
 				}
 			}(conn)
 		}
 	}()
 
-	cl, err := NewClient(ClientConfig{Addr: ln.Addr().String(), Delta: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for i := 0; i < 2; i++ {
-		snap, err := cl.ReadSketch()
+	// The subtests run in order on one stub: the request count the delta
+	// subtest pins is the stub's first.
+	t.Run("delta", func(t *testing.T) {
+		cl, err := NewClient(ClientConfig{Addr: ln.Addr().String(), Delta: true})
 		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if snap == nil {
-			t.Fatalf("read %d returned no snapshot", i)
+		defer cl.Close()
+		_, err = cl.ReadSketch()
+		var se *ServerError
+		if !errors.As(err, &se) {
+			t.Fatalf("delta read against a v2 server: err = %v, want a *ServerError", err)
 		}
-	}
-	st := cl.Stats()
-	if st.V2Downgrades != 1 {
-		t.Fatalf("v2 downgrades = %d, want exactly 1 (the downgrade must stick)", st.V2Downgrades)
-	}
-	if st.DeltasApplied != 0 || st.FullSnapshots != 0 {
-		t.Fatalf("v3 counters moved against a v2 server: %+v", st)
-	}
+		if !strings.Contains(se.Msg, "opcode 3") {
+			t.Fatalf("server error %q does not name opcode 3", se.Msg)
+		}
+		if n := requests.Load(); n != 1 {
+			t.Fatalf("server saw %d requests, want exactly 1 attempt", n)
+		}
+		if st := cl.Stats(); st.Retries != 0 || st.DeltasApplied != 0 || st.FullSnapshots != 0 || st.DeltaFallbacks != 0 {
+			t.Fatalf("counters moved on a rejected delta read: %+v", st)
+		}
+	})
+	t.Run("full", func(t *testing.T) {
+		v2, err := NewClient(ClientConfig{Addr: ln.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v2.Close()
+		snap, err := v2.ReadSketch()
+		if err != nil {
+			t.Fatalf("v2 read: %v", err)
+		}
+		got, err := snap.Restore(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := served.FirstRegisterDiff(got); d != "" {
+			t.Fatalf("v2 snapshot differs from the served sketch: %s", d)
+		}
+	})
 }
 
 // TestClientJoinsAttemptErrors: the satellite errors.Join contract — an

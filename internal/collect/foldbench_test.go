@@ -56,22 +56,6 @@ func BenchmarkAbsorbFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkAbsorbFleetScalar is the recorded pre-SWAR baseline the fold
-// path is judged against (BENCH_foldpath.json).
-func BenchmarkAbsorbFleetScalar(b *testing.B) {
-	acc, members := benchFleet(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.Reset()
-		for _, m := range members {
-			if err := acc.MergeScalar(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // benchSnapshots builds a baseline snapshot plus a copy with a small
 // fraction of registers changed — the steady-state shape the per-poll
 // delta diff sees between scrapes.

@@ -30,18 +30,9 @@ const goldenSnapshotHex = "46434d53020102000000000200000004020400000004000000030
 // stage overflows, so the encoding exercises marker values too.
 func goldenSketch(t *testing.T) *core.Sketch {
 	t.Helper()
-	return goldenSketchLayout(t, false)
-}
-
-// goldenSketchLayout builds the golden sketch in either storage layout:
-// compact typed lanes (the default) or the uniform 32-bit widening shim.
-// The wire bytes must not depend on which one fed the encoder.
-func goldenSketchLayout(t *testing.T, wideLanes bool) *core.Sketch {
-	t.Helper()
 	s, err := core.New(core.Config{
 		K: 2, Trees: 1, Widths: []int{2, 4}, LeafWidth: 4,
-		Hash:      hashing.NewBobFamily(0xfc3141 ^ 77),
-		WideLanes: wideLanes,
+		Hash: hashing.NewBobFamily(0xfc3141 ^ 77),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,34 +65,6 @@ func TestGoldenSnapshotEncoding(t *testing.T) {
 	}
 	if binary.BigEndian.Uint32(trailer) != 0xdf55663b {
 		t.Fatalf("trailer 0x%x drifted from pinned 0xdf55663b", trailer)
-	}
-}
-
-// TestGoldenSnapshotLayoutIndependent pins the codec across counter
-// storage layouts: the compact typed-lane sketch and its 32-bit
-// widening-shim twin must encode to byte-identical snapshots — the pinned
-// golden vector, CRC-32C trailer included. The wire format speaks 32-bit
-// register values regardless of how the sketch stores them, so a lane-width
-// refactor must never leak into deployed collectors.
-func TestGoldenSnapshotLayoutIndependent(t *testing.T) {
-	want, err := hex.DecodeString(goldenSnapshotHex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		wide bool
-	}{
-		{"compact", false},
-		{"wide_shim", true},
-	} {
-		got, err := TakeSnapshot(goldenSketchLayout(t, tc.wide)).Encode()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s layout drifted from the pinned golden vector:\n got %x\nwant %x", tc.name, got, want)
-		}
 	}
 }
 

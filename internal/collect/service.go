@@ -26,8 +26,7 @@ const (
 	OpResetSketch = 2
 	// OpReadDelta returns a codec v3 delta frame against the client's
 	// acked generation (falling back to an embedded full snapshot when no
-	// usable baseline exists). Servers predating v3 answer it with an
-	// "unknown opcode" error, which clients treat as a version downgrade.
+	// usable baseline exists).
 	OpReadDelta = 3
 
 	statusOK  = 0

@@ -92,9 +92,6 @@ func (c *Client) Instrument(reg *telemetry.Registry, labels string) {
 	bind.counter("fcm_collect_client_delta_fallbacks_total",
 		"Client-side baseline invalidations (unapplicable deltas).",
 		func() float64 { return float64(c.Stats().DeltaFallbacks) })
-	bind.counter("fcm_collect_client_v2_downgrades_total",
-		"Permanent downgrades to the v2 protocol (server rejected v3).",
-		func() float64 { return float64(c.Stats().V2Downgrades) })
 }
 
 // Instrument registers the poller's progress and health series, including

@@ -7,11 +7,14 @@ import (
 	"github.com/fcmsketch/fcm/internal/sketch"
 )
 
-// EqualRegisters reports whether s and o share a geometry and hold
-// bit-identical counter state in every stage of every tree. It is the
-// equality the differential harness enforces between ingest paths: two
-// sketches that EqualRegisters answer every query — count, cardinality,
-// virtual-counter conversion — identically.
+// EqualRegisters reports whether s and o share a geometry and counter
+// encoding (marker vs flag bit) and hold bit-identical counter state in
+// every stage of every tree. It is the equality the differential harness
+// enforces between ingest paths: two sketches that EqualRegisters answer
+// every query — count, cardinality, virtual-counter conversion —
+// identically. Hash mode and seed are not compared: snapshots restored
+// through the collect codec carry neither, so a restored sketch must still
+// equal its source here (Compatible is the check that refuses them).
 func (s *Sketch) EqualRegisters(o *Sketch) bool {
 	return s.FirstRegisterDiff(o) == ""
 }
@@ -42,19 +45,19 @@ func (s *Sketch) FirstRegisterDiff(o *Sketch) string {
 			return fmt.Sprintf("stage %d width differs: %d vs %d bits", l, s.widths[l], o.widths[l])
 		}
 	}
+	if s.trees[0].mark[0] != o.trees[0].mark[0] {
+		return "counter encoding differs (flag-bit vs marker)"
+	}
 	for ti := range s.trees {
 		a, b := s.trees[ti], o.trees[ti]
-		if s.wideLanes == o.wideLanes && equalLanes(a, b) {
-			// Same lane layout and byte-identical slabs: the per-register
-			// walk cannot find a difference, so skip it. memeq compares a
-			// word at a time, which is what makes EqualRegisters cheap
-			// enough for per-poll convergence checks on equal fleets.
+		if equalLanes(a, b) {
+			// Byte-identical slabs: the per-register walk cannot find a
+			// difference, so skip it. memeq compares a word at a time,
+			// which is what makes EqualRegisters cheap enough for
+			// per-poll convergence checks on equal fleets.
 			continue
 		}
 		for l := range a.views {
-			// load widens both sides to uint32, so the comparison is
-			// layout-independent: a compact sketch and the 32-bit widening
-			// shim compare equal exactly when their register values agree.
 			for i := 0; i < a.stageLen(l); i++ {
 				if va, vb := a.load(l, i), b.load(l, i); va != vb {
 					return fmt.Sprintf("tree %d stage %d index %d differs: %d vs %d",
@@ -67,9 +70,8 @@ func (s *Sketch) FirstRegisterDiff(o *Sketch) string {
 }
 
 // equalLanes reports whether two same-geometry trees hold byte-identical
-// counter slabs. Only valid as an equality prescreen when both sketches
-// share a lane layout (wideLanes agrees): then every register lives at the
-// same offset of the same typed lane on both sides.
+// counter slabs: same-geometry stages share a lane layout, so every
+// register lives at the same offset of the same typed lane on both sides.
 func equalLanes(a, b *tree) bool {
 	return bytes.Equal(a.lane8, b.lane8) &&
 		bytes.Equal(sketch.BytesU16(a.lane16), sketch.BytesU16(b.lane16)) &&

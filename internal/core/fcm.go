@@ -103,12 +103,6 @@ type Config struct {
 	// with a single tree it is a no-op. Not implementable on PISA (it
 	// needs all trees' reads before any write).
 	Conservative bool
-	// WideLanes stores every stage in the 32-bit lane — the pre-compaction
-	// uniform layout. Counter semantics (placement, marks, capacities) are
-	// bit-identical to the default compact layout; only the resident bytes
-	// differ. It exists as the widening reference shim for the
-	// differential harness and for memory-ablation benchmarks.
-	WideLanes bool
 }
 
 // DefaultWidths is the paper's byte-aligned stage layout.
@@ -123,12 +117,9 @@ const (
 	laneU32                 // 17–32 bits: four bytes per node
 )
 
-// laneKindFor returns the narrowest lane that holds a b-bit counter, or
-// the 32-bit lane when the widening shim is requested.
-func laneKindFor(b int, wide bool) laneKind {
+// laneKindFor returns the narrowest lane that holds a b-bit counter.
+func laneKindFor(b int) laneKind {
 	switch {
-	case wide:
-		return laneU32
 	case b <= 8:
 		return laneU8
 	case b <= 16:
@@ -197,7 +188,7 @@ func (s *Sketch) initLanes(t *tree) {
 	var n8, n16, n32 int
 	w := s.w1
 	for _, b := range s.widths {
-		t.views = append(t.views, stageView{kind: laneKindFor(b, s.wideLanes), n: w})
+		t.views = append(t.views, stageView{kind: laneKindFor(b), n: w})
 		switch t.views[len(t.views)-1].kind {
 		case laneU8:
 			t.views[len(t.views)-1].base = n8
@@ -263,7 +254,6 @@ type Sketch struct {
 	widths       []int
 	w1           int
 	conservative bool
-	wideLanes    bool
 	// std3 mirrors the trees' fast-layout flag so the per-packet dispatch
 	// is one field read on the sketch already in cache.
 	std3 bool
@@ -337,7 +327,6 @@ func New(cfg Config) (*Sketch, error) {
 		widths:       append([]int(nil), widths...),
 		w1:           w1,
 		conservative: cfg.Conservative,
-		wideLanes:    cfg.WideLanes,
 	}
 	if !cfg.PerTreeHash {
 		if wf, ok := fam.(hashing.WideFamily); ok {
@@ -797,10 +786,6 @@ func (s *Sketch) ResidentBytes() int {
 	return n
 }
 
-// WideLanes reports whether the sketch stores every stage at uniform
-// 32-bit width (the widening shim) instead of the compact typed lanes.
-func (s *Sketch) WideLanes() bool { return s.wideLanes }
-
 // Reset implements sketch.Resettable.
 func (s *Sketch) Reset() {
 	for _, t := range s.trees {
@@ -822,7 +807,6 @@ func (s *Sketch) Clone() *Sketch {
 		widths:       append([]int(nil), s.widths...),
 		w1:           s.w1,
 		conservative: s.conservative,
-		wideLanes:    s.wideLanes,
 		std3:         s.std3,
 		wide:         s.wide, // stateless after construction, like hashers
 	}

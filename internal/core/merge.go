@@ -21,8 +21,9 @@ import "fmt"
 //
 // The implementation folds whole 64-bit lane words at a time (see swar.go)
 // and keeps its carry buffers as per-sketch scratch, so a merge performs
-// no allocations after the first call on a destination. MergeScalar is the
-// register-at-a-time reference it must stay bit-identical to.
+// no allocations after the first call on a destination. The differential
+// harness holds it bit-identical to an independent register-at-a-time
+// walk over the exported register view.
 func (s *Sketch) Merge(o *Sketch) error {
 	if err := s.Compatible(o); err != nil {
 		return err
@@ -49,67 +50,6 @@ func (s *Sketch) Merge(o *Sketch) error {
 			} else {
 				carry = nil
 			}
-		}
-	}
-	return nil
-}
-
-// MergeScalar folds another sketch into s one register at a time — the
-// original walk Merge's word-wide path is differentially tested against.
-// Semantics are identical to Merge; only the traversal (and its per-call
-// carry allocations) differ. Keep this the reference: change it only when
-// the merge semantics themselves change.
-func (s *Sketch) MergeScalar(o *Sketch) error {
-	if err := s.Compatible(o); err != nil {
-		return err
-	}
-	last := len(s.widths) - 1
-	for ti := range s.trees {
-		a, b := s.trees[ti], o.trees[ti]
-		carry := make([]uint64, s.w1)
-		for l := 0; l <= last; l++ {
-			n := a.stageLen(l)
-			max := uint64(a.max[l])
-			mark := a.mark[l]
-			var nextCarry []uint64
-			if l < last {
-				nextCarry = make([]uint64, a.stageLen(l+1))
-			}
-			for i := 0; i < n; i++ {
-				va, vb := a.load(l, i), b.load(l, i)
-				c := carry[i]
-				overflowed := false
-				if l < last {
-					overflowed = va == mark || vb == mark
-				}
-				if va == mark && l < last {
-					c += max
-				} else {
-					c += uint64(va)
-				}
-				if vb == mark && l < last {
-					c += max
-				} else {
-					c += uint64(vb)
-				}
-				if l == last {
-					// Root stage saturates like the update path.
-					if c > max {
-						c = max
-					}
-					a.store(l, i, uint32(c))
-					continue
-				}
-				if overflowed || c > max {
-					a.store(l, i, mark)
-					if c > max {
-						nextCarry[i/s.k] += c - max
-					}
-				} else {
-					a.store(l, i, uint32(c))
-				}
-			}
-			carry = nextCarry
 		}
 	}
 	return nil

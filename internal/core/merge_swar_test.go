@@ -1,33 +1,37 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/fcmsketch/fcm/internal/core"
+	"github.com/fcmsketch/fcm/internal/difftest"
 )
 
 // swarGeometries covers the lane shapes the word kernel has to get right:
 // the paper's byte-aligned default (8×u8 / 4×u16 / 2×u32 counters per
 // word), tiny widths that saturate constantly, a leaf width that is not a
-// multiple of 8 (sub-word tails), the flag-bit encoding (different mark),
-// and the 32-bit widening shim (every stage in the u32 lane).
-func swarGeometries() []Config {
-	return []Config{
+// multiple of 8 (sub-word tails), the flag-bit encoding (different mark)
+// and a 4-ary byte-aligned tree (a parent's children fill half a word, so
+// carries gather from a different lane grouping than at k=8).
+func swarGeometries() []core.Config {
+	return []core.Config{
 		{K: 8, Trees: 2, LeafWidth: 4096, Widths: []int{8, 16, 32}},
 		{K: 2, Trees: 2, LeafWidth: 16, Widths: []int{3, 5, 8}},
 		{K: 2, Trees: 3, LeafWidth: 44, Widths: []int{4, 9, 20}},
 		{K: 2, Trees: 2, LeafWidth: 16, Widths: []int{3, 5, 8}, FlagBitIndicator: true},
-		{K: 4, Trees: 2, LeafWidth: 64, Widths: []int{8, 16, 32}, WideLanes: true},
+		{K: 4, Trees: 2, LeafWidth: 64, Widths: []int{8, 16, 32}},
 	}
 }
 
 // fillPair builds two independently loaded sketches of cfg plus identical
 // copies for the scalar reference, loading burst keys hot enough to drive
 // marks and carries through every stage when hot is large.
-func fillPair(t *testing.T, cfg Config, seed int64, hot int) (a, b, sa, sb *Sketch) {
+func fillPair(t *testing.T, cfg core.Config, seed int64, hot int) (a, b, sa, sb *core.Sketch) {
 	t.Helper()
-	mk := func() *Sketch {
-		s, err := New(cfg)
+	mk := func() *core.Sketch {
+		s, err := core.New(cfg)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -36,7 +40,7 @@ func fillPair(t *testing.T, cfg Config, seed int64, hot int) (a, b, sa, sb *Sket
 	a, b, sa, sb = mk(), mk(), mk(), mk()
 	rng := rand.New(rand.NewSource(seed))
 	key := make([]byte, 4)
-	load := func(dst, ref *Sketch, n int) {
+	load := func(dst, ref *core.Sketch, n int) {
 		for i := 0; i < n; i++ {
 			k := rng.Uint32() % 64
 			reps := 1 + rng.Intn(3)
@@ -63,8 +67,8 @@ func TestMergeMatchesScalar(t *testing.T) {
 				if err := a.Merge(b); err != nil {
 					t.Fatalf("Merge: %v", err)
 				}
-				if err := sa.MergeScalar(sb); err != nil {
-					t.Fatalf("MergeScalar: %v", err)
+				if err := difftest.MergeScalar(sa, sb); err != nil {
+					t.Fatalf("scalar merge: %v", err)
 				}
 				if d := a.FirstRegisterDiff(sa); d != "" {
 					t.Fatalf("word merge diverged from scalar: %s", d)
@@ -74,8 +78,8 @@ func TestMergeMatchesScalar(t *testing.T) {
 				if err := a.Merge(sb); err != nil {
 					t.Fatalf("second Merge: %v", err)
 				}
-				if err := sa.MergeScalar(b); err != nil {
-					t.Fatalf("second MergeScalar: %v", err)
+				if err := difftest.MergeScalar(sa, b); err != nil {
+					t.Fatalf("second scalar merge: %v", err)
 				}
 				if d := a.FirstRegisterDiff(sa); d != "" {
 					t.Fatalf("second fold diverged: %s", d)
@@ -85,61 +89,10 @@ func TestMergeMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesScalarCrossLayout folds the 32-bit widening shim into a
-// compact sketch and vice versa: the per-stage lane kinds disagree, so the
-// kernel must route every stage through the scalar span.
-func TestMergeMatchesScalarCrossLayout(t *testing.T) {
-	compact := Config{K: 2, Trees: 2, LeafWidth: 32, Widths: []int{4, 8, 16}}
-	wide := compact
-	wide.WideLanes = true
-
-	for _, dir := range []struct {
-		name     string
-		dst, src Config
-	}{
-		{"wide-into-compact", compact, wide},
-		{"compact-into-wide", wide, compact},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			mk := func(c Config) *Sketch {
-				s, err := New(c)
-				if err != nil {
-					t.Fatalf("New: %v", err)
-				}
-				return s
-			}
-			a, sa := mk(dir.dst), mk(dir.dst)
-			b, sb := mk(dir.src), mk(dir.src)
-			rng := rand.New(rand.NewSource(7))
-			key := make([]byte, 4)
-			for i := 0; i < 3000; i++ {
-				k := rng.Uint32() % 48
-				key[0], key[1], key[2], key[3] = byte(k), byte(k>>8), byte(k>>16), byte(k>>24)
-				if i%2 == 0 {
-					a.Update(key, 1)
-					sa.Update(key, 1)
-				} else {
-					b.Update(key, 1)
-					sb.Update(key, 1)
-				}
-			}
-			if err := a.Merge(b); err != nil {
-				t.Fatalf("Merge: %v", err)
-			}
-			if err := sa.MergeScalar(sb); err != nil {
-				t.Fatalf("MergeScalar: %v", err)
-			}
-			if d := a.FirstRegisterDiff(sa); d != "" {
-				t.Fatalf("cross-layout merge diverged from scalar: %s", d)
-			}
-		})
-	}
-}
-
 // TestMergeAllocs pins the zero-alloc contract: after the first call has
 // sized the carry scratch, Merge allocates nothing.
 func TestMergeAllocs(t *testing.T) {
-	cfg := Config{K: 8, Trees: 2, LeafWidth: 4096, Widths: []int{8, 16, 32}}
+	cfg := core.Config{K: 8, Trees: 2, LeafWidth: 4096, Widths: []int{8, 16, 32}}
 	a, b, _, _ := fillPair(t, cfg, 1, 500)
 	if err := a.Merge(b); err != nil { // warm-up sizes the scratch
 		t.Fatalf("Merge: %v", err)
@@ -154,11 +107,10 @@ func TestMergeAllocs(t *testing.T) {
 }
 
 // TestFirstRegisterDiffPrescreen exercises the lane-bytes equality fast
-// path: identical state short-circuits, any single-register perturbation
-// in any lane is still found, and a compact/wide pair with equal values
-// compares equal through the scalar walk.
+// path: identical state short-circuits, and any single-register
+// perturbation in any lane is still found.
 func TestFirstRegisterDiffPrescreen(t *testing.T) {
-	cfg := Config{K: 2, Trees: 2, LeafWidth: 32, Widths: []int{4, 12, 24}}
+	cfg := core.Config{K: 2, Trees: 2, LeafWidth: 32, Widths: []int{4, 12, 24}}
 	a, _, b, _ := fillPair(t, cfg, 3, 200)
 	if d := a.FirstRegisterDiff(b); d != "" {
 		t.Fatalf("identically loaded sketches differ: %s", d)
@@ -182,33 +134,16 @@ func TestFirstRegisterDiffPrescreen(t *testing.T) {
 	if d := a.FirstRegisterDiff(b); d != "" {
 		t.Fatalf("restore left a diff: %s", d)
 	}
-
-	wideCfg := cfg
-	wideCfg.WideLanes = true
-	w, err := New(wideCfg)
-	if err != nil {
-		t.Fatalf("New wide: %v", err)
-	}
-	for tr := 0; tr < a.NumTrees(); tr++ {
-		for l := 0; l < a.Depth(); l++ {
-			if err := w.SetStageValues(tr, l, a.StageValues(tr, l)); err != nil {
-				t.Fatalf("SetStageValues wide: %v", err)
-			}
-		}
-	}
-	if d := a.FirstRegisterDiff(w); d != "" {
-		t.Fatalf("compact vs wide with equal values differ: %s", d)
-	}
 }
 
 // benchPair builds the paper's default geometry (K=8, {8,16,32}, 4096
 // leaves × 2 trees ≈ 36 KB of counters) loaded with a realistic skewed
 // mix, plus an accumulator of the same shape.
-func benchPair(b *testing.B) (acc, x, y *Sketch) {
+func benchPair(b *testing.B) (acc, x, y *core.Sketch) {
 	b.Helper()
-	cfg := Config{K: 8, Trees: 2, LeafWidth: 4096, Widths: []int{8, 16, 32}}
-	mk := func() *Sketch {
-		s, err := New(cfg)
+	cfg := core.Config{K: 8, Trees: 2, LeafWidth: 4096, Widths: []int{8, 16, 32}}
+	mk := func() *core.Sketch {
+		s, err := core.New(cfg)
 		if err != nil {
 			b.Fatalf("New: %v", err)
 		}
@@ -239,23 +174,6 @@ func BenchmarkMergePair(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := acc.Merge(y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMergePairScalar is the recorded baseline BenchmarkMergePair is
-// judged against (BENCH_foldpath.json).
-func BenchmarkMergePairScalar(b *testing.B) {
-	acc, x, y := benchPair(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.Reset()
-		if err := acc.MergeScalar(x); err != nil {
-			b.Fatal(err)
-		}
-		if err := acc.MergeScalar(y); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,9 +6,10 @@
 // stage's counting capacity, and no carry is pending from the child stage,
 // the merged word is the plain field-wise sum, computed and stored in a
 // handful of ALU ops. Words that do contain marks, would overflow, or have
-// incoming carry fall back to the scalar reference walk for exactly those
-// counters, so the result is bit-identical to MergeScalar by construction
-// (and the difftest harness re-proves it on every geometry).
+// incoming carry fall back to a scalar walk (mergeSpanScalar) for exactly
+// those counters, so the result is bit-identical to a register-at-a-time
+// merge by construction (and the difftest harness re-proves it on every
+// geometry).
 //
 // The field-wise tests use two classic SWAR identities over a word with
 // the per-field high bits masked by hi:
@@ -90,11 +91,6 @@ func (c *carryScratch) note(n int) {
 // It reports whether any entry of next became nonzero.
 func (s *Sketch) mergeStage(a, b *tree, l int, carry, next []uint64) bool {
 	sa, sb := a.views[l], b.views[l]
-	if sa.kind != sb.kind {
-		// Cross-layout merge (compact vs the 32-bit widening shim): the
-		// lanes disagree, so this stage walks the scalar reference.
-		return s.mergeSpanScalar(a, b, l, 0, sa.n, carry, next)
-	}
 	mark := uint64(a.mark[l])
 	switch sa.kind {
 	case laneU8:
@@ -157,8 +153,8 @@ func (s *Sketch) mergeStageWords(a, b *tree, l int, ab, bb []byte, fieldBytes in
 }
 
 // mergeSpanScalar merges registers [lo,hi) of stage l one counter at a
-// time — the reference semantics (see MergeScalar) the word path defers to
-// for counters it cannot prove safe. It reports whether it promoted any
+// time — the exact §5 semantics (see Merge) the word path defers to for
+// counters it cannot prove safe. It reports whether it promoted any
 // excess into next.
 func (s *Sketch) mergeSpanScalar(a, b *tree, l, lo, hi int, carry, next []uint64) bool {
 	last := len(s.widths) - 1

@@ -83,16 +83,6 @@ func (g Geometry) NewCore() (*core.Sketch, error) {
 	return core.New(g.CoreConfig())
 }
 
-// NewWideCore builds the widening-shim variant of this geometry: identical
-// hash placement and register semantics, but every stage stored in a
-// uniform 32-bit lane instead of the compact typed lanes. The harness uses
-// it as the reference layout the compact storage must match bit-for-bit.
-func (g Geometry) NewWideCore() (*core.Sketch, error) {
-	cfg := g.CoreConfig()
-	cfg.WideLanes = true
-	return core.New(cfg)
-}
-
 // SwitchConfig returns the PISA pipeline configuration that yields a data
 // plane bit-identical to NewCore (same geometry, same seed derivation, same
 // hash mode).

@@ -9,23 +9,21 @@ import (
 )
 
 // The sketch-ops state machine interprets an arbitrary byte string as a
-// program over four lockstep implementations — a serial core.Sketch (the
-// compact typed-lane layout), an fcm.Sharded, a serial sketch built on
-// the 32-bit widening shim, and a scalar-merge twin that routes every
-// merge through MergeScalar instead of the word-wide path — plus an exact
-// oracle. After every mutating op the machine can be asked (by the
-// program itself) to compare the sharded snapshot, the wide-shim sketch
-// and the scalar twin against the serial sketch bit-for-bit and to
-// re-validate the oracle's one-sidedness, so any interleaving of
-// Update/Merge/Rotate/Snapshot/Reset that breaks equivalence — including a
-// compact-lane divergence from the uniform 32-bit layout, or a SWAR merge
-// diverging from the scalar reference — is a fuzzing counterexample.
+// program over three lockstep implementations — a serial core.Sketch, an
+// fcm.Sharded, and a scalar-merge twin that routes every merge through
+// MergeScalar instead of the word-wide path — plus an exact oracle. After
+// every mutating op the machine can be asked (by the program itself) to
+// compare the sharded snapshot and the scalar twin against the serial
+// sketch bit-for-bit and to re-validate the oracle's one-sidedness, so any
+// interleaving of Update/Merge/Rotate/Snapshot/Reset that breaks
+// equivalence — including a SWAR merge diverging from the scalar
+// reference — is a fuzzing counterexample.
 //
 // Opcodes (one byte, operands follow):
 //
 //	0x00 key inc  — Update(key, 1+inc%16) on all paths
 //	0x01 n        — UpdateBatch of the next n%32+1 derived keys, inc 1
-//	0x02          — Snapshot: sharded merge and wide shim must equal serial
+//	0x02          — Snapshot: sharded merge and scalar twin must equal serial
 //	0x03          — Rotate: closed window must equal serial; all restart
 //	0x04 key inc  — Merge a side sketch holding one flow into all paths
 //	0x05          — Reset all paths and the oracle
@@ -50,12 +48,10 @@ var smGeometries = []Geometry{
 	{K: 2, Trees: 2, Widths: []int{8, 16, 32}, LeafWidth: 8, Seed: 5},
 }
 
-// machine holds the lockstep state. wide is the 32-bit widening-shim twin
-// of serial: same geometry and hash placement, uniform uint32 storage.
+// machine holds the lockstep state.
 type machine struct {
 	g      Geometry
 	serial *core.Sketch
-	wide   *core.Sketch
 	// scalar sees the identical op stream but merges via MergeScalar: any
 	// divergence from serial is a word-wide merge kernel bug.
 	scalar *core.Sketch
@@ -64,13 +60,8 @@ type machine struct {
 	keybuf [4]byte
 }
 
-// checkWide compares the wide-shim twin against the serial sketch; any
-// difference is a compact-lane storage bug (promotion mark read at the
-// wrong width, narrowing truncation, saturation clamp mismatch).
-func (m *machine) checkWide(step int) error {
-	if d := m.serial.FirstRegisterDiff(m.wide); d != "" {
-		return fmt.Errorf("step %d: wide shim diverged from compact lanes: %s", step, d)
-	}
+// checkScalar compares the scalar-merge twin against the serial sketch.
+func (m *machine) checkScalar(step int) error {
 	if d := m.serial.FirstRegisterDiff(m.scalar); d != "" {
 		return fmt.Errorf("step %d: word merge diverged from scalar twin: %s", step, d)
 	}
@@ -108,10 +99,6 @@ func RunSketchOps(program []byte) error {
 	if err != nil {
 		return fmt.Errorf("building serial sketch: %w", err)
 	}
-	wide, err := g.NewWideCore()
-	if err != nil {
-		return fmt.Errorf("building wide-shim sketch: %w", err)
-	}
 	scalar, err := g.NewCore()
 	if err != nil {
 		return fmt.Errorf("building scalar-merge twin: %w", err)
@@ -121,7 +108,7 @@ func RunSketchOps(program []byte) error {
 	if err != nil {
 		return fmt.Errorf("building sharded sketch: %w", err)
 	}
-	m := &machine{g: g, serial: serial, wide: wide, scalar: scalar, shard: sh, oracle: make(map[uint32]uint64)}
+	m := &machine{g: g, serial: serial, scalar: scalar, shard: sh, oracle: make(map[uint32]uint64)}
 
 	steps := 0
 	for i := 0; i < len(program) && steps < 4096; steps++ {
@@ -139,7 +126,6 @@ func RunSketchOps(program []byte) error {
 		case 0x00:
 			k, inc := m.key(arg()), uint64(1+arg()%16)
 			m.serial.Update(k, inc)
-			m.wide.Update(k, inc)
 			m.scalar.Update(k, inc)
 			m.shard.Update(k, inc)
 			m.oracle[binary.BigEndian.Uint32(k)] += inc
@@ -153,14 +139,13 @@ func RunSketchOps(program []byte) error {
 				m.oracle[binary.BigEndian.Uint32(kb)]++
 			}
 			m.serial.UpdateBatch(keys, 1)
-			m.wide.UpdateBatch(keys, 1)
 			m.scalar.UpdateBatch(keys, 1)
 			m.shard.UpdateBatch(keys, 1)
 		case 0x02:
 			if d := m.serial.FirstRegisterDiff(m.shard.Snapshot().Core()); d != "" {
 				return fmt.Errorf("step %d: snapshot diverged from serial: %s", steps, d)
 			}
-			if err := m.checkWide(steps); err != nil {
+			if err := m.checkScalar(steps); err != nil {
 				return err
 			}
 		case 0x03:
@@ -168,11 +153,10 @@ func RunSketchOps(program []byte) error {
 			if d := m.serial.FirstRegisterDiff(closed.Core()); d != "" {
 				return fmt.Errorf("step %d: rotated window diverged from serial: %s", steps, d)
 			}
-			if err := m.checkWide(steps); err != nil {
+			if err := m.checkScalar(steps); err != nil {
 				return err
 			}
 			m.serial.Reset()
-			m.wide.Reset()
 			m.scalar.Reset()
 			clear(m.oracle)
 		case 0x04:
@@ -185,12 +169,7 @@ func RunSketchOps(program []byte) error {
 			if err := m.serial.Merge(side); err != nil {
 				return fmt.Errorf("step %d: serial merge: %w", steps, err)
 			}
-			// Merging a compact side sketch into the wide shim exercises the
-			// cross-layout merge seam on every 0x04 op.
-			if err := m.wide.Merge(side); err != nil {
-				return fmt.Errorf("step %d: wide-shim merge: %w", steps, err)
-			}
-			if err := m.scalar.MergeScalar(side); err != nil {
+			if err := MergeScalar(m.scalar, side); err != nil {
 				return fmt.Errorf("step %d: scalar twin merge: %w", steps, err)
 			}
 			sideFCM, err := fcm.NewSketch(fcm.Config{
@@ -207,7 +186,6 @@ func RunSketchOps(program []byte) error {
 			m.oracle[binary.BigEndian.Uint32(k)] += inc
 		case 0x05:
 			m.serial.Reset()
-			m.wide.Reset()
 			m.scalar.Reset()
 			m.shard.Reset()
 			clear(m.oracle)
@@ -217,20 +195,15 @@ func RunSketchOps(program []byte) error {
 			if se != he {
 				return fmt.Errorf("step %d: estimate for %x: serial %d vs sharded %d", steps, k, se, he)
 			}
-			if we := m.wide.Estimate(k); se != we {
-				return fmt.Errorf("step %d: estimate for %x: compact %d vs wide shim %d", steps, k, se, we)
-			}
 			if want := m.oracle[binary.BigEndian.Uint32(k)]; se < want && m.oneSidedOK() {
 				return fmt.Errorf("step %d: estimate for %x underestimates: %d < exact %d", steps, k, se, want)
 			}
 		case 0x07:
 			// Saturation burst: a single large increment crosses the byte
 			// lane's 254 capacity immediately; repeats walk the uint16 lane
-			// to 65534 and onward to the root. Both layouts must promote and
-			// clamp identically at every boundary.
+			// to 65534 and onward to the root.
 			k, inc := m.key(arg()), uint64(1+arg())*8192
 			m.serial.Update(k, inc)
-			m.wide.Update(k, inc)
 			m.scalar.Update(k, inc)
 			m.shard.Update(k, inc)
 			m.oracle[binary.BigEndian.Uint32(k)] += inc
@@ -241,9 +214,6 @@ func RunSketchOps(program []byte) error {
 	// every flow the program touched.
 	if d := m.serial.FirstRegisterDiff(m.shard.Snapshot().Core()); d != "" {
 		return fmt.Errorf("final state diverged from serial: %s", d)
-	}
-	if d := m.serial.FirstRegisterDiff(m.wide); d != "" {
-		return fmt.Errorf("final wide-shim state diverged from compact lanes: %s", d)
 	}
 	if d := m.serial.FirstRegisterDiff(m.scalar); d != "" {
 		return fmt.Errorf("final word-merge state diverged from scalar twin: %s", d)

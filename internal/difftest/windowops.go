@@ -12,7 +12,7 @@ import (
 // the temporal layer: a live window.Ring driven in lockstep with a
 // reference model — one serial core.Sketch per closed window plus one for
 // the live window, and one map-of-exact-counts oracle per window. Queries
-// fold the reference windows through MergeScalar (the exported scalar
+// fold the reference windows through MergeScalar (the harness's scalar
 // walk), so every ring answer — produced by the word-wide SWAR fold over
 // possibly coarsened buckets — is checked bit-for-bit against a scalar
 // fold of the exact covering windows, at every lookback depth, and
@@ -98,12 +98,12 @@ func (m *windowMachine) scalarFold(from, to uint64, withLive bool) (*core.Sketch
 		if int(gen) > len(m.closed) {
 			return nil, fmt.Errorf("coverage generation %d outside 1..%d", gen, len(m.closed))
 		}
-		if err := sk.MergeScalar(m.closed[gen-1]); err != nil {
+		if err := MergeScalar(sk, m.closed[gen-1]); err != nil {
 			return nil, err
 		}
 	}
 	if withLive {
-		if err := sk.MergeScalar(m.live); err != nil {
+		if err := MergeScalar(sk, m.live); err != nil {
 			return nil, err
 		}
 	}
