@@ -28,18 +28,15 @@ import (
 
 func main() {
 	var (
-		run      = flag.String("run", "", "comma-separated experiment IDs, or 'all'")
-		list     = flag.Bool("list", false, "list available experiments")
-		scale    = flag.Float64("scale", 0.1, "workload/memory scale (1.0 = paper scale)")
-		seed     = flag.Int64("seed", 31337, "trace and hashing seed")
-		iters    = flag.Int("iters", 5, "EM iterations")
-		workers  = flag.Int("workers", 0, "EM worker goroutines (0 = all cores)")
-		shards   = flag.Int("shards", 0, "max shard count for the shardedspeed sweep (0 = 8)")
-		batch    = flag.Int("batch", 0, "keys per UpdateBatch for the hotpath experiment (0 = 256)")
-		hashMode = flag.String("hash-mode", "", "hotpath hash modes: onepass, pertree or both (default both)")
-		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
-		verbose  = flag.Bool("v", false, "print progress while running")
-		debug    = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof while experiments run")
+		run     = flag.String("run", "", "comma-separated experiment IDs, or 'all'")
+		list    = flag.Bool("list", false, "list available experiments")
+		scale   = flag.Float64("scale", 0.1, "workload/memory scale (1.0 = paper scale)")
+		seed    = flag.Int64("seed", 31337, "trace and hashing seed")
+		iters   = flag.Int("iters", 5, "EM iterations")
+		workers = flag.Int("workers", 0, "EM worker goroutines (0 = all cores)")
+		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
+		verbose = flag.Bool("v", false, "print progress while running")
+		debug   = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof while experiments run")
 	)
 	flag.Parse()
 
@@ -59,9 +56,6 @@ func main() {
 		Seed:         *seed,
 		EMIterations: *iters,
 		Workers:      *workers,
-		Shards:       *shards,
-		BatchSize:    *batch,
-		HashMode:     *hashMode,
 	}
 	if *verbose {
 		opts.Log = os.Stderr

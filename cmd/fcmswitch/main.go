@@ -179,10 +179,14 @@ func main() {
 			eng.Instrument(reg)
 			prober = eng.InstrumentInsight(reg, insight.Config{}, 0)
 		case locked != nil:
-			engine.InstrumentSketch(reg, sw.Sketch(), locked.SnapshotSketch)
+			snapshot := func() *core.Sketch {
+				sk, _ := locked.Snapshot()
+				return sk
+			}
+			engine.InstrumentSketch(reg, sw.Sketch(), snapshot)
 			an := insight.NewAnalyzer(insight.Config{})
 			prober = insight.NewProber(an, func() insight.Observation {
-				return insight.Observe(locked.SnapshotSketch())
+				return insight.Observe(snapshot())
 			}, 0)
 			insight.Instrument(reg, sw.Sketch().Depth(), prober.Report)
 		}
@@ -221,7 +225,7 @@ func main() {
 		// Fold the merged shards back into the switch's own sketch so the
 		// data-plane reports below read the same registers a serial replay
 		// would have produced (exact merge ⇒ bit-identical).
-		merged := eng.SnapshotSketch()
+		merged, _ := eng.Snapshot()
 		for t := 0; t < merged.NumTrees(); t++ {
 			for l := 0; l < merged.Depth(); l++ {
 				if err := sw.Sketch().SetStageValues(t, l, merged.StageValues(t, l)); err != nil {

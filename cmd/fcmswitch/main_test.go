@@ -80,7 +80,8 @@ func TestReplayShardedMatchesSerial(t *testing.T) {
 		if got, want := eng.Generation(), uint64(tr.NumPackets()); got != want {
 			t.Fatalf("shards %d: engine absorbed %d updates, want %d", shards, got, want)
 		}
-		if d := sw.Sketch().FirstRegisterDiff(eng.SnapshotSketch()); d != "" {
+		merged, _ := eng.Snapshot()
+		if d := sw.Sketch().FirstRegisterDiff(merged); d != "" {
 			t.Fatalf("shards %d: sharded replay differs from serial: %s", shards, d)
 		}
 	}

@@ -11,7 +11,6 @@ var (
 	_ sketch.Sketch       = (*Sketch)(nil)
 	_ sketch.BatchUpdater = (*Sketch)(nil)
 	_ sketch.Mergeable    = (*Sketch)(nil)
-	_ sketch.Snapshotter  = (*Sketch)(nil)
 
 	_ sketch.Sketch    = (*TopKSketch)(nil)
 	_ sketch.Mergeable = (*TopKSketch)(nil)
@@ -19,7 +18,6 @@ var (
 	_ sketch.Sketch       = (*Sharded)(nil)
 	_ sketch.BatchUpdater = (*Sharded)(nil)
 	_ sketch.Mergeable    = (*Sharded)(nil)
-	_ sketch.Snapshotter  = (*Sharded)(nil)
 
 	_ sketch.Updater              = (*Framework)(nil)
 	_ sketch.Estimator            = (*Framework)(nil)

@@ -203,9 +203,6 @@ func (s *Sketch) Snapshot() *Sketch {
 	return &Sketch{cfg: s.cfg, s: s.s.Clone()}
 }
 
-// SnapshotEstimator implements the sketch.Snapshotter contract.
-func (s *Sketch) SnapshotEstimator() sketch.Estimator { return s.Snapshot() }
-
 // configsEqual compares configurations field by field (Config contains a
 // slice, so == is not available).
 func configsEqual(a, b Config) bool {

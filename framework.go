@@ -97,13 +97,14 @@ func (f *Framework) Cardinality() float64 { return f.cur.Cardinality() }
 // window, exact at any load (the engine counts them beside its registers).
 func (f *Framework) WindowPackets() uint64 { return f.cur.eng.Packets() }
 
-// Sketch returns an exact-merge snapshot of the current window's sketch.
+// Sketch returns an exact-merge snapshot of the current window's sketch
+// that the caller owns.
 func (f *Framework) Sketch() *Sketch { return f.cur.Snapshot() }
 
 // FlowSizeDistribution estimates the current window's flow-size
 // distribution with EM (§4.2).
 func (f *Framework) FlowSizeDistribution(opt *EMOptions) ([]float64, error) {
-	return f.Sketch().FlowSizeDistribution(opt)
+	return f.cur.FlowSizeDistribution(opt)
 }
 
 // Entropy estimates the current window's flow entropy from the EM
@@ -159,7 +160,7 @@ func (f *Framework) HeavyChanges(candidates [][]byte, threshold uint64) ([]Heavy
 	}
 	// One consistent snapshot per window for the whole candidate scan.
 	f.mu.Lock()
-	cur, prev := f.cur.Snapshot(), f.prev.Load()
+	cur, prev := f.cur.current(), f.prev.Load()
 	f.mu.Unlock()
 	var out []HeavyChange
 	seen := make(map[string]bool, len(candidates))

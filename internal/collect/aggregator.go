@@ -190,7 +190,7 @@ func (a *Aggregator) absorb(ctx context.Context, addr string, snap *Snapshot) {
 }
 
 // storeMember installs a member's freshest sketch. The restored sketch is
-// stored as an immutable value — SnapshotSketchGen merges from these
+// stored as an immutable value — Snapshot merges from these
 // references outside the lock, so a stored sketch is never mutated.
 func (a *Aggregator) storeMember(addr string, snap *Snapshot) error {
 	sk, err := snap.Restore(a.cfg.Family)
@@ -245,7 +245,7 @@ func (a *Aggregator) InsightReport() insight.FleetReport {
 	}
 	a.insightMu.Unlock()
 	if refresh {
-		if sk := a.SnapshotSketch(); sk != nil {
+		if sk, _ := a.Snapshot(); sk != nil {
 			rep := a.regionInsight.ObserveSketch(sk)
 			a.insightMu.Lock()
 			a.regionAt, a.regionLast = time.Now(), &rep
@@ -256,13 +256,13 @@ func (a *Aggregator) InsightReport() insight.FleetReport {
 	return fr
 }
 
-// SnapshotSketchGen implements GenerationalSource: the exact merge of
-// every member's latest sketch, stamped with a generation that advances
-// whenever any member contributes a new snapshot — equal generations mean
-// the same member sketches, hence bit-identical merges. Returns nil before
-// the first member snapshot arrives (the server answers an error status
-// and the controller retries).
-func (a *Aggregator) SnapshotSketchGen() (*core.Sketch, uint64) {
+// Snapshot implements Source: the exact merge of every member's latest
+// sketch, stamped with a generation that advances whenever any member
+// contributes a new snapshot — equal generations mean the same member
+// sketches, hence bit-identical merges. Returns nil before the first
+// member snapshot arrives (the server answers an error status and the
+// controller retries).
+func (a *Aggregator) Snapshot() (*core.Sketch, uint64) {
 	a.mu.Lock()
 	gen := a.gen
 	refs := make([]*core.Sketch, 0, len(a.latest))
@@ -270,39 +270,26 @@ func (a *Aggregator) SnapshotSketchGen() (*core.Sketch, uint64) {
 		refs = append(refs, sk)
 	}
 	a.mu.Unlock()
-	if len(refs) == 0 {
-		return nil, 0
-	}
 	// Merge outside the lock: member updates keep landing while we fold.
 	// Map order is arbitrary but irrelevant — FCM merge is commutative and
-	// associative, so any order yields the same registers. The fold runs
-	// under pprof labels so profiles attribute region-merge CPU.
-	var merged *core.Sketch
-	pprof.Do(context.Background(), pprof.Labels("subsystem", "aggregator", "op", "fold"),
-		func(context.Context) {
-			merged = refs[0].Clone()
-			for _, sk := range refs[1:] {
-				if err := merged.Merge(sk); err != nil {
-					// Geometry drift between members (mid-reconfiguration):
-					// serve nothing rather than a partial region.
-					a.log.Warn("aggregator member geometry mismatch, merge aborted", "err", err)
-					merged = nil
-					return
-				}
-			}
-		})
+	// associative, so any order yields the same registers.
+	merged, err := a.fold(refs, "fold")
+	if err != nil {
+		// Geometry drift between members (mid-reconfiguration): serve
+		// nothing rather than a partial region.
+		a.log.Warn("aggregator member geometry mismatch, merge aborted", "err", err)
+	}
 	if merged == nil {
 		return nil, 0
 	}
-	a.merges.Add(1)
 	return merged, gen
 }
 
 // DrainRound returns the exact merge of every member snapshot absorbed
 // since the previous drain, or nil when none arrived. Each snapshot joins
-// exactly one drained round — unlike SnapshotSketchGen, which re-merges
-// every member's latest sketch, a member that misses a poll contributes
-// nothing rather than its previous (already drained) snapshot again. That
+// exactly one drained round — unlike Snapshot, which re-merges every
+// member's latest sketch, a member that misses a poll contributes nothing
+// rather than its previous (already drained) snapshot again. That
 // exactly-once property is what lets a windowed ring file drained rounds
 // as disjoint traffic intervals without double counting.
 //
@@ -316,16 +303,26 @@ func (a *Aggregator) DrainRound() *core.Sketch {
 	refs := a.pending
 	a.pending = nil
 	a.mu.Unlock()
-	if len(refs) == 0 {
-		return nil
+	merged, err := a.fold(refs, "drain")
+	if err != nil {
+		a.log.Warn("aggregator dropped round: member geometry drift", "err", err)
 	}
-	var merged *core.Sketch
-	pprof.Do(context.Background(), pprof.Labels("subsystem", "aggregator", "op", "drain"),
+	return merged
+}
+
+// fold returns the exact merge of refs into a fresh sketch, leaving every
+// ref untouched, or nil when refs is empty or any merge fails. It runs
+// under pprof labels (op names the caller) so profiles attribute the
+// region-merge CPU, and counts each successful merge.
+func (a *Aggregator) fold(refs []*core.Sketch, op string) (merged *core.Sketch, err error) {
+	if len(refs) == 0 {
+		return nil, nil
+	}
+	pprof.Do(context.Background(), pprof.Labels("subsystem", "aggregator", "op", op),
 		func(context.Context) {
 			merged = refs[0].Clone()
 			for _, sk := range refs[1:] {
-				if err := merged.Merge(sk); err != nil {
-					a.log.Warn("aggregator dropped round: member geometry drift", "err", err)
+				if err = merged.Merge(sk); err != nil {
 					merged = nil
 					return
 				}
@@ -334,20 +331,14 @@ func (a *Aggregator) DrainRound() *core.Sketch {
 	if merged != nil {
 		a.merges.Add(1)
 	}
-	return merged
+	return merged, err
 }
 
-// SnapshotSketch implements Source.
-func (a *Aggregator) SnapshotSketch() *core.Sketch {
-	sk, _ := a.SnapshotSketchGen()
-	return sk
-}
-
-// ResetSketch implements Source — as a logged no-op. Forwarding a reset to
-// N members is non-idempotent and partial failures would silently split
+// Reset implements Source — as a logged no-op. Forwarding a reset to N
+// members is non-idempotent and partial failures would silently split
 // the window; rotation in a collection tree is leaf-driven (the pollers'
 // Reset flag rotates each switch after a successful read).
-func (a *Aggregator) ResetSketch() {
+func (a *Aggregator) Reset() {
 	a.resetRequests.Add(1)
 	a.log.Warn("aggregator ignoring reset request: rotation is leaf-driven")
 }

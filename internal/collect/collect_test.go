@@ -17,6 +17,20 @@ func k(i uint64) []byte {
 	return b[:]
 }
 
+// Every data plane the server collects from satisfies the one Source
+// contract directly, with no adapter.
+var (
+	_ Source = (*engine.Engine)(nil)
+	_ Source = (*LockedSketch)(nil)
+	_ Source = (*Aggregator)(nil)
+)
+
+// snapshotOf returns src's snapshot without its generation.
+func snapshotOf(src Source) *core.Sketch {
+	sk, _ := src.Snapshot()
+	return sk
+}
+
 func filledSketch(t testing.TB) *core.Sketch {
 	t.Helper()
 	s, err := core.New(core.Config{
@@ -291,7 +305,7 @@ func TestServerShardedEngineSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sketchesEqual(restored, eng.SnapshotSketch()) {
+	if !sketchesEqual(restored, snapshotOf(eng)) {
 		t.Error("collected snapshot differs from engine merge")
 	}
 }
@@ -322,7 +336,7 @@ func TestServerRejectsUnknownOpcode(t *testing.T) {
 // TestDrainRoundExactlyOnce pins the windowed-aggregation contract: every
 // absorbed member snapshot joins exactly one drained round, so a member
 // that misses a poll is simply absent from that round — its previous
-// (already drained) snapshot is never re-merged. SnapshotSketchGen, by
+// (already drained) snapshot is never re-merged. Snapshot, by
 // contrast, re-merges every member's latest snapshot: correct for
 // cumulative collection, double-counting for reset-mode windows.
 func TestDrainRoundExactlyOnce(t *testing.T) {

@@ -190,7 +190,7 @@ func TestDeltaProtocolSteadyState(t *testing.T) {
 
 	verify := func(step string, snap *Snapshot) {
 		t.Helper()
-		want := eng.SnapshotSketch()
+		want := snapshotOf(eng)
 		got, err := snap.Restore(hashing.NewBobFamily(42))
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
@@ -258,26 +258,20 @@ func TestDeltaProtocolSteadyState(t *testing.T) {
 	}
 }
 
-// TestDeltaProtocolRetransmit pins the two-baseline ack machine at the
-// wire level: a response the client never acked must be re-diffed against
-// the old acked baseline, not against what the server last sent.
-func TestDeltaProtocolRetransmit(t *testing.T) {
-	eng := buildEngine(t)
-	eng.Update(k(1), 10)
-	srv, err := NewServer("127.0.0.1:0", eng)
+// rawDeltaExchange dials addr and returns a function that sends one raw
+// OpReadDelta request for session 7 and decodes the response frame, so a
+// test can drive the ack machine without the client's bookkeeping. The
+// connection closes with the test.
+func rawDeltaExchange(t *testing.T, addr string) func(hasBaseline bool, ackedGen uint64) *DeltaFrame {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	conn, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 
-	exchange := func(hasBaseline bool, ackedGen uint64) *DeltaFrame {
+	return func(hasBaseline bool, ackedGen uint64) *DeltaFrame {
 		t.Helper()
 		if err := writeFrame(conn, encodeReadDelta(7, hasBaseline, ackedGen)); err != nil {
 			t.Fatal(err)
@@ -296,7 +290,67 @@ func TestDeltaProtocolRetransmit(t *testing.T) {
 		}
 		return frame
 	}
+}
 
+// TestLockedSketchGeneration pins the generation contract of the
+// single-writer source: reads with no write in between report equal
+// generations, every write path (Update, Lock/Unlock, Reset) strictly
+// advances it, and so an unchanged LockedSketch gets the same empty-delta
+// fast path as an engine.
+func TestLockedSketchGeneration(t *testing.T) {
+	ls := NewLockedSketch(filledSketch(t))
+	_, g0 := ls.Snapshot()
+	if _, g := ls.Snapshot(); g != g0 {
+		t.Fatalf("generation moved from %d to %d with no write", g0, g)
+	}
+	for _, w := range []struct {
+		name  string
+		write func()
+	}{
+		{"Update", func() { ls.Update(k(1), 1) }},
+		{"Lock/Unlock", func() { ls.Lock(); ls.Unlock() }},
+		{"Reset", ls.Reset},
+	} {
+		_, before := ls.Snapshot()
+		w.write()
+		if _, after := ls.Snapshot(); after <= before {
+			t.Fatalf("%s: generation %d -> %d, want a strict advance", w.name, before, after)
+		}
+	}
+
+	ls.Update(k(2), 5)
+	srv, err := NewServer("127.0.0.1:0", ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	exchange := rawDeltaExchange(t, srv.Addr())
+	first := exchange(false, 0)
+	if !first.Full {
+		t.Fatal("first response was not a full snapshot")
+	}
+	second := exchange(true, first.NewGen)
+	if second.Full || len(second.Blocks) != 0 {
+		t.Fatalf("unchanged sketch: full=%v with %d blocks, want an empty delta", second.Full, len(second.Blocks))
+	}
+	if second.NewGen != first.NewGen {
+		t.Fatalf("unchanged sketch: generation %d, want %d", second.NewGen, first.NewGen)
+	}
+}
+
+// TestDeltaProtocolRetransmit pins the two-baseline ack machine at the
+// wire level: a response the client never acked must be re-diffed against
+// the old acked baseline, not against what the server last sent.
+func TestDeltaProtocolRetransmit(t *testing.T) {
+	eng := buildEngine(t)
+	eng.Update(k(1), 10)
+	srv, err := NewServer("127.0.0.1:0", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	exchange := rawDeltaExchange(t, srv.Addr())
 	first := exchange(false, 0)
 	if !first.Full {
 		t.Fatal("first response was not a full snapshot")
@@ -416,7 +470,7 @@ func TestDeltaProtocolInjectedGenerationLoss(t *testing.T) {
 	if st := cl.Stats(); st.FullSnapshots != 2 {
 		t.Fatalf("client stats after injected loss: %+v", st)
 	}
-	want := eng.SnapshotSketch()
+	want := snapshotOf(eng)
 	got, err := snap.Restore(hashing.NewBobFamily(42))
 	if err != nil {
 		t.Fatal(err)
@@ -631,7 +685,7 @@ func TestAggregatorMergeMatchesFlat(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	merged := agg.SnapshotSketch()
+	merged := snapshotOf(agg)
 	if merged == nil {
 		t.Fatal("aggregator exported nil after all members reported")
 	}
@@ -645,11 +699,11 @@ func TestAggregatorMergeMatchesFlat(t *testing.T) {
 		t.Fatalf("aggregated merge diverges from flat merge: %s", d)
 	}
 
-	agg.ResetSketch()
+	agg.Reset()
 	if got := agg.Stats().ResetRequests; got != 1 {
 		t.Fatalf("reset requests = %d, want 1 (ignored, counted)", got)
 	}
-	if d := flat.FirstRegisterDiff(agg.SnapshotSketch()); d != "" {
+	if d := flat.FirstRegisterDiff(snapshotOf(agg)); d != "" {
 		t.Fatalf("reset mutated the aggregate: %s", d)
 	}
 }

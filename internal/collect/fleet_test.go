@@ -64,9 +64,9 @@ func TestFleetTwoLevelConvergence(t *testing.T) {
 	}
 
 	// Flat reference: every switch merged serially, no tree, no network.
-	reference := engines[0].SnapshotSketch()
+	reference := snapshotOf(engines[0])
 	for _, eng := range engines[1:] {
-		if err := reference.Merge(eng.SnapshotSketch()); err != nil {
+		if err := reference.Merge(snapshotOf(eng)); err != nil {
 			t.Fatal(err)
 		}
 	}

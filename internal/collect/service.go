@@ -43,31 +43,23 @@ const (
 )
 
 // Source is the data plane the server collects from. Implementations
-// provide copy-on-read snapshots: SnapshotSketch returns a consistent copy
-// the server owns, taken under the source's own short-lived
-// synchronization, so collection never holds a lock across the encode or
-// the network write and ingest is stalled for at most one register copy.
-// engine.Engine (sharded multi-writer ingest) and LockedSketch
-// (single-writer fallback) both satisfy it.
+// provide copy-on-read snapshots: Snapshot returns a consistent copy the
+// server owns, taken under the source's own short-lived synchronization,
+// so collection never holds a lock across the encode or the network write
+// and ingest is stalled for at most one register copy. Each snapshot
+// carries a monotonic generation: equal generations imply bit-identical
+// registers within one process lifetime. The delta protocol uses the
+// generation as its ack token and as the unchanged-sketch fast path (an
+// empty delta with no diff pass at all). engine.Engine (sharded
+// multi-writer ingest), LockedSketch (single-writer fallback) and
+// Aggregator all satisfy it.
 type Source interface {
-	// SnapshotSketch returns a consistent register copy the caller owns.
-	SnapshotSketch() *core.Sketch
-	// ResetSketch clears the registers (window rotation).
-	ResetSketch()
-}
-
-// GenerationalSource is a Source that can stamp each snapshot with a
-// monotonic generation: equal generations imply bit-identical registers
-// within one process lifetime. The delta protocol uses the generation as
-// its ack token, and — for genuinely generational sources — as the
-// unchanged-sketch fast path (an empty delta with no diff pass at all).
-// engine.Engine and Aggregator implement it; plain Sources still get
-// deltas, keyed by synthetic per-read generations.
-type GenerationalSource interface {
-	Source
-	// SnapshotSketchGen returns a consistent register copy together with
-	// the generation it was taken at.
-	SnapshotSketchGen() (*core.Sketch, uint64)
+	// Snapshot returns a consistent register copy the caller owns,
+	// together with the generation it was taken at. A nil sketch means
+	// there is nothing to serve yet.
+	Snapshot() (*core.Sketch, uint64)
+	// Reset clears the registers (window rotation).
+	Reset()
 }
 
 // ServerConfig bounds server-side resource use so a slow, stalled, or
@@ -167,14 +159,12 @@ type ServerStats struct {
 // can collect them in batch.
 type Server struct {
 	src      Source
-	gsrc     GenerationalSource // non-nil when src reports generations
 	cfg      ServerConfig
 	ln       net.Listener
 	wg       sync.WaitGroup
 	closed   chan struct{}
 	sem      chan struct{}
 	sessions *sessionStore
-	synthGen atomic.Uint64 // generation fallback for plain Sources
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -226,9 +216,6 @@ func Serve(ln net.Listener, src Source, cfg ServerConfig) *Server {
 		conns:    make(map[net.Conn]struct{}),
 		log:      telemetry.OrNop(cfg.Logger),
 	}
-	if gs, ok := src.(GenerationalSource); ok {
-		s.gsrc = gs
-	}
 	s.log.Info("collect server listening",
 		"addr", ln.Addr().String(), "max_conns", cfg.MaxConns)
 	s.wg.Add(1)
@@ -263,11 +250,15 @@ func (s *Server) Stats() ServerStats {
 
 // LockedSketch adapts a single-writer sketch into a Source: the writer
 // wraps updates in Lock/Unlock and the snapshot copy briefly takes the
-// same lock. Multi-writer pipelines should use engine.Engine instead,
+// same lock. Every write path (Update, Unlock, Reset) advances the
+// generation under that lock, so equal generations imply identical
+// registers; a write that bypasses them is invisible to delta reads.
+// Multi-writer pipelines should use engine.Engine instead,
 // whose per-shard locks don't serialize the whole hot path.
 type LockedSketch struct {
-	mu sync.Mutex
-	sk *core.Sketch
+	mu  sync.Mutex
+	sk  *core.Sketch
+	gen uint64
 }
 
 // NewLockedSketch wraps a sketch with the single-writer lock discipline.
@@ -277,28 +268,34 @@ func NewLockedSketch(sk *core.Sketch) *LockedSketch { return &LockedSketch{sk: s
 // Update calls.
 func (l *LockedSketch) Lock() { l.mu.Lock() }
 
-// Unlock releases the writer lock.
-func (l *LockedSketch) Unlock() { l.mu.Unlock() }
+// Unlock releases the writer lock. It advances the generation, since the
+// writer may have changed the registers while holding the lock.
+func (l *LockedSketch) Unlock() {
+	l.gen++
+	l.mu.Unlock()
+}
 
 // Update records one update under the lock.
 func (l *LockedSketch) Update(key []byte, inc uint64) {
 	l.mu.Lock()
 	l.sk.Update(key, inc)
+	l.gen++
 	l.mu.Unlock()
 }
 
-// SnapshotSketch implements Source: the lock is held only for the copy.
-func (l *LockedSketch) SnapshotSketch() *core.Sketch {
+// Snapshot implements Source: the lock is held only for the copy.
+func (l *LockedSketch) Snapshot() (*core.Sketch, uint64) {
 	l.mu.Lock()
-	c := l.sk.Clone()
+	c, gen := l.sk.Clone(), l.gen
 	l.mu.Unlock()
-	return c
+	return c, gen
 }
 
-// ResetSketch implements Source.
-func (l *LockedSketch) ResetSketch() {
+// Reset implements Source.
+func (l *LockedSketch) Reset() {
 	l.mu.Lock()
 	l.sk.Reset()
+	l.gen++
 	l.mu.Unlock()
 }
 
@@ -450,7 +447,7 @@ func (s *Server) serve(conn net.Conn) {
 		case OpResetSketch:
 			tr := s.cfg.Tracer.StartTrace("serve.reset")
 			tr.Root().Annotate("peer", conn.RemoteAddr().String())
-			s.src.ResetSketch()
+			s.src.Reset()
 			err := s.writeFrameDeadline(conn, []byte{statusOK})
 			if err != nil {
 				tr.Root().Fail(err)
@@ -474,7 +471,7 @@ func (s *Server) serveReadSketch(conn net.Conn, tr *tracing.Trace, scr *connScra
 	// The source hands over an owned copy; encoding and the network
 	// write below run with no data-plane lock held.
 	ssp := tr.StartSpan("snapshot")
-	sk := s.src.SnapshotSketch()
+	sk, _ := s.src.Snapshot()
 	ssp.End()
 	if sk == nil {
 		// An aggregator that has not completed a member poll yet has

@@ -119,26 +119,15 @@ func encodeReadDelta(sessionID uint64, hasBaseline bool, ackedGen uint64) []byte
 	return req
 }
 
-// genSnapshot takes the source's snapshot together with a generation
-// token. Generational sources (engine.Engine, Aggregator) report their own
-// monotonic generation — equal generations imply bit-identical registers
-// within one server lifetime, enabling the empty-delta fast path. Plain
-// sources get a synthetic per-read counter: the tokens still key the
-// session baselines correctly, the fast path just never fires (an
-// unchanged sketch still costs one diff producing zero blocks).
-func (s *Server) genSnapshot() (*Snapshot, uint64, bool) {
-	if s.gsrc != nil {
-		sk, gen := s.gsrc.SnapshotSketchGen()
-		if sk == nil {
-			return nil, 0, true
-		}
-		return TakeSnapshot(sk), gen, true
-	}
-	sk := s.src.SnapshotSketch()
+// genSnapshot takes the source's snapshot together with its generation
+// token. Equal generations imply bit-identical registers within one
+// server lifetime, which is what enables the empty-delta fast path.
+func (s *Server) genSnapshot() (*Snapshot, uint64) {
+	sk, gen := s.src.Snapshot()
 	if sk == nil {
-		return nil, 0, false
+		return nil, 0
 	}
-	return TakeSnapshot(sk), s.synthGen.Add(1), false
+	return TakeSnapshot(sk), gen
 }
 
 // serveDelta handles one OpReadDelta request. A non-nil return means the
@@ -157,7 +146,7 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 	ackedGen := binary.BigEndian.Uint64(req[10:])
 
 	ssp := tr.StartSpan("snapshot")
-	cur, curGen, generational := s.genSnapshot()
+	cur, curGen := s.genSnapshot()
 	ssp.End()
 	if cur == nil {
 		s.writeError(conn, "no sketch available yet") //nolint:errcheck // teardown follows
@@ -187,7 +176,7 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 		fallback = fbGenMismatch
 	case !sess.acked.SameGeometry(cur):
 		fallback = fbGeometry
-	case generational && curGen == ackedGen:
+	case curGen == ackedGen:
 		// Nothing changed since the acked baseline (generation equality is
 		// register equality within a server lifetime): the empty delta.
 		frame.BaseGen = ackedGen

@@ -76,7 +76,7 @@ func TestDeltaCollectionEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("window %d: %v", wi, err)
 				}
-				direct := eng.SnapshotSketch()
+				direct, _ := eng.Snapshot()
 				if d := direct.FirstRegisterDiff(got); d != "" {
 					t.Fatalf("window %d: delta-collected state diverged from direct snapshot: %s", wi, d)
 				}

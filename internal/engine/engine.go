@@ -416,23 +416,3 @@ func (e *Engine) ResidentBytes() int {
 	}
 	return total
 }
-
-// SnapshotSketch implements the collect.Source contract: a consistent
-// copy-on-read register snapshot for the collection server.
-func (e *Engine) SnapshotSketch() *core.Sketch {
-	sk, _ := e.Snapshot()
-	return sk
-}
-
-// SnapshotSketchGen implements collect.GenerationalSource: the snapshot
-// together with the generation it was taken at. Equal generations imply
-// bit-identical registers within one process lifetime (every update bumps
-// a shard generation under that shard's lock), which is what lets the
-// delta-collection server answer an unchanged engine with an empty delta.
-func (e *Engine) SnapshotSketchGen() (*core.Sketch, uint64) {
-	return e.Snapshot()
-}
-
-// ResetSketch implements the collect.Source contract (window rotation over
-// the wire).
-func (e *Engine) ResetSketch() { e.Reset() }

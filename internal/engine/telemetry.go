@@ -67,7 +67,8 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 // InstrumentSketch registers the same sketch-level series for a
 // single-writer sketch (the non-sharded fcmswitch programs): sk gets a
 // core.Stats attached, and snapshot provides consistent register copies
-// for the scrape-time scans (e.g. collect.LockedSketch.SnapshotSketch).
+// for the scrape-time scans (e.g. a closure over
+// collect.LockedSketch.Snapshot).
 func InstrumentSketch(reg *telemetry.Registry, sk *core.Sketch, snapshot func() *core.Sketch) {
 	st := core.NewStats(sk.Depth())
 	sk.SetStats(st)

@@ -34,15 +34,6 @@ type Options struct {
 	EMIterations int
 	// Workers is the EM parallelism (0 = all cores).
 	Workers int
-	// Shards bounds the shard sweep of the shardedspeed experiment
-	// (default 8: the sweep covers 1, 2, 4, 8 shards).
-	Shards int
-	// BatchSize is the keys-per-UpdateBatch of the hotpath experiment's
-	// batched variants (default 256).
-	BatchSize int
-	// HashMode selects the sketch index derivation for the hotpath
-	// experiment: "onepass" (default), "pertree", or "both" to compare.
-	HashMode string
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
 	// EMMetrics, when non-nil, instruments every EM run the experiments

@@ -58,20 +58,6 @@ type Mergeable interface {
 	MergeFrom(other Estimator) error
 }
 
-// Snapshotter yields a consistent, independently-owned copy of the
-// structure. Snapshots let readers (collectors, query servers) work on a
-// frozen view while writers keep ingesting: the copy is taken under the
-// structure's own short-lived synchronization, never holding a lock across
-// encode or network I/O.
-type Snapshotter interface {
-	// SnapshotEstimator returns a point-in-time copy that the caller
-	// owns. For sharded structures the copy is the exact merge of every
-	// shard — bit-identical to a serial ingest of the same stream.
-	// Implementations usually also expose a concretely-typed Snapshot
-	// method; this one exists for generic consumers.
-	SnapshotEstimator() Estimator
-}
-
 // Sketch is the full data-plane contract satisfied by fcm.Sketch: ingest,
 // point queries, cardinality, memory accounting and window reuse.
 type Sketch interface {

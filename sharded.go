@@ -25,19 +25,19 @@ import (
 //   - UpdateShard lets each writer goroutine own one shard outright; the
 //     per-shard lock is then uncontended and ingest scales with writers.
 //
-// Readers call Snapshot (or any query method, which snapshots internally)
-// and never stall ingest: a shard is locked only while its registers are
-// copied. Snapshots are cached and reused until the next update.
+// Readers call Snapshot for a copy they own, or any query method, and
+// never stall ingest: a shard is locked only while its registers are
+// copied. The query methods share one cached merge, rebuilt only after the
+// next update.
 type Sharded struct {
 	cfg Config
 	eng *engine.Engine
 
-	// snapMu guards the cached merged snapshot; cachedGen is the engine
-	// generation the cache was built at.
-	snapMu    sync.Mutex
-	cached    *Sketch
-	cachedGen uint64
-	hasCache  bool
+	// snapMu guards view, the cached merge the query methods read (nil
+	// when stale); viewGen is the engine generation it was built at.
+	snapMu  sync.Mutex
+	view    *Sketch
+	viewGen uint64
 }
 
 // NewSharded builds a sharded sketch with the given number of shards
@@ -89,24 +89,23 @@ func (s *Sharded) Shards() int { return s.eng.NumShards() }
 func (s *Sharded) ShardOf(key []byte) int { return s.eng.ShardOf(key) }
 
 // Snapshot returns the exact merge of all shards as a Sketch the caller
-// owns. Consecutive calls with no intervening updates return the same
-// cached snapshot, so query-heavy phases (EM, candidate scans) cost one
-// merge, not one per query.
-func (s *Sharded) Snapshot() *Sketch {
+// owns: a copy of the cached merge, so writes to it never reach s.
+func (s *Sharded) Snapshot() *Sketch { return s.current().Snapshot() }
+
+// current returns the cached exact merge of all shards, rebuilding it when
+// an update has landed since, so query-heavy phases (EM, candidate scans)
+// cost one merge, not one per query. The result is shared: callers only
+// read it.
+func (s *Sharded) current() *Sketch {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	if s.hasCache && s.eng.Generation() == s.cachedGen {
-		return s.cached
+	if s.view != nil && s.eng.Generation() == s.viewGen {
+		return s.view
 	}
 	merged, gen := s.eng.Snapshot()
-	s.cached = &Sketch{cfg: s.cfg, s: merged}
-	s.cachedGen = gen
-	s.hasCache = true
-	return s.cached
+	s.view, s.viewGen = &Sketch{cfg: s.cfg, s: merged}, gen
+	return s.view
 }
-
-// SnapshotEstimator implements the sketch.Snapshotter contract.
-func (s *Sharded) SnapshotEstimator() sketch.Estimator { return s.Snapshot() }
 
 // Rotate closes the measurement window: every shard is snapshotted and
 // cleared, and the exact merge of the closed window is returned with the
@@ -116,21 +115,20 @@ func (s *Sharded) Rotate() (*Sketch, uint64) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	merged, packets := s.eng.Rotate()
-	s.hasCache = false
+	s.view = nil
 	return &Sketch{cfg: s.cfg, s: merged}, packets
 }
 
-// Estimate answers the count query on the current merged snapshot. For
-// many queries in a row, take one Snapshot and query it directly.
-func (s *Sharded) Estimate(key []byte) uint64 { return s.Snapshot().Estimate(key) }
+// Estimate answers the count query on the current merged snapshot.
+func (s *Sharded) Estimate(key []byte) uint64 { return s.current().Estimate(key) }
 
 // Cardinality estimates distinct keys over the merged snapshot.
-func (s *Sharded) Cardinality() float64 { return s.Snapshot().Cardinality() }
+func (s *Sharded) Cardinality() float64 { return s.current().Cardinality() }
 
 // FlowSizeDistribution runs the control-plane EM estimator (§4.2) on the
 // merged snapshot.
 func (s *Sharded) FlowSizeDistribution(opt *EMOptions) ([]float64, error) {
-	return s.Snapshot().FlowSizeDistribution(opt)
+	return s.current().FlowSizeDistribution(opt)
 }
 
 // MemoryBytes returns the combined counter footprint of all shards (each
@@ -146,7 +144,7 @@ func (s *Sharded) Reset() {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.eng.Reset()
-	s.hasCache = false
+	s.view = nil
 }
 
 // Config returns the effective configuration (defaults applied).

@@ -206,6 +206,44 @@ func TestFrameworkRotateUnderConcurrentUpdate(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsOwnedCopy is the regression test for snapshots aliasing
+// the query cache: Sharded.Snapshot and Framework.Sketch hand out a copy
+// the caller owns, so writing to it must not change what the source's own
+// queries answer — before or after the cache is warm.
+func TestSnapshotIsOwnedCopy(t *testing.T) {
+	key := []byte{10, 0, 0, 1}
+	sh, err := NewSharded(Config{LeafWidth: 256, Seed: 5}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := NewFramework(Config{LeafWidth: 256, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		update   func()
+		snapshot func() *Sketch
+		estimate func() uint64
+	}{
+		{"sharded", func() { sh.Update(key, 1) }, sh.Snapshot, func() uint64 { return sh.Estimate(key) }},
+		{"framework", func() { fw.Update(key, 1) }, fw.Sketch, func() uint64 { return fw.Estimate(key) }},
+	} {
+		tc.update()
+		tc.snapshot().Update(key, 100)
+		if got := tc.estimate(); got != 1 {
+			t.Fatalf("%s: estimate %d after writing to a cold-cache snapshot, want 1", tc.name, got)
+		}
+		tc.snapshot().Update(key, 50)
+		if got := tc.estimate(); got != 1 {
+			t.Fatalf("%s: estimate %d after writing to a warm-cache snapshot, want 1", tc.name, got)
+		}
+		if got := tc.snapshot().Estimate(key); got != 1 {
+			t.Fatalf("%s: fresh snapshot estimates %d, want 1", tc.name, got)
+		}
+	}
+}
+
 // TestConfigWidthsNotAliased is the regression test for the Widths slice
 // aliasing fix: mutating the caller's slice after construction must not
 // change the sketch's geometry or hashing.
