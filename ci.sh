@@ -44,6 +44,8 @@ fuzz() {
 }
 
 go vet ./...
+# Format gate: gofmt prints every file whose formatting differs.
+test -z "$(gofmt -l .)"
 go build ./...
 
 # Docs gate: the docs may not cite what does not exist. Every BENCH_*.json
@@ -127,8 +129,10 @@ gate 'MergeMatchesScalar|FirstRegisterDiffPrescreen|Merge' ./internal/core/ -rac
 gate 'TestMergeAllocs|TestServeEncodeAllocs|TestDeltaAppendEncodeMatchesEncode' \
   './internal/core/ ./internal/collect/' -count=1
 # Fold-path gate, part 3: bench smoke — one iteration of the fold
-# benchmarks, the word-wide merge, equality, fleet-fold and diff paths.
-smoke 'MergePair|EqualRegisters' ./internal/core/
+# benchmarks, the word-wide merge, equality, fleet-fold and diff paths,
+# plus the paper-geometry merge and cardinality kernels beside the plain
+# word-add ceiling they are reported against.
+smoke 'MergePair|EqualRegisters|MergePaper|CardinalityPaper|WordAddCeiling' ./internal/core/
 smoke 'AbsorbFleet|DiffSnapshots|StateCRC' ./internal/collect/
 
 # Lane-layout gate: the compact typed counter slabs (uint8/uint16/uint32

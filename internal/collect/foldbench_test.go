@@ -11,9 +11,10 @@ import (
 // window folds this many member sketches into the aggregate.
 const fleetSize = 208
 
-// benchFleet builds fleetSize member sketches of the paper's default
-// geometry, each loaded with its own skewed slice of traffic, plus an
-// empty accumulator of the same shape.
+// benchFleet builds fleetSize member sketches of the paper's stage layout
+// (K=8, {8,16,32}) at 4096 leaves × 2 trees — 10,752 bytes each, not the
+// 1 MiB default geometry — each loaded with its own skewed slice of
+// traffic, plus an empty accumulator of the same shape.
 func benchFleet(b *testing.B) (acc *core.Sketch, members []*core.Sketch) {
 	b.Helper()
 	cfg := core.Config{K: 8, Trees: 2, LeafWidth: 4096, Widths: []int{8, 16, 32}}

@@ -8,10 +8,10 @@ import (
 
 func TestPollerValidation(t *testing.T) {
 	cases := []PollerConfig{
-		{Interval: time.Second, OnSnapshot: func(*Snapshot) {}},               // no addr
-		{Addr: "x", OnSnapshot: func(*Snapshot) {}},                           // no interval
-		{Addr: "x", Interval: time.Second},                                    // no callback
-		{Addr: "x", Interval: -time.Second, OnSnapshot: func(*Snapshot) {}},   // negative
+		{Interval: time.Second, OnSnapshot: func(*Snapshot) {}},             // no addr
+		{Addr: "x", OnSnapshot: func(*Snapshot) {}},                         // no interval
+		{Addr: "x", Interval: time.Second},                                  // no callback
+		{Addr: "x", Interval: -time.Second, OnSnapshot: func(*Snapshot) {}}, // negative
 	}
 	for i, cfg := range cases {
 		if _, err := NewPoller(cfg); err == nil {

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -263,10 +264,6 @@ type Sketch struct {
 	// hasher evaluation per tree.
 	wide  *hashing.BobWide
 	stats *Stats // nil = uninstrumented
-	// Carry scratch for Merge, lazily sized to stageLen(1) and alternated
-	// by level parity so a stage never reads the buffer it writes. Owned by
-	// the destination sketch; Clone deliberately does not copy it.
-	mergeCarry [2]carryScratch
 }
 
 // New builds an FCM-Sketch from cfg.
@@ -738,27 +735,55 @@ func (s *Sketch) EmptyLeaves() float64 {
 		sv := t.views[0]
 		switch sv.kind {
 		case laneU8:
-			for _, v := range t.lane8[sv.base : sv.base+sv.n] {
-				if v == 0 {
-					total++
-				}
-			}
+			total += zeroFields(t.lane8[sv.base:sv.base+sv.n], 8)
 		case laneU16:
-			for _, v := range t.lane16[sv.base : sv.base+sv.n] {
-				if v == 0 {
-					total++
-				}
-			}
+			total += zeroFields(sketch.BytesU16(t.lane16[sv.base:sv.base+sv.n]), 16)
 		default:
-			for _, v := range t.lane32[sv.base : sv.base+sv.n] {
-				if v == 0 {
-					total++
-				}
-			}
+			total += zeroFields(sketch.BytesU32(t.lane32[sv.base:sv.base+sv.n]), 32)
 		}
 	}
 	return float64(total) / float64(len(s.trees))
 }
+
+// zeroFields counts the zero fieldBits-wide counters in the lane bytes
+// buf a 64-bit word at a time (see zeroTops). Per-field hit counts
+// accumulate in one word across a run of blocks and are then summed with
+// one multiply; the sub-word tail is padded with nonzero bytes, which
+// count as occupied.
+func zeroFields(buf []byte, fieldBits uint) int {
+	rep := ^uint64(0) / (1<<fieldBits - 1) // 1 in the low bit of every field
+	top := rep << (fieldBits - 1)
+	low, down := ^top, (fieldBits-1)&63
+	ne := binary.NativeEndian
+	n, i := 0, 0
+	for i+blockBytes <= len(buf) {
+		// Seven blocks are 28 words: every field of acc stays below 32,
+		// so the multiply by rep sums the fields into the top one
+		// without overflow.
+		var acc uint64
+		for end := min(len(buf)&^(blockBytes-1), i+7*blockBytes); i < end; i += blockBytes {
+			w := buf[i : i+blockBytes : i+blockBytes]
+			acc += zeroTops(ne.Uint64(w[0:]), low, top)>>down +
+				zeroTops(ne.Uint64(w[8:]), low, top)>>down +
+				zeroTops(ne.Uint64(w[16:]), low, top)>>down +
+				zeroTops(ne.Uint64(w[24:]), low, top)>>down
+		}
+		n += int(acc * rep >> (64 - fieldBits))
+	}
+	for ; i < len(buf); i += 8 {
+		tail := [8]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+		copy(tail[:], buf[i:])
+		n += bits.OnesCount64(zeroTops(ne.Uint64(tail[:]), low, top))
+	}
+	return n
+}
+
+// zeroTops returns x with each field's top bit set exactly when the field
+// is zero, and every other bit clear. low holds every bit but the fields'
+// top bits (top): (x&low)+low sets a field's top bit when its low bits
+// are nonzero without carrying out of the field, and |x adds the top bit
+// itself.
+func zeroTops(x, low, top uint64) uint64 { return ^((x & low) + low | x) & top }
 
 // MemoryBytes implements sketch.Sized: the exact bit cost of all counters,
 // the way the paper accounts memory (a 2-bit stage costs 2 bits per node

@@ -50,16 +50,16 @@ func (h *leafHasher) Hash(key []byte) uint64 {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{K: 1, Trees: 1, MemoryBytes: 1 << 16},                          // arity too small
-		{K: 8, Trees: 0, MemoryBytes: 1 << 16},                          // no trees
-		{K: 8, Trees: 1},                                                // no sizing
-		{K: 8, Trees: 1, MemoryBytes: 1 << 16, LeafWidth: 64},           // both sizings
-		{K: 8, Trees: 1, MemoryBytes: 16},                               // too little memory
-		{K: 8, Trees: 1, LeafWidth: 100},                                // misaligned leaf width
-		{K: 8, Trees: 1, MemoryBytes: 1 << 16, Widths: []int{8}},        // one stage
-		{K: 8, Trees: 1, MemoryBytes: 1 << 16, Widths: []int{8, 8}},     // non-increasing
-		{K: 8, Trees: 1, MemoryBytes: 1 << 16, Widths: []int{1, 8}},     // width too small
-		{K: 8, Trees: 1, MemoryBytes: 1 << 16, Widths: []int{16, 100}},  // width too large
+		{K: 1, Trees: 1, MemoryBytes: 1 << 16},                         // arity too small
+		{K: 8, Trees: 0, MemoryBytes: 1 << 16},                         // no trees
+		{K: 8, Trees: 1},                                               // no sizing
+		{K: 8, Trees: 1, MemoryBytes: 1 << 16, LeafWidth: 64},          // both sizings
+		{K: 8, Trees: 1, MemoryBytes: 16},                              // too little memory
+		{K: 8, Trees: 1, LeafWidth: 100},                               // misaligned leaf width
+		{K: 8, Trees: 1, MemoryBytes: 1 << 16, Widths: []int{8}},       // one stage
+		{K: 8, Trees: 1, MemoryBytes: 1 << 16, Widths: []int{8, 8}},    // non-increasing
+		{K: 8, Trees: 1, MemoryBytes: 1 << 16, Widths: []int{1, 8}},    // width too small
+		{K: 8, Trees: 1, MemoryBytes: 1 << 16, Widths: []int{16, 100}}, // width too large
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

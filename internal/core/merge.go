@@ -20,37 +20,57 @@ import "fmt"
 // plane.
 //
 // The implementation folds whole 64-bit lane words at a time (see swar.go)
-// and keeps its carry buffers as per-sketch scratch, so a merge performs
-// no allocations after the first call on a destination. The differential
-// harness holds it bit-identical to an independent register-at-a-time
-// walk over the exported register view.
+// and borrows its carry buffers from a small shared cache, so
+// steady-state merges perform no allocations and the merged sketch keeps
+// no scratch. The
+// differential harness holds it bit-identical to an independent
+// register-at-a-time walk over the exported register view.
 func (s *Sketch) Merge(o *Sketch) error {
 	if err := s.Compatible(o); err != nil {
 		return err
 	}
+	carry := takeCarry()
 	last := len(s.widths) - 1
-	carryLen := 0
-	if last > 0 {
-		carryLen = s.trees[0].stageLen(1)
-	}
 	for ti := range s.trees {
 		a, b := s.trees[ti], o.trees[ti]
-		// carry=nil at the leaves (no child stage) and whenever the level
-		// below provably promoted nothing, which lets the word loop skip
-		// the per-word carry test entirely.
-		var carry []uint64
+		// in is nil at the leaves (no child stage) and whenever the level
+		// below promoted nothing, which lets the block loop skip the carry
+		// test entirely.
+		var in *carryBuf
 		for l := 0; l <= last; l++ {
-			var next []uint64
+			var out *carryBuf
 			if l < last {
-				next = s.mergeCarry[l&1].take(carryLen)
+				out = &carry[l&1]
 			}
-			if s.mergeStage(a, b, l, carry, next) {
-				s.mergeCarry[l&1].note(a.stageLen(l + 1))
-				carry = next
-			} else {
-				carry = nil
+			produced := s.mergeStage(a, b, l, in, out)
+			if in != nil {
+				clear(in.bits[:(a.stageLen(l)+63)/64])
+			}
+			in = nil
+			if produced {
+				in = out
 			}
 		}
+	}
+	// Not deferred: a pair a panicking merge left dirty must not be reused.
+	returnCarry(carry)
+	return nil
+}
+
+// CopyFrom overwrites s's registers with o's. Merging into an empty
+// sketch is the identity, so this is exactly Reset followed by Merge(o),
+// at memcpy cost and without allocating. o must pass Compatible; when it
+// does not, CopyFrom returns that error and leaves s untouched. Telemetry
+// attachments are not copied.
+func (s *Sketch) CopyFrom(o *Sketch) error {
+	if err := s.Compatible(o); err != nil {
+		return err
+	}
+	for i, t := range s.trees {
+		ot := o.trees[i]
+		copy(t.lane8, ot.lane8)
+		copy(t.lane16, ot.lane16)
+		copy(t.lane32, ot.lane32)
 	}
 	return nil
 }

@@ -289,9 +289,9 @@ func (e *engine) iterate() {
 
 // scratch holds per-worker enumeration buffers.
 type scratch struct {
-	parts  []uint64  // current partition being built
-	combos []combo   // materialized combos of the current group
-	sizes  []uint64  // flattened combo parts
+	parts  []uint64 // current partition being built
+	combos []combo  // materialized combos of the current group
+	sizes  []uint64 // flattened combo parts
 }
 
 // combo references a slice of sizes in scratch.sizes plus its log-weight.

@@ -47,9 +47,11 @@ import (
 type Config struct {
 	// Shards is the number of per-writer sketch replicas (default 1).
 	Shards int
-	// Build constructs one shard. It must return identically-configured
-	// sketches (same geometry AND same hash family) on every call, or
-	// merging is silently meaningless; geometry mismatches are caught.
+	// Build constructs one shard: once per shard in New, and once per
+	// shard on every Rotate, which swaps a fresh empty sketch in for the
+	// closed one. It must return identically-configured sketches (same
+	// geometry AND same hash family) on every call, or merging is
+	// silently meaningless; geometry mismatches are caught.
 	Build func() (*core.Sketch, error)
 	// ShardHash picks the shard for key-affinity updates; nil selects a
 	// BobHash decorrelated from the sketch's own hash functions.
@@ -69,6 +71,7 @@ type shard struct {
 // Engine is a sharded multi-writer FCM-Sketch.
 type Engine struct {
 	shards []shard
+	build  func() (*core.Sketch, error)
 	hasher hashing.Hasher
 	// next is the round-robin start of UpdateBatch's shard probe.
 	next atomic.Uint64
@@ -98,7 +101,7 @@ func New(cfg Config) (*Engine, error) {
 		// shard choice is independent of counter placement.
 		h = hashing.NewBob(0x5eedca7e)
 	}
-	e := &Engine{shards: make([]shard, n), hasher: h}
+	e := &Engine{shards: make([]shard, n), build: cfg.Build, hasher: h}
 	for i := range e.shards {
 		sk, err := cfg.Build()
 		if err != nil {
@@ -338,8 +341,10 @@ func (e *Engine) snapshot() (sk *core.Sketch, gen, packets uint64) {
 	return e.mergeClones(clones), gen, packets
 }
 
-// mergeClones folds per-shard register copies into one sketch outside all
-// shard locks, timing the exact-merge phase when instrumented.
+// mergeClones folds per-shard sketches the caller owns — Snapshot's
+// register copies, or the shard sketches Rotate swapped out — into the
+// first of them outside all shard locks, timing the exact-merge phase when
+// instrumented.
 func (e *Engine) mergeClones(clones []*core.Sketch) *core.Sketch {
 	if e.mergeSeconds != nil {
 		defer e.mergeSeconds.ObserveSince(time.Now())
@@ -355,28 +360,43 @@ func (e *Engine) mergeClones(clones []*core.Sketch) *core.Sketch {
 	return merged
 }
 
-// Rotate atomically snapshots and clears each shard, returning the exact
-// merge of the closed window and the packets it recorded. Updates
+// Rotate closes the current window and returns the exact merge of its
+// shards and the packets it recorded. It builds one empty sketch per shard
+// outside the locks, then swaps each in under its shard's lock: the
+// closed window is the shards' own sketches, so a shard is blocked for a
+// pointer swap, not a register copy and clear. The shard's telemetry moves
+// to the new sketch and is detached from the closed one. Updates
 // concurrent with Rotate land in either the closed or the new window
 // (never both, never neither), and so do their packets: each shard's count
-// is read and zeroed under the lock that copies its registers.
+// is read and zeroed under the lock that swaps its sketch.
 func (e *Engine) Rotate() (*core.Sketch, uint64) {
 	if e.rotateSeconds != nil {
 		defer e.rotateSeconds.ObserveSince(time.Now())
 	}
-	clones := make([]*core.Sketch, len(e.shards))
+	closed := make([]*core.Sketch, len(e.shards))
+	for i := range closed {
+		sk, err := e.build()
+		if err != nil {
+			// Build succeeded for every shard in New; failing now breaks
+			// its contract, like the geometry check in mergeClones.
+			panic(fmt.Sprintf("engine: building a fresh shard for rotation: %v", err))
+		}
+		closed[i] = sk
+	}
 	var packets uint64
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		clones[i] = sh.sk.Clone()
+		fresh := closed[i]
+		fresh.SetStats(sh.sk.Stats())
+		closed[i], sh.sk = sh.sk, fresh
 		packets += sh.packets
-		sh.sk.Reset()
 		sh.gen.Add(1)
 		sh.packets = 0
 		sh.mu.Unlock()
+		closed[i].SetStats(nil)
 	}
-	return e.mergeClones(clones), packets
+	return e.mergeClones(closed), packets
 }
 
 // Reset clears every shard and its packet count.

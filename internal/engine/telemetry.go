@@ -56,7 +56,7 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 	e.mergeSeconds = reg.Histogram("fcm_engine_merge_seconds",
 		"Latency of the exact-merge phase of snapshots and rotations.", nil)
 	e.rotateSeconds = reg.Histogram("fcm_engine_rotate_seconds",
-		"Latency of a window rotation (snapshot+clear each shard, then merge).", nil)
+		"Latency of a window rotation (build fresh shard sketches, swap each in, merge the closed ones).", nil)
 
 	registerSketchSeries(reg, depth, stats, func() *core.Sketch {
 		sk, _ := e.Snapshot()

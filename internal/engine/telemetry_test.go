@@ -2,10 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/fcmsketch/fcm/internal/core"
 	"github.com/fcmsketch/fcm/internal/telemetry"
 )
 
@@ -138,4 +140,94 @@ func TestInstrumentSketch(t *testing.T) {
 	if !strings.Contains(out, `fcm_sketch_level_occupancy{level="0"}`) {
 		t.Errorf("missing occupancy series:\n%s", out)
 	}
+}
+
+// TestInstrumentSurvivesRotate pins the swap rotation's telemetry hand-off:
+// each shard's core.Stats moves to the fresh sketch swapped in, so updates
+// after a Rotate still advance fcm_engine_shard_updates_total, and the
+// closed window's sketch comes back detached (Stats() == nil). Writers
+// racing the rotations must be counted exactly once in total.
+func TestInstrumentSurvivesRotate(t *testing.T) {
+	const shards = 3
+	e, err := New(Config{Shards: shards, Build: build(geometries[0], 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	e.Instrument(reg)
+	stats := make([]*core.Stats, shards)
+	for i := range stats {
+		stats[i] = e.shards[i].sk.Stats()
+	}
+	scrape := func() string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	for round := 1; round <= 2; round++ {
+		for i := 0; i < shards; i++ {
+			for j := 0; j < 100*(i+1); j++ {
+				e.UpdateShard(i, key(uint64(j)), 1)
+			}
+		}
+		closed, _ := e.Rotate()
+		if closed.Stats() != nil {
+			t.Fatalf("round %d: closed window still carries shard telemetry", round)
+		}
+		for i := 0; i < shards; i++ {
+			if got := e.shards[i].sk.Stats(); got != stats[i] {
+				t.Fatalf("round %d: shard %d lost its Stats across Rotate", round, i)
+			}
+		}
+		out := scrape()
+		for i := 0; i < shards; i++ {
+			want := fmt.Sprintf(`fcm_engine_shard_updates_total{shard="%d"} %d`, i, round*100*(i+1))
+			if !strings.Contains(out, want+"\n") {
+				t.Fatalf("round %d: missing %q in exposition:\n%s", round, want, out)
+			}
+		}
+	}
+
+	// Batched writers racing rotations: every update lands on a shard
+	// whose Stats are attached, so the aggregate counts each exactly once.
+	before := e.shardUpdates()
+	var wg sync.WaitGroup
+	const writers, batches, batch = 4, 200, 16
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			keys := make([][]byte, batch)
+			for b := 0; b < batches; b++ {
+				for k := range keys {
+					keys[k] = key(uint64(w*batches*batch + b*batch + k))
+				}
+				e.UpdateBatch(keys, 1)
+			}
+		}(w)
+	}
+	for r := 0; r < 20; r++ {
+		if closed, _ := e.Rotate(); closed.Stats() != nil {
+			t.Error("closed window still carries shard telemetry")
+		}
+	}
+	wg.Wait()
+	if got, want := e.shardUpdates()-before, uint64(writers*batches*batch); got != want {
+		t.Fatalf("shard update counters advanced by %d under rotation, want %d", got, want)
+	}
+}
+
+// shardUpdates sums the shards' update counters.
+func (e *Engine) shardUpdates() uint64 {
+	var n uint64
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		n += sh.sk.Stats().Updates.Load()
+		sh.mu.Unlock()
+	}
+	return n
 }

@@ -188,4 +188,3 @@ func keyBytesOf(tr *trace.Trace) [][]byte {
 	}
 	return out
 }
-

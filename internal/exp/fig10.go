@@ -183,7 +183,7 @@ func RunTable3(o Options) ([]*Table, error) {
 
 	t := &Table{ID: "table3", Title: "FCM (8-ary) and FCM+TopK (16-ary) vs number of trees",
 		PaperNote: "more trees: better flow-size ARE/AAE, worse FSD WMRE and entropy RE (paper picks 2)",
-		Headers: []string{"variant", "trees", "ARE", "AAE", "WMRE", "entropyRE", "cardRE"}}
+		Headers:   []string{"variant", "trees", "ARE", "AAE", "WMRE", "entropyRE", "cardRE"}}
 
 	emo := &fcm.EMOptions{Iterations: o.EMIterations, Workers: o.Workers}
 	for _, trees := range []int{2, 3, 4} {

@@ -210,7 +210,7 @@ func RunFig9(o Options) ([]*Table, error) {
 	rt := &Table{ID: "fig9a", Title: "EM runtime per iteration (seconds)",
 		PaperNote: "paper (20M pkts): MRAC 13.57s, FCM(s) 57.42s, FCM(m) 17.21s — FCM(m) " +
 			"3-4x faster than FCM(s) (the speedup needs multiple cores; on one core FCM(m)≈FCM(s))",
-		Headers:   []string{"algorithm", "sec/iter"}}
+		Headers: []string{"algorithm", "sec/iter"}}
 	rt.AddRow("MRAC", mracSec)
 	rt.AddRow("FCM(s)", fcmSingle)
 	rt.AddRow("FCM(m)", fcmMulti)

@@ -89,7 +89,7 @@ func TestHeavyHittersSurviveChurn(t *testing.T) {
 func TestEvictionKeepsLarger(t *testing.T) {
 	// Two flows colliding at stage 1: the pipeline must retain both via
 	// downstream stages (merge/claim), so neither count is lost entirely.
-	s := newTest(t, 1 << 12)
+	s := newTest(t, 1<<12)
 	for i := 0; i < 500; i++ {
 		s.Update(k(1), 1)
 		s.Update(k(2), 1)

@@ -39,12 +39,12 @@ import (
 // against a different geometry reset the analyzer's history (a rotation
 // or re-provisioning invalidates trend extrapolation).
 type Geometry struct {
-	K         int      `json:"k"`
-	Trees     int      `json:"trees"`
-	Depth     int      `json:"depth"`
-	LeafWidth int      `json:"leaf_width"`
-	StageNodes []int   `json:"stage_nodes"` // per-tree node counts, leaves first
-	StageCaps  []uint64 `json:"stage_caps"` // counting capacities θ_l
+	K          int      `json:"k"`
+	Trees      int      `json:"trees"`
+	Depth      int      `json:"depth"`
+	LeafWidth  int      `json:"leaf_width"`
+	StageNodes []int    `json:"stage_nodes"` // per-tree node counts, leaves first
+	StageCaps  []uint64 `json:"stage_caps"`  // counting capacities θ_l
 }
 
 // GeometryOf captures a sketch's shape.

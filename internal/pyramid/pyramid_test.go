@@ -127,7 +127,7 @@ func TestQuickOverestimate(t *testing.T) {
 }
 
 func TestMemoryAccounting(t *testing.T) {
-	s := newTest(t, 1 << 14)
+	s := newTest(t, 1<<14)
 	got := s.MemoryBytes()
 	if got > 1<<14 || got < (1<<14)/2 {
 		t.Errorf("memory %d not within (budget/2, budget] of %d", got, 1<<14)

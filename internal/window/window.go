@@ -210,7 +210,7 @@ type Ring struct {
 	// scratch pools fold targets so steady-state queries allocate no
 	// sketch state. A collector ring can adopt a new geometry once
 	// retention has emptied it, so scratchFor verifies each pooled entry
-	// against the fold's model sketch and discards stale ones.
+	// against the fold's first source and discards stale ones.
 	scratch sync.Pool
 
 	rotations      atomic.Uint64
@@ -470,11 +470,12 @@ func (r *Ring) coveringLocked(lb Lookback) []*bucket {
 
 // fold resolves the lookback, collects the covering bucket references and
 // (if requested) a live snapshot under the ring lock, then SWAR-folds
-// them into a pooled scratch sketch outside it. The caller must hand the
-// scratch back via release. The two-phase shape is what makes
-// rotate-during-query atomic: the reference set is fixed in one critical
-// section, and buckets are immutable, so the fold sees exactly the pre-
-// or post-rotation ring — never a mix.
+// them into a pooled scratch sketch outside it: the first source is
+// copied in (merging into an empty sketch is the identity) and the rest
+// are merged. The caller must hand the scratch back via release. The
+// two-phase shape is what makes rotate-during-query atomic: the reference
+// set is fixed in one critical section, and buckets are immutable, so the
+// fold sees exactly the pre- or post-rotation ring — never a mix.
 func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
 	r.mu.Lock()
 	covering := r.coveringLocked(lb)
@@ -502,17 +503,14 @@ func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
 	}
 	r.mu.Unlock()
 
-	if len(covering) == 0 && liveCore == nil {
-		return nil, cov, ErrEmpty
+	if len(covering) == 0 {
+		if liveCore == nil {
+			return nil, cov, ErrEmpty
+		}
+		return r.scratchFor(liveCore), cov, nil
 	}
-	var model *core.Sketch
-	if len(covering) > 0 {
-		model = covering[0].sk
-	} else {
-		model = liveCore
-	}
-	sk := r.scratchFor(model)
-	for _, b := range covering {
+	sk := r.scratchFor(covering[0].sk)
+	for _, b := range covering[1:] {
 		if err := sk.Merge(b.sk); err != nil {
 			r.release(sk)
 			return nil, cov, fmt.Errorf("window: folding bucket [%d,%d]: %w", b.firstGen, b.lastGen, err)
@@ -527,28 +525,23 @@ func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
 	return sk, cov, nil
 }
 
-// scratchFor returns a cleared scratch sketch sharing model's geometry,
-// from the pool when possible. Pooled entries are verified against the
-// model: after a collector-mode geometry change (FileWindow adopts a new
+// scratchFor returns a scratch sketch holding a copy of first's registers,
+// from the pool when possible. CopyFrom verifies each pooled entry against
+// first: after a collector-mode geometry change (FileWindow adopts a new
 // shape once retention empties the ring) the pool can still hold
 // old-geometry sketches, and reusing one would fail every fold until the
 // pool happened to drain.
-func (r *Ring) scratchFor(model *core.Sketch) *core.Sketch {
+func (r *Ring) scratchFor(first *core.Sketch) *core.Sketch {
 	for {
 		v := r.scratch.Get()
 		if v == nil {
-			break
+			return first.Clone()
 		}
-		sk := v.(*core.Sketch)
-		if model.Compatible(sk) == nil {
-			sk.Reset()
+		if sk := v.(*core.Sketch); sk.CopyFrom(first) == nil {
 			return sk
 		}
 		// Stale geometry: drop it and try the next pooled entry.
 	}
-	sk := model.Clone()
-	sk.Reset()
-	return sk
 }
 
 // release hands a fold scratch back to the pool.

@@ -253,7 +253,8 @@ func TestCollectorRejectsGeometryDrift(t *testing.T) {
 // pooled scratch sketches: if the pool holds a sketch of a different
 // geometry (a collector ring that adopted a new shape, or any other
 // poisoning), scratchFor must discard it and fall back to cloning the
-// model instead of failing every query until the pool drains.
+// fold's first source instead of failing every query until the pool
+// drains.
 func TestScratchPoolDiscardsStaleGeometry(t *testing.T) {
 	r := NewCollector(Config{BucketDuration: time.Second, Now: testClock()})
 	a, err := fcm.NewSketch(fcm.Config{LeafWidth: 512})

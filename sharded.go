@@ -107,9 +107,10 @@ func (s *Sharded) current() *Sketch {
 	return s.view
 }
 
-// Rotate closes the measurement window: every shard is snapshotted and
-// cleared, and the exact merge of the closed window is returned with the
-// number of packets the window recorded. Updates racing with Rotate land
+// Rotate closes the measurement window: every shard's sketch is swapped
+// for a fresh empty one (engine.Engine.Rotate), and the exact merge of the
+// closed window is returned with the number of packets the window
+// recorded. Updates racing with Rotate land
 // in exactly one of the two windows, and are counted in that one.
 func (s *Sharded) Rotate() (*Sketch, uint64) {
 	s.snapMu.Lock()
