@@ -124,9 +124,8 @@ smoke 'IngestFCM|UpdateBatchFCM|ReplayTraceFCM' .
 # battery below.
 gate 'MergeMatchesScalar|FirstRegisterDiffPrescreen|Merge' ./internal/core/ -race -count=1
 # Fold-path gate, part 2: the zero-allocation contracts of the fold plane,
-# uncached — Merge's carry scratch, the serve path's snapshot+encode
-# scratch, and the append-style frame encoders.
-gate 'TestMergeAllocs|TestServeEncodeAllocs|TestDeltaAppendEncodeMatchesEncode' \
+# uncached — Merge's carry scratch and the append-style frame encoders.
+gate 'TestMergeAllocs|TestDeltaAppendEncodeMatchesEncode' \
   './internal/core/ ./internal/collect/' -count=1
 # Fold-path gate, part 3: bench smoke — one iteration of the fold
 # benchmarks, the word-wide merge, equality, fleet-fold and diff paths,
@@ -216,7 +215,8 @@ gate 'Telemetry|Instrument|Trac|Insight' './internal/engine/ ./internal/collect/
 
 # Telemetry gate, part 2: end-to-end smoke. Boot a switch with live
 # endpoints, scrape /metrics through fcmctl, and require the key series
-# of every subsystem to be present in the exposition.
+# of every subsystem to be present in the exposition; then collect the
+# registers through fcmctl and require the read to show in the metrics.
 TMP=$(mktemp -d)
 SWITCH_PID=
 cleanup() {
@@ -254,5 +254,20 @@ grep -q '^traces: ' "$TMP/traces.out"
 "$TMP/fcmctl" -insight "$ADDR" >"$TMP/insight.out"
 grep -q '^insight @ window' "$TMP/insight.out"
 grep -q 'error:' "$TMP/insight.out"
+
+# Collect over the wire once the replay is in: fcmctl's one-shot read
+# speaks codec v3 (the only read protocol), and the switch must count it
+# as a served delta read.
+COLLECT_ADDR=$(sed -n 's/^serving registers on //p' "$TMP/switch.out")
+[ -n "$COLLECT_ADDR" ]
+for _ in $(seq 1 150); do
+  if grep -q '^replay complete' "$TMP/switch.out"; then break; fi
+  sleep 0.2
+done
+grep -q '^replay complete' "$TMP/switch.out"
+"$TMP/fcmctl" -connect "$COLLECT_ADDR" -iters 1 >"$TMP/collect.out"
+grep -q '^collected ' "$TMP/collect.out"
+"$TMP/fcmctl" -metrics "$ADDR" >"$TMP/scrape2.out"
+grep -Eq '^fcm_collect_server_delta_reads_total [1-9]' "$TMP/scrape2.out"
 kill "$SWITCH_PID"
 SWITCH_PID=

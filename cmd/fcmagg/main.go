@@ -1,9 +1,10 @@
 // Command fcmagg runs the middle tier of a collection tree: it polls a
 // region of fcmswitch instances (staggered over the interval, fan-in
-// bounded, codec v3 deltas by default), keeps each member's latest sketch,
-// and serves the exact merge of the region on its own collection address —
-// so a controller polls one aggregator instead of N switches, and can
-// itself collect deltas of the merged state.
+// bounded, codec v3 deltas), keeps each member's latest sketch restored
+// with the data plane's hash family, and serves the exact merge of the
+// region on its own collection address — so a controller polls one
+// aggregator instead of N switches, and can itself collect deltas of the
+// merged state.
 //
 // The tree is lossless: FCM merge is exact, commutative and associative,
 // so aggregating per region and merging regions at the controller is
@@ -24,7 +25,7 @@
 // Usage:
 //
 //	fcmagg -members 10.0.0.1:9401,10.0.0.2:9401 -listen 127.0.0.1:9411
-//	fcmagg -members @region0.txt -interval 5s -max-in-flight 8 -delta=false
+//	fcmagg -members @region0.txt -interval 5s -max-in-flight 8
 //	fcmagg -members ... -listen :9411 -telemetry-addr :9412
 //	fcmagg -members ... -telemetry-addr :9412 -window -window-buckets 512
 package main
@@ -40,6 +41,7 @@ import (
 	"time"
 
 	"github.com/fcmsketch/fcm/internal/collect"
+	"github.com/fcmsketch/fcm/internal/hashing"
 	"github.com/fcmsketch/fcm/internal/insight"
 	"github.com/fcmsketch/fcm/internal/telemetry"
 	"github.com/fcmsketch/fcm/internal/telemetry/tracing"
@@ -52,7 +54,6 @@ func main() {
 		interval = flag.Duration("interval", 5*time.Second, "member collection period (first collections are staggered across one interval)")
 		timeout  = flag.Duration("timeout", 0, "per-member I/O deadline (default: the interval)")
 		retries  = flag.Int("retries", 1, "extra in-collect attempts per member read")
-		delta    = flag.Bool("delta", true, "collect members with the codec v3 delta protocol (false: v2 full snapshots)")
 		inFlight = flag.Int("max-in-flight", 8, "max concurrent member collections (fan-in bound)")
 		jitter   = flag.Int64("jitter-seed", 1, "stagger jitter seed (decorrelates aggregators sharing an interval)")
 		listen   = flag.String("listen", "", "serve the merged region's registers on this TCP address")
@@ -90,32 +91,16 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	memberCfgs := make([]collect.PollerConfig, len(addrs))
-	for i, a := range addrs {
-		// Windowed aggregation needs per-interval member snapshots: reset
-		// mode rotates each switch after a successful read, so the next
-		// read is exactly one round's traffic.
-		memberCfgs[i] = collect.PollerConfig{Addr: a, Reset: *windowed}
-	}
-
 	recorder := tracing.NewRecorder(tracing.RecorderConfig{})
 	recorder.SetEnabled(*flightOn)
 
-	agg, err := collect.NewAggregator(collect.AggregatorConfig{
-		Members:     memberCfgs,
-		Interval:    *interval,
-		Timeout:     *timeout,
-		Retries:     *retries,
-		Delta:       *delta,
-		MaxInFlight: *inFlight,
-		JitterSeed:  *jitter,
-		TrackRounds: *windowed,
-		Logger:      logger,
-		Tracer:      recorder,
-		OnMemberState: func(addr string, from, to collect.State) {
-			fmt.Fprintf(os.Stderr, "fcmagg: member %s: %s -> %s\n", addr, from, to)
-		},
-	})
+	cfg := aggregatorConfig(addrs, *interval, *timeout, *retries, *inFlight, *jitter, *windowed)
+	cfg.Logger = logger
+	cfg.Tracer = recorder
+	cfg.OnMemberState = func(addr string, from, to collect.State) {
+		fmt.Fprintf(os.Stderr, "fcmagg: member %s: %s -> %s\n", addr, from, to)
+	}
+	agg, err := collect.NewAggregator(cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -188,7 +173,7 @@ func main() {
 	}
 
 	logger.Info("fcmagg starting", telemetry.Build().LogGroup(),
-		"members", len(addrs), "interval", *interval, "delta", *delta)
+		"members", len(addrs), "interval", *interval)
 	if err := agg.Start(); err != nil {
 		fatalf("%v", err)
 	}
@@ -217,6 +202,31 @@ func main() {
 	if fr := agg.InsightReport(); len(fr.Members) > 0 {
 		fmt.Println()
 		insight.WriteFleetText(os.Stdout, fr)
+	}
+}
+
+// aggregatorConfig builds the aggregator's collection configuration from
+// the member addresses and flag values. Member sketches are restored with
+// the data plane's hash family (fcmswitch hashes with seed 0), so per-flow
+// answers from the merged region and the over-time ring count the same
+// counters the switches incremented.
+func aggregatorConfig(addrs []string, interval, timeout time.Duration, retries, maxInFlight int, jitterSeed int64, windowed bool) collect.AggregatorConfig {
+	members := make([]collect.PollerConfig, len(addrs))
+	for i, a := range addrs {
+		// Windowed aggregation needs per-interval member snapshots: reset
+		// mode rotates each switch after a successful read, so the next
+		// read is exactly one round's traffic.
+		members[i] = collect.PollerConfig{Addr: a, Reset: windowed}
+	}
+	return collect.AggregatorConfig{
+		Members:     members,
+		Interval:    interval,
+		Timeout:     timeout,
+		Retries:     retries,
+		MaxInFlight: maxInFlight,
+		JitterSeed:  jitterSeed,
+		TrackRounds: windowed,
+		Family:      hashing.DataPlaneFamily(0),
 	}
 }
 
@@ -249,22 +259,28 @@ func fileRounds(ring *window.Ring, agg *collect.Aggregator, interval time.Durati
 			return
 		case <-tick.C:
 		}
-		sk := agg.DrainRound()
-		if sk == nil {
-			continue
-		}
 		now := time.Now()
-		if err := ring.FileWindow(sk, lastTime, now, sk.TotalCount(0)); err != nil {
-			// Geometry drift mid-reconfiguration: drop the round rather
-			// than poison the ring. The drained snapshots are consumed
-			// either way — retrying them later would double-count once
-			// the ring accepts again.
-			logger.Warn("over-time ring rejected round", "err", err)
+		if fileRound(ring, agg, lastTime, now, logger) {
 			lastTime = now
-			continue
 		}
-		lastTime = now
 	}
+}
+
+// fileRound drains the member snapshots absorbed since the last round and
+// files their exact merge as one window spanning [from, to]. It reports
+// whether anything was drained: the drained snapshots are consumed even
+// when the ring rejects the round (geometry drift mid-reconfiguration),
+// since retrying them later would double-count once the ring accepts
+// again.
+func fileRound(ring *window.Ring, agg *collect.Aggregator, from, to time.Time, logger *slog.Logger) bool {
+	sk := agg.DrainRound()
+	if sk == nil {
+		return false
+	}
+	if err := ring.FileWindow(sk, from, to, sk.TotalCount(0)); err != nil {
+		logger.Warn("over-time ring rejected round", "err", err)
+	}
+	return true
 }
 
 // parseMembers expands the -members flag: a comma-separated list, or

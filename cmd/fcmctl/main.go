@@ -3,12 +3,15 @@
 // virtual counters and runs the EM estimator — printing cardinality, the
 // estimated flow-size distribution head, and entropy (§4).
 //
-// Collection is hardened for real networks: per-operation I/O deadlines,
-// and (for the idempotent register read) automatic reconnect with capped
-// exponential backoff. With -poll the collector runs the periodic loop of
-// §4.4 instead of a one-shot read, tracking the switch's health
-// (healthy/degraded/down) and reporting windows that were skipped while it
-// was unreachable.
+// Collection speaks codec v3: a one-shot read receives the full snapshot
+// embedded in a v3 frame (occupying one delta session slot on the switch,
+// LRU-bounded by its -max-sessions), and -poll receives only the changed
+// registers after its first read. It is hardened for real networks:
+// per-operation I/O deadlines, and (for the idempotent register read)
+// automatic reconnect with capped exponential backoff. With -poll the
+// collector runs the periodic loop of §4.4 instead of a one-shot read,
+// tracking the switch's health (healthy/degraded/down) and reporting
+// windows that were skipped while it was unreachable.
 //
 // Usage:
 //
@@ -71,7 +74,6 @@ func main() {
 		dialTO   = flag.Duration("timeout", 5*time.Second, "connection dial timeout")
 		ioTO     = flag.Duration("io-timeout", 5*time.Second, "per-read/write deadline on the wire")
 		retries  = flag.Int("retries", 2, "extra attempts for the register read (reconnect + backoff)")
-		delta    = flag.Bool("delta", false, "use the codec v3 delta protocol: after the first full snapshot only changed registers cross the wire")
 		poll     = flag.Duration("poll", 0, "collect repeatedly at this interval instead of once")
 		metrics  = flag.String("metrics", "", "scrape and pretty-print a telemetry endpoint (host:port) instead of collecting")
 		traces   = flag.String("traces", "", "fetch a telemetry endpoint's flight-recorder traces (/debug/traces), slowest first, fallback reasons highlighted")
@@ -119,7 +121,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		runPoller(*addr, *poll, *ioTO, *retries, *reset, *delta,
+		runPoller(*addr, *poll, *ioTO, *retries, *reset,
 			telemetry.NewLogger(os.Stderr, level, false))
 		return
 	}
@@ -129,7 +131,6 @@ func main() {
 		DialTimeout: *dialTO,
 		IOTimeout:   *ioTO,
 		MaxRetries:  *retries,
-		Delta:       *delta,
 	})
 	if err != nil {
 		fatalf("%v", err)
@@ -160,7 +161,7 @@ func main() {
 // runPoller is the -poll mode: the §4.4 periodic collection loop with
 // health tracking and skipped-window reporting. It runs until SIGINT or
 // SIGTERM.
-func runPoller(addr string, interval, timeout time.Duration, retries int, reset, delta bool, logger *slog.Logger) {
+func runPoller(addr string, interval, timeout time.Duration, retries int, reset bool, logger *slog.Logger) {
 	logger.Info("fcmctl poller starting", telemetry.Build().LogGroup(), "addr", addr)
 	p, err := collect.NewPoller(collect.PollerConfig{
 		Addr:     addr,
@@ -168,7 +169,6 @@ func runPoller(addr string, interval, timeout time.Duration, retries int, reset,
 		Timeout:  timeout,
 		Retries:  retries,
 		Reset:    reset,
-		Delta:    delta,
 		Logger:   logger,
 		OnWindow: func(snap *collect.Snapshot, skipped int) {
 			sk, err := snap.Restore(nil)

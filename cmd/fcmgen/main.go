@@ -110,7 +110,7 @@ func predictAccuracy(tr *trace.Trace, memBytes int) error {
 		K:           8,
 		Trees:       2,
 		MemoryBytes: memBytes,
-		Hash:        hashing.NewBobFamily(0xfc3141),
+		Hash:        hashing.DataPlaneFamily(0),
 	})
 	if err != nil {
 		return fmt.Errorf("building %dB sketch: %w", memBytes, err)

@@ -201,7 +201,7 @@ func main() {
 			if srv != nil {
 				extra["collect_addr"] = srv.Addr()
 				st := srv.Stats()
-				extra["collect_reads"] = st.Reads
+				extra["collect_reads"] = st.DeltaReads
 				extra["collect_conns"] = st.Conns
 			}
 			return extra
@@ -278,7 +278,7 @@ func shardedEngine(sw *pisa.Switch, shards int, seed uint32) (*engine.Engine, er
 				Trees:     sk.NumTrees(),
 				Widths:    sk.Widths(),
 				LeafWidth: sk.LeafWidth(),
-				Hash:      hashing.NewBobFamily(0xfc3141 ^ seed),
+				Hash:      hashing.DataPlaneFamily(seed),
 			})
 		},
 	})

@@ -109,7 +109,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		remote, err := snap.Restore(hashing.NewBobFamily(0xfc3141 ^ cfg.Seed))
+		remote, err := snap.Restore(hashing.DataPlaneFamily(cfg.Seed))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -95,7 +95,7 @@ func (c Config) coreConfig() core.Config {
 		Widths:      c.Widths,
 		MemoryBytes: c.MemoryBytes,
 		LeafWidth:   c.LeafWidth,
-		Hash:        hashing.NewBobFamily(0xfc3141 ^ c.Seed),
+		Hash:        hashing.DataPlaneFamily(c.Seed),
 		PerTreeHash: c.PerTreeHash,
 	}
 }

@@ -110,7 +110,7 @@ func TestEndToEndCollection(t *testing.T) {
 		ls.Unlock()
 	})
 
-	cl, err := collect.Dial(srv.Addr(), time.Second)
+	cl, err := collect.NewClient(collect.ClientConfig{Addr: srv.Addr(), DialTimeout: time.Second, IOTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,11 +64,9 @@ type AggregatorConfig struct {
 	// Interval is the member collection period (required unless every
 	// member sets its own).
 	Interval time.Duration
-	// Timeout, Retries and Delta apply to members that leave them zero;
-	// Delta makes member collection itself use codec v3.
+	// Timeout and Retries apply to members that leave them zero.
 	Timeout time.Duration
 	Retries int
-	Delta   bool
 	// MaxInFlight bounds concurrent member collections (default 8).
 	MaxInFlight int
 	// JitterSeed decorrelates the member stagger; 0 means 1.
@@ -119,9 +117,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		}
 		if m.Retries == 0 {
 			m.Retries = cfg.Retries
-		}
-		if !m.Delta {
-			m.Delta = cfg.Delta
 		}
 		if m.Tracer == nil {
 			m.Tracer = cfg.Tracer

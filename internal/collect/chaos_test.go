@@ -419,7 +419,7 @@ func TestServerMaxConns(t *testing.T) {
 	}
 	defer srv.Close()
 
-	first, err := Dial(srv.Addr(), time.Second)
+	first, err := NewClient(ClientConfig{Addr: srv.Addr(), DialTimeout: time.Second, IOTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,17 +44,16 @@ type ClientConfig struct {
 	// Dial overrides the transport (e.g. to wrap connections with a
 	// fault injector). nil means net.DialTimeout("tcp", ...).
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// Delta enables the codec v3 delta protocol: reads request only the
-	// registers changed since the last acked snapshot, falling back to a
-	// full snapshot on any baseline mismatch and downgrading permanently
-	// to v2 against servers that do not know the opcode. ReadSketch still
-	// returns complete snapshots either way — deltas are a transport
-	// optimization, invisible to callers.
+	// Delta once chose between the v2 and v3 read protocols.
+	//
+	// Deprecated: ignored; every read speaks codec v3.
 	Delta bool
 	// SessionID identifies this client in the server's delta session
-	// store. 0 draws a process-unique ID; set it explicitly when several
-	// controller processes poll the same switch (colliding IDs are safe —
-	// they just evict each other's baselines into full-snapshot fallbacks).
+	// store (every client occupies one session slot, LRU-bounded by the
+	// server's MaxSessions). 0 draws a process-unique ID; set it
+	// explicitly when several controller processes poll the same switch
+	// (colliding IDs are safe — they just evict each other's baselines
+	// into full-snapshot fallbacks).
 	SessionID uint64
 	// Logger receives structured recovery records (redials, retries,
 	// decode failures); nil discards them.
@@ -160,7 +159,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, errors.New("collect: client needs an address")
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Delta && cfg.SessionID == 0 {
+	if cfg.SessionID == 0 {
 		cfg.SessionID = nextSessionID.Add(1)
 	}
 	return &Client{
@@ -168,20 +167,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		rng: rand.New(rand.NewSource(cfg.JitterSeed)),
 		log: telemetry.OrNop(cfg.Logger),
 	}, nil
-}
-
-// Dial connects to a collection server with the given timeout, applying
-// it to both the dial and every subsequent operation. Kept for
-// compatibility; NewClient exposes the full retry/deadline surface.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	c, err := NewClient(ClientConfig{Addr: addr, DialTimeout: timeout, IOTimeout: timeout})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.ensureConn(context.Background()); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // Close closes the connection (if any). The client stays usable: the
@@ -230,42 +215,20 @@ func (c *Client) ReadSketch() (*Snapshot, error) {
 
 // ReadSketchContext is ReadSketch bounded by ctx: cancellation interrupts
 // an in-flight network operation (the connection deadline is yanked), so
-// callers regain control within one operation, not one timeout. With
-// Delta enabled it speaks codec v3 (the returned snapshot is still always
-// complete); a server that rejects OpReadDelta answers with a
-// non-retriable *ServerError.
+// callers regain control within one operation, not one timeout. It speaks
+// codec v3: only the registers changed since the last acked snapshot
+// cross the wire, or a full snapshot on any baseline mismatch, and the
+// returned snapshot is always complete. A server that rejects OpReadDelta
+// answers with a non-retriable *ServerError.
+//
+// The request is rebuilt per attempt: an attempt that invalidated the
+// baseline (bad delta) must ask for a full snapshot on its retry, not
+// re-request the same doomed delta. Decoding happens inside the retry
+// loop, so a frame that fails its CRC in transit is an attempt failure
+// like any other.
 func (c *Client) ReadSketchContext(ctx context.Context) (*Snapshot, error) {
-	if c.cfg.Delta {
-		return c.readDelta(ctx)
-	}
-	// Decoding happens inside the retry loop: a snapshot that framed
-	// cleanly but fails its CRC (bit corruption in transit) is an attempt
-	// failure like any other — drop the tainted connection and retry.
 	var snap *Snapshot
-	_, err := c.call(ctx, []byte{OpReadSketch}, true, func(payload []byte) error {
-		sp := tracing.FromContext(ctx).StartSpan("decode")
-		defer sp.End()
-		s, err := DecodeSnapshot(payload)
-		if err != nil {
-			sp.Fail(err)
-			return err
-		}
-		sp.Annotate("bytes", strconv.Itoa(len(payload)))
-		snap = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-// readDelta runs one v3 read. The request is rebuilt per attempt: an
-// attempt that invalidated the baseline (bad delta) must ask for a full
-// snapshot on its retry, not re-request the same doomed delta.
-func (c *Client) readDelta(ctx context.Context) (*Snapshot, error) {
-	var snap *Snapshot
-	_, err := c.callReq(ctx, func() []byte {
+	err := c.call(ctx, func() []byte {
 		c.mu.Lock()
 		req := encodeReadDelta(c.cfg.SessionID, c.haveBaseline, c.baselineGen)
 		c.mu.Unlock()
@@ -356,25 +319,19 @@ func (c *Client) ResetSketch() error {
 
 // ResetSketchContext is ResetSketch bounded by ctx.
 func (c *Client) ResetSketchContext(ctx context.Context) error {
-	_, err := c.call(ctx, []byte{OpResetSketch}, false, nil)
-	return err
+	return c.call(ctx, func() []byte { return []byte{OpResetSketch} }, false, nil)
 }
 
-// call runs one fixed request with the retry policy.
-func (c *Client) call(ctx context.Context, req []byte, idempotent bool, decode func([]byte) error) ([]byte, error) {
-	return c.callReq(ctx, func() []byte { return req }, idempotent, decode)
-}
-
-// callReq runs one request with the retry policy, rebuilding the request
-// bytes per attempt (delta reads mutate their own baseline state on
-// failure, so the retry must re-ask from current state). decode, when
-// non-nil, validates the response payload; a decode failure counts as an
-// attempt failure — the connection that produced it is dropped (its fault
+// call runs one request with the retry policy, rebuilding the request
+// bytes per attempt (reads mutate their own baseline state on failure, so
+// the retry must re-ask from current state). decode, when non-nil,
+// validates the response payload; a decode failure counts as an attempt
+// failure — the connection that produced it is dropped (its fault
 // may be persistent, e.g. a corrupting link) and idempotent requests
 // retry. On exhaustion the error joins every attempt's failure, so a
 // flapping link, a CRC rejection, and a timeout in the same read are all
 // diagnosable from the one message.
-func (c *Client) callReq(ctx context.Context, buildReq func() []byte, idempotent bool, decode func([]byte) error) ([]byte, error) {
+func (c *Client) call(ctx context.Context, buildReq func() []byte, idempotent bool, decode func([]byte) error) error {
 	attempts := 1
 	if idempotent {
 		attempts += c.cfg.MaxRetries
@@ -388,7 +345,7 @@ func (c *Client) callReq(ctx context.Context, buildReq func() []byte, idempotent
 			c.log.Debug("retrying read",
 				"attempt", attempt, "max", attempts-1, "last_err", attemptErrs[len(attemptErrs)-1])
 			if err := c.backoff(ctx, attempt); err != nil {
-				return nil, errors.Join(append(attemptErrs, err)...)
+				return errors.Join(append(attemptErrs, err)...)
 			}
 		}
 		asp := tracing.FromContext(ctx).StartSpan("client.attempt")
@@ -406,7 +363,7 @@ func (c *Client) callReq(ctx context.Context, buildReq func() []byte, idempotent
 		}
 		if err == nil {
 			asp.End()
-			return payload, nil
+			return nil
 		}
 		asp.Fail(err)
 		asp.End()
@@ -415,10 +372,10 @@ func (c *Client) callReq(ctx context.Context, buildReq func() []byte, idempotent
 		if errors.As(err, &se) || ctx.Err() != nil {
 			// Deterministic rejection or caller cancellation: retrying
 			// cannot help.
-			return nil, errors.Join(attemptErrs...)
+			return errors.Join(attemptErrs...)
 		}
 	}
-	return nil, errors.Join(attemptErrs...)
+	return errors.Join(attemptErrs...)
 }
 
 // backoff sleeps the capped exponential delay for the given retry
@@ -494,12 +451,6 @@ func (c *Client) dropCurrent() {
 	if conn != nil {
 		conn.Close() //nolint:errcheck // being discarded
 	}
-}
-
-// roundTrip is a single request attempt with no retries (test hook and
-// building block of call).
-func (c *Client) roundTrip(req []byte) ([]byte, error) {
-	return c.attempt(context.Background(), req)
 }
 
 // attempt performs one framed request/response exchange under per-op

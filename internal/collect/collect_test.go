@@ -2,6 +2,9 @@ package collect
 
 import (
 	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -172,7 +175,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cl, err := Dial(srv.Addr(), time.Second)
+	cl, err := NewClient(ClientConfig{Addr: srv.Addr(), DialTimeout: time.Second, IOTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +238,7 @@ func TestServerConcurrentCollect(t *testing.T) {
 	}()
 
 	for r := 0; r < 4; r++ {
-		cl, err := Dial(srv.Addr(), time.Second)
+		cl, err := NewClient(ClientConfig{Addr: srv.Addr(), DialTimeout: time.Second, IOTimeout: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +287,7 @@ func TestServerShardedEngineSource(t *testing.T) {
 		}(w)
 	}
 
-	cl, err := Dial(srv.Addr(), time.Second)
+	cl, err := NewClient(ClientConfig{Addr: srv.Addr(), DialTimeout: time.Second, IOTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +314,19 @@ func TestServerShardedEngineSource(t *testing.T) {
 }
 
 func TestClientDialError(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", 50*time.Millisecond); err == nil {
+	cl, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", DialTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ReadSketch(); err == nil {
 		t.Error("expected dial error to closed port")
 	}
 }
 
+// TestServerRejectsUnknownOpcode pins the wire's answer to an opcode the
+// server does not serve — including 1, the retired codec v2 full read,
+// which stays reserved: an error status naming the opcode, then a closed
+// connection.
 func TestServerRejectsUnknownOpcode(t *testing.T) {
 	s := filledSketch(t)
 	srv, err := NewServer("127.0.0.1:0", NewLockedSketch(s))
@@ -323,13 +334,27 @@ func TestServerRejectsUnknownOpcode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := Dial(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.roundTrip([]byte{0xEE}); err == nil {
-		t.Error("expected unknown-opcode error")
+	for _, op := range []byte{1, 0xEE} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck // enforced by the I/O below
+		if err := writeFrame(conn, []byte{op}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("opcode %d: %v", op, err)
+		}
+		want := fmt.Sprintf("unknown opcode %d", op)
+		if len(resp) == 0 || resp[0] != statusErr || string(resp[1:]) != want {
+			t.Errorf("opcode %d: response %q, want status error %q", op, resp, want)
+		}
+		if _, err := readFrame(conn); err != io.EOF {
+			t.Errorf("opcode %d: after the error status got %v, want the connection closed (EOF)", op, err)
+		}
+		conn.Close()
 	}
 }
 

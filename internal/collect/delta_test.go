@@ -182,7 +182,7 @@ func TestDeltaProtocolSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := NewClient(ClientConfig{Addr: srv.Addr(), Delta: true})
+	cl, err := NewClient(ClientConfig{Addr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestDeltaProtocolSessionEviction(t *testing.T) {
 	defer srv.Close()
 
 	newDeltaClient := func(id uint64) *Client {
-		cl, err := NewClient(ClientConfig{Addr: srv.Addr(), Delta: true, SessionID: id})
+		cl, err := NewClient(ClientConfig{Addr: srv.Addr(), SessionID: id})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +449,7 @@ func TestDeltaProtocolInjectedGenerationLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := NewClient(ClientConfig{Addr: srv.Addr(), Delta: true})
+	cl, err := NewClient(ClientConfig{Addr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,16 +481,11 @@ func TestDeltaProtocolInjectedGenerationLoss(t *testing.T) {
 }
 
 // TestDeltaClientAgainstLegacyServer: a server that predates codec v3
-// rejects OpReadDelta, and a delta client surfaces that rejection as a
+// rejects OpReadDelta, and the client surfaces that rejection as a
 // non-retriable *ServerError after one attempt instead of switching
-// protocols. A v2 client still reads full snapshots from the same server.
+// protocols.
 func TestDeltaClientAgainstLegacyServer(t *testing.T) {
-	served := filledSketch(t)
-	payload, err := TakeSnapshot(served).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A minimal v2-era server: serves OpReadSketch, rejects anything else
+	// A minimal v2-era server: it does not know OpReadDelta, so it answers
 	// with the "unknown opcode" error and closes — exactly the legacy
 	// serve loop's behavior.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -507,29 +502,18 @@ func TestDeltaClientAgainstLegacyServer(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				for {
-					req, err := readFrame(conn)
-					if err != nil {
-						return
-					}
-					requests.Add(1)
-					if len(req) == 1 && req[0] == OpReadSketch {
-						if err := writeFrame(conn, append([]byte{statusOK}, payload...)); err != nil {
-							return
-						}
-						continue
-					}
-					writeFrame(conn, append([]byte{statusErr}, fmt.Sprintf("unknown opcode %d", req[0])...)) //nolint:errcheck
+				req, err := readFrame(conn)
+				if err != nil || len(req) == 0 {
 					return
 				}
+				requests.Add(1)
+				writeFrame(conn, append([]byte{statusErr}, fmt.Sprintf("unknown opcode %d", req[0])...)) //nolint:errcheck
 			}(conn)
 		}
 	}()
 
-	// The subtests run in order on one stub: the request count the delta
-	// subtest pins is the stub's first.
 	t.Run("delta", func(t *testing.T) {
-		cl, err := NewClient(ClientConfig{Addr: ln.Addr().String(), Delta: true})
+		cl, err := NewClient(ClientConfig{Addr: ln.Addr().String()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,24 +531,6 @@ func TestDeltaClientAgainstLegacyServer(t *testing.T) {
 		}
 		if st := cl.Stats(); st.Retries != 0 || st.DeltasApplied != 0 || st.FullSnapshots != 0 || st.DeltaFallbacks != 0 {
 			t.Fatalf("counters moved on a rejected delta read: %+v", st)
-		}
-	})
-	t.Run("full", func(t *testing.T) {
-		v2, err := NewClient(ClientConfig{Addr: ln.Addr().String()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer v2.Close()
-		snap, err := v2.ReadSketch()
-		if err != nil {
-			t.Fatalf("v2 read: %v", err)
-		}
-		got, err := snap.Restore(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := served.FirstRegisterDiff(got); d != "" {
-			t.Fatalf("v2 snapshot differs from the served sketch: %s", d)
 		}
 	})
 }
@@ -611,7 +577,7 @@ func TestServerRejectsConnsOverCap(t *testing.T) {
 	}
 	defer srv.Close()
 
-	first, err := Dial(srv.Addr(), time.Second)
+	first, err := NewClient(ClientConfig{Addr: srv.Addr(), DialTimeout: time.Second, IOTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +632,6 @@ func TestAggregatorMergeMatchesFlat(t *testing.T) {
 	agg, err := NewAggregator(AggregatorConfig{
 		Members:  members,
 		Interval: 20 * time.Millisecond,
-		Delta:    true,
 		Family:   fam,
 	})
 	if err != nil {

@@ -104,7 +104,6 @@ func TestFleetTwoLevelConvergence(t *testing.T) {
 			Interval:    30 * time.Millisecond,
 			Timeout:     300 * time.Millisecond,
 			Retries:     1,
-			Delta:       true,
 			MaxInFlight: 4,
 			JitterSeed:  int64(r + 1),
 			Family:      fam,
@@ -154,7 +153,6 @@ func TestFleetTwoLevelConvergence(t *testing.T) {
 			DialTimeout: 300 * time.Millisecond,
 			IOTimeout:   300 * time.Millisecond,
 			MaxRetries:  2,
-			Delta:       true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +239,6 @@ func TestFleetTwoLevelConvergence(t *testing.T) {
 			DialTimeout: 300 * time.Millisecond,
 			IOTimeout:   300 * time.Millisecond,
 			MaxRetries:  2,
-			Delta:       true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -103,46 +103,6 @@ func BenchmarkStateCRC(b *testing.B) {
 	}
 }
 
-// TestServeEncodeAllocs pins the serve path's encode side alloc-free:
-// after the first poll has sized the connection scratch, snapshotting
-// into it and encoding the response performs zero allocations. (The
-// Source's copy-on-read Clone is outside the pin — handing ownership of
-// a fresh copy is the Source contract.)
-func TestServeEncodeAllocs(t *testing.T) {
-	sk, err := core.New(core.Config{K: 8, Trees: 2, LeafWidth: 512, Widths: []int{8, 16, 32}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	key := make([]byte, 4)
-	for i := 0; i < 20000; i++ {
-		k := rng.Uint32() % 4096
-		key[0], key[1], key[2], key[3] = byte(k), byte(k>>8), byte(k>>16), byte(k>>24)
-		sk.Update(key, 1)
-	}
-	var scr connScratch
-	encodeOnce := func() {
-		scr.snap = TakeSnapshotInto(scr.snap, sk)
-		scr.resp = append(scr.resp[:0], statusOK)
-		resp, err := scr.snap.AppendEncode(scr.resp)
-		if err != nil {
-			t.Fatalf("AppendEncode: %v", err)
-		}
-		scr.resp = resp
-	}
-	encodeOnce() // warm-up sizes the scratch
-	want, err := TakeSnapshot(sk).Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	if string(scr.resp[1:]) != string(want) {
-		t.Fatal("scratch encode differs from reference Encode bytes")
-	}
-	if n := testing.AllocsPerRun(20, encodeOnce); n != 0 {
-		t.Fatalf("serve encode allocates %.1f objects/op after warm-up, want 0", n)
-	}
-}
-
 // TestDeltaAppendEncodeMatchesEncode pins AppendEncode (both frame kinds)
 // byte-identical to Encode and alloc-free into a warm buffer.
 func TestDeltaAppendEncodeMatchesEncode(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
-	"io"
 	"net"
 	"testing"
 	"time"
@@ -100,16 +99,31 @@ func TestGoldenSnapshotRejectsEveryBitFlip(t *testing.T) {
 	}
 }
 
-// TestGoldenWireExchange pins the full TCP exchange: the 5-byte
-// OpReadSketch request frame and the exact response frame (length prefix,
-// status byte, golden payload) a server must produce for the golden
-// sketch.
+// TestGoldenWireExchange pins the full TCP exchange of a first read: the
+// 19-byte no-baseline OpReadDelta request frame and the exact response
+// frame (length prefix, status byte, FCMD full frame) a server must
+// produce for the golden sketch. The full frame's body is the v2 golden
+// snapshot verbatim.
 func TestGoldenWireExchange(t *testing.T) {
+	// Length 19, OpReadDelta, session ID 0x0102030405060708, no baseline,
+	// acked generation 0, trailing zero byte.
+	request, _ := hex.DecodeString("00000013" + "03" + "0102030405060708" + "00" + "0000000000000000" + "00")
+	// Magic "FCMD", version 3, flags full, pad, baseGen 0, newGen 0 (the
+	// locked source's writes bypassed it), state CRC of the golden
+	// registers, body length 54.
+	header, _ := hex.DecodeString("46434d440301000000000000000000000000000000000000a24a7eba00000036")
 	payload, _ := hex.DecodeString(goldenSnapshotHex)
-	wantResp := make([]byte, 0, 5+len(payload))
-	wantResp = binary.BigEndian.AppendUint32(wantResp, uint32(1+len(payload)))
+	trailer, _ := hex.DecodeString("91bd174c")
+	frameLen := len(header) + len(payload) + len(trailer)
+	wantResp := make([]byte, 0, 5+frameLen)
+	wantResp = binary.BigEndian.AppendUint32(wantResp, uint32(1+frameLen))
 	wantResp = append(wantResp, 0 /* statusOK */)
+	wantResp = append(wantResp, header...)
 	wantResp = append(wantResp, payload...)
+	wantResp = append(wantResp, trailer...)
+	if sum := crc32.Checksum(wantResp[5:5+frameLen-4], crc32.MakeTable(crc32.Castagnoli)); binary.BigEndian.Uint32(trailer) != sum {
+		t.Fatalf("pinned trailer 0x%x is not the CRC-32C of the frame (0x%08x)", trailer, sum)
+	}
 
 	srv, err := NewServer("127.0.0.1:0", NewLockedSketch(goldenSketch(t)))
 	if err != nil {
@@ -123,14 +137,14 @@ func TestGoldenWireExchange(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	request := []byte{0, 0, 0, 1, OpReadSketch}
 	if _, err := conn.Write(request); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len(wantResp))
-	if _, err := io.ReadFull(conn, got); err != nil {
+	resp, err := readFrame(conn)
+	if err != nil {
 		t.Fatalf("reading response: %v", err)
 	}
+	got := append(binary.BigEndian.AppendUint32(nil, uint32(len(resp))), resp...)
 	if !bytes.Equal(got, wantResp) {
 		t.Fatalf("wire exchange drifted from golden frame:\n got %x\nwant %x", got, wantResp)
 	}

@@ -106,9 +106,8 @@ type PollerConfig struct {
 	Retries int
 	// Reset rotates the window after each collection.
 	Reset bool
-	// Delta enables the codec v3 delta protocol on the underlying client
-	// (see ClientConfig.Delta); SessionID is passed through with it.
-	Delta     bool
+	// SessionID is the underlying client's delta session ID (see
+	// ClientConfig.SessionID); 0 draws a process-unique one.
 	SessionID uint64
 	// InitialDelay staggers the first collection: the loop sleeps this
 	// long, collects once, and only then starts the interval ticker. A
@@ -184,7 +183,6 @@ func NewPoller(cfg PollerConfig) (*Poller, error) {
 		IOTimeout:   cfg.Timeout,
 		MaxRetries:  cfg.Retries,
 		Dial:        cfg.Dial,
-		Delta:       cfg.Delta,
 		SessionID:   cfg.SessionID,
 		Logger:      cfg.Logger,
 	})

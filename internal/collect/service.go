@@ -19,14 +19,16 @@ import (
 // Wire protocol: every message is a 1-byte opcode framed request followed
 // by a framed response. Frames are u32 big-endian length + payload; the
 // response payload starts with a 1-byte status (0 = ok, 1 = error string).
+//
+// Opcode 1 was the codec v2 full read; it is retired and reserved — it
+// must never be reused, and a peer that still sends it gets the ordinary
+// "unknown opcode" error status and a closed connection.
 const (
-	// OpReadSketch returns an encoded Snapshot of the sketch registers.
-	OpReadSketch = 1
 	// OpResetSketch clears the registers (window rotation).
 	OpResetSketch = 2
-	// OpReadDelta returns a codec v3 delta frame against the client's
-	// acked generation (falling back to an embedded full snapshot when no
-	// usable baseline exists).
+	// OpReadDelta is the register read: it returns a codec v3 delta frame
+	// against the client's acked generation, or an embedded full snapshot
+	// when no usable baseline exists or a delta would not be smaller.
 	OpReadDelta = 3
 
 	statusOK  = 0
@@ -131,21 +133,18 @@ type ServerStats struct {
 	Conns uint64
 	// Active is the number of connections being served right now.
 	Active int64
-	// Reads counts snapshot frames served (OpReadSketch successes).
-	Reads uint64
 	// Resets counts window rotations performed (OpResetSketch).
 	Resets uint64
 	// Errors counts requests answered with an error status.
 	Errors uint64
 	// RejectedConns counts connections closed at the MaxConns cap.
 	RejectedConns uint64
-	// DeltaReads counts OpReadDelta requests answered (delta or embedded
-	// full — every successful v3 response).
+	// DeltaReads counts register reads answered (OpReadDelta successes,
+	// delta or embedded full).
 	DeltaReads uint64
 	// DeltaWireBytes and FullWireBytes are response payload bytes served
-	// as deltas vs as full snapshots (v3 embedded fulls and v2 reads
-	// both count as full): the bandwidth ledger the delta protocol exists
-	// to improve.
+	// as deltas vs as embedded full snapshots: the bandwidth ledger the
+	// delta protocol exists to improve.
 	DeltaWireBytes uint64
 	FullWireBytes  uint64
 	// Fallbacks counts v3 requests that degraded to a full snapshot, by
@@ -173,7 +172,6 @@ type Server struct {
 	totalConns     atomic.Uint64
 	activeConns    atomic.Int64
 	rejectedConns  atomic.Uint64
-	reads          atomic.Uint64
 	resets         atomic.Uint64
 	reqErrors      atomic.Uint64
 	deltaReads     atomic.Uint64
@@ -232,7 +230,6 @@ func (s *Server) Stats() ServerStats {
 		AcceptRetries:  s.acceptRetries.Load(),
 		Conns:          s.totalConns.Load(),
 		Active:         s.activeConns.Load(),
-		Reads:          s.reads.Load(),
 		Resets:         s.resets.Load(),
 		Errors:         s.reqErrors.Load(),
 		RejectedConns:  s.rejectedConns.Load(),
@@ -399,13 +396,11 @@ func (s *Server) acceptLoop() {
 }
 
 // connScratch is the per-connection reuse arena for the serve path: the
-// transient snapshot OpReadSketch widens registers into and the response
-// buffer every handler encodes into. Both live for the connection, so a
-// steady poller costs no encode-side allocations after its first request.
-// The delta handler must NOT reuse the snapshot — sessions retain their
-// snapshots as baselines across polls.
+// response buffer every read encodes into. It lives for the connection,
+// so a steady poller costs no response-buffer allocations after its first
+// request. Snapshots are not scratch — sessions retain them as baselines
+// across polls.
 type connScratch struct {
-	snap *Snapshot
 	resp []byte
 }
 
@@ -422,17 +417,6 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 		switch req[0] {
-		case OpReadSketch:
-			tr := s.cfg.Tracer.StartTrace("serve.read_sketch")
-			tr.Root().Annotate("peer", conn.RemoteAddr().String())
-			err := s.serveReadSketch(conn, tr, &scr)
-			if err != nil {
-				tr.Root().Fail(err)
-			}
-			tr.End()
-			if err != nil {
-				return
-			}
 		case OpReadDelta:
 			tr := s.cfg.Tracer.StartTrace("serve.read_delta")
 			tr.Root().Annotate("peer", conn.RemoteAddr().String())
@@ -463,52 +447,6 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// serveReadSketch handles one OpReadSketch request. A non-nil return
-// means the connection must close.
-func (s *Server) serveReadSketch(conn net.Conn, tr *tracing.Trace, scr *connScratch) error {
-	// The source hands over an owned copy; encoding and the network
-	// write below run with no data-plane lock held.
-	ssp := tr.StartSpan("snapshot")
-	sk, _ := s.src.Snapshot()
-	ssp.End()
-	if sk == nil {
-		// An aggregator that has not completed a member poll yet has
-		// nothing to serve; the client retries.
-		s.writeError(conn, "no sketch available yet") //nolint:errcheck // teardown follows
-		return fmt.Errorf("collect: source has no sketch yet")
-	}
-	esp := tr.StartSpan("encode")
-	// The snapshot is transient (unlike serveDelta's, nothing retains it),
-	// so it and the response buffer reuse the connection scratch.
-	scr.snap = TakeSnapshotInto(scr.snap, sk)
-	scr.resp = append(scr.resp[:0], statusOK)
-	resp, err := scr.snap.AppendEncode(scr.resp)
-	if err != nil {
-		esp.Fail(err)
-		esp.End()
-		s.writeError(conn, err.Error()) //nolint:errcheck // teardown follows
-		return err
-	}
-	scr.resp = resp
-	dataLen := len(resp) - 1
-	esp.Annotate("bytes", fmt.Sprint(dataLen))
-	esp.End()
-	wsp := tr.StartSpan("write")
-	err = s.writeFrameDeadline(conn, resp)
-	if err != nil {
-		wsp.Fail(err)
-	}
-	wsp.End()
-	if err != nil {
-		return err
-	}
-	s.reads.Add(1)
-	s.fullWireBytes.Add(uint64(dataLen))
-	s.log.Debug("snapshot served",
-		"peer", conn.RemoteAddr().String(), "bytes", dataLen)
-	return nil
 }
 
 // writeFrameDeadline writes one frame under the server's write deadline.

@@ -104,7 +104,7 @@ const (
 var fallbackReasons = [fbCount]string{"no_baseline", "gen_mismatch", "geometry", "delta_larger"}
 
 // readDeltaReqLen is the OpReadDelta request: opcode(1), sessionID(8),
-// hasBaseline(1), ackedGen(8).
+// hasBaseline(1), ackedGen(8), then one zero byte.
 const readDeltaReqLen = 19
 
 // encodeReadDelta builds an OpReadDelta request.
@@ -132,7 +132,7 @@ func (s *Server) genSnapshot() (*Snapshot, uint64) {
 
 // serveDelta handles one OpReadDelta request. A non-nil return means the
 // connection is done (protocol violation or write failure) and must be
-// closed — matching the v2 handlers, which close after any error status.
+// closed — the server closes the connection after any error status.
 // tr (nil-safe) records the snapshot, diff, and write phases, and names
 // the fallback reason when the response degraded to a full snapshot.
 func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *connScratch) error {

@@ -24,9 +24,6 @@ func (s *Server) Instrument(reg *telemetry.Registry, labels string) {
 	bind.counter("fcm_collect_server_accept_retries_total",
 		"Accept-loop failures that triggered backoff.",
 		func() float64 { return float64(s.acceptRetries.Load()) })
-	bind.counter("fcm_collect_server_reads_total",
-		"Snapshot frames served (OpReadSketch).",
-		func() float64 { return float64(s.reads.Load()) })
 	bind.counter("fcm_collect_server_resets_total",
 		"Window rotations performed (OpResetSketch).",
 		func() float64 { return float64(s.resets.Load()) })
@@ -37,7 +34,7 @@ func (s *Server) Instrument(reg *telemetry.Registry, labels string) {
 		"Connections closed at the MaxConns cap instead of being served.",
 		func() float64 { return float64(s.rejectedConns.Load()) })
 	bind.counter("fcm_collect_server_delta_reads_total",
-		"Codec v3 responses served (deltas and embedded fulls).",
+		"Register reads served (codec v3 deltas and embedded fulls).",
 		func() float64 { return float64(s.deltaReads.Load()) })
 	bind.gauge("fcm_collect_server_sessions",
 		"Delta sessions currently tracked.",

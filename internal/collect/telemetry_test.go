@@ -152,7 +152,6 @@ func TestPollerHealthTelemetry(t *testing.T) {
 		`fcm_poller_collected_total{switch="0"}`,
 		`fcm_poller_skipped_windows_total{switch="0"}`,
 		`fcm_collect_client_dials_total{switch="0"}`,
-		"fcm_collect_server_reads_total",
 		"fcm_collect_server_conns_total",
 	} {
 		if !strings.Contains(out, want) {

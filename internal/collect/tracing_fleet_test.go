@@ -29,7 +29,6 @@ func TestFleetPollTraceCoverage(t *testing.T) {
 			OnSnapshot: func(*Snapshot) { windows.Add(1) },
 		}},
 		Interval: 20 * time.Millisecond,
-		Delta:    true,
 		Tracer:   rec,
 	})
 	if err != nil {

@@ -35,13 +35,6 @@ import (
 	"github.com/fcmsketch/fcm/internal/pisa"
 )
 
-// coreSeedBase is the XOR constant both fcm.Config.coreConfig and
-// pisa.NewSwitch fold the user seed into before constructing the hash
-// family. The harness must mirror it exactly: a sketch built here is only
-// bit-comparable to the fcm/pisa planes if all three derive the same hash
-// functions from the same Geometry.Seed.
-const coreSeedBase = 0xfc3141
-
 // Geometry pins one complete sketch shape: tree arity, count, stage widths,
 // leaf width, hash seed and hash mode. Two data planes built from the same
 // Geometry place every increment in the same counter, so "bit-exact" is a
@@ -65,15 +58,16 @@ func (g Geometry) String() string {
 }
 
 // CoreConfig returns the internal/core configuration for this geometry,
-// with the hash family derived exactly as fcm.Config and pisa.SwitchConfig
-// derive it.
+// with the hash family from hashing.DataPlaneFamily — the derivation
+// fcm.Config and pisa.SwitchConfig share, so a sketch built here is
+// bit-comparable to the fcm/pisa planes for the same Geometry.Seed.
 func (g Geometry) CoreConfig() core.Config {
 	return core.Config{
 		K:           g.K,
 		Trees:       g.Trees,
 		Widths:      append([]int(nil), g.Widths...),
 		LeafWidth:   g.LeafWidth,
-		Hash:        hashing.NewBobFamily(coreSeedBase ^ g.Seed),
+		Hash:        hashing.DataPlaneFamily(g.Seed),
 		PerTreeHash: g.PerTreeHash,
 	}
 }

@@ -238,6 +238,15 @@ type BobFamily struct {
 // independent hash functions.
 func NewBobFamily(base uint32) *BobFamily { return &BobFamily{base: base} }
 
+// dataPlaneBase is the base every FCM sketch folds its user seed into.
+const dataPlaneBase = 0xfc3141
+
+// DataPlaneFamily is the hash family of an FCM sketch built with the given
+// seed — by fcm.Config, a pisa switch, or a collection tier restoring a
+// switch's registers. Two sketches answer per-flow queries consistently
+// only when both derive their family here from the same seed.
+func DataPlaneFamily(seed uint32) *BobFamily { return NewBobFamily(dataPlaneBase ^ seed) }
+
 // New implements Family.
 func (f *BobFamily) New(i int) Hasher {
 	// Derive the per-function seed by hashing the index with the base

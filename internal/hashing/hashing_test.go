@@ -256,3 +256,21 @@ func benchHash(b *testing.B, h Hasher, n int) {
 	}
 	_ = sink
 }
+
+// TestDataPlaneFamilyPinned pins the seed→family rule every FCM sketch
+// shares: a collection tier restoring a deployed switch's registers must
+// hash keys exactly as the switch did, so the derivation may never drift.
+func TestDataPlaneFamilyPinned(t *testing.T) {
+	key := []byte("10.0.0.1:443")
+	for _, c := range []struct {
+		seed uint32
+		want uint64
+	}{
+		{0, 0x34fa96f0a9935609},
+		{77, 0x867112625949715d},
+	} {
+		if got := DataPlaneFamily(c.seed).New(0).Hash(key); got != c.want {
+			t.Errorf("DataPlaneFamily(%d) member 0 hashes %q to %#x, want %#x", c.seed, key, got, c.want)
+		}
+	}
+}

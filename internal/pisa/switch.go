@@ -153,7 +153,7 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 			Widths:      cfg.Widths,
 			MemoryBytes: mem,
 			LeafWidth:   cfg.LeafWidth,
-			Hash:        hashing.NewBobFamily(0xfc3141 ^ cfg.Seed),
+			Hash:        hashing.DataPlaneFamily(cfg.Seed),
 			PerTreeHash: cfg.PerTreeHash,
 		})
 		if err != nil {
