@@ -123,9 +123,15 @@ smoke 'IngestFCM|UpdateBatchFCM|ReplayTraceFCM' .
 # and uncached, alongside the difftest SWAR-vs-scalar invariant via the
 # battery below.
 gate 'MergeMatchesScalar|FirstRegisterDiffPrescreen|Merge' ./internal/core/ -race -count=1
+# The word-wide snapshot diff likewise against its scalar per-register
+# oracle (difftest.DiffScalar): every sweep geometry, including stages
+# whose byte length is not a multiple of 8, at dirty densities from none
+# to all, with ApplyDelta reproducing the diffed state and its state CRC.
+gate 'TestDiffMatchesScalar' ./internal/difftest/ -race -count=1
 # Fold-path gate, part 2: the zero-allocation contracts of the fold plane,
-# uncached — Merge's carry scratch and the append-style frame encoders.
-gate 'TestMergeAllocs|TestDeltaAppendEncodeMatchesEncode' \
+# uncached — Merge's carry scratch, the append-style frame encoders, and
+# the per-poll snapshot read-out into a reused snapshot.
+gate 'TestMergeAllocs|TestDeltaAppendEncodeMatchesEncode|TestTakeSnapshotIntoAllocs' \
   './internal/core/ ./internal/collect/' -count=1
 # Fold-path gate, part 3: bench smoke — one iteration of the fold
 # benchmarks, the word-wide merge, equality, fleet-fold and diff paths,
@@ -145,7 +151,7 @@ gate 'TypedLanes|LaneRange|SaturationBoundaries|SharesLayout|ResidentBytes' \
 # uncached — delta sessions end to end through faultnet faults, an
 # aggregator outage with member re-homing, heal, injected generation
 # loss, and bit-identity against a flat merge throughout. Also pins the
-# codec v3 golden vectors and the delta protocol suite alongside it.
+# FCMD delta-frame golden vectors and the delta protocol suite alongside it.
 gate 'Fleet|Delta|Aggregator|Scheduler|Gate' ./internal/collect/ -race -count=1
 # The steady-state delta test waits for the server's post-write read
 # counter before its exact assertions; repeat it so a regression of that
@@ -256,8 +262,8 @@ grep -q '^insight @ window' "$TMP/insight.out"
 grep -q 'error:' "$TMP/insight.out"
 
 # Collect over the wire once the replay is in: fcmctl's one-shot read
-# speaks codec v3 (the only read protocol), and the switch must count it
-# as a served delta read.
+# speaks the delta read protocol (the only read protocol), and the switch
+# must count it as a served delta read.
 COLLECT_ADDR=$(sed -n 's/^serving registers on //p' "$TMP/switch.out")
 [ -n "$COLLECT_ADDR" ]
 for _ in $(seq 1 150); do

@@ -4,7 +4,7 @@
 // estimated flow-size distribution head, and entropy (§4).
 //
 // Collection speaks codec v3: a one-shot read receives the full snapshot
-// embedded in a v3 frame (occupying one delta session slot on the switch,
+// embedded in a delta frame (occupying one delta session slot on the switch,
 // LRU-bounded by its -max-sessions), and -poll receives only the changed
 // registers after its first read. It is hardened for real networks:
 // per-operation I/O deadlines, and (for the idempotent register read)

@@ -226,12 +226,8 @@ func main() {
 		// data-plane reports below read the same registers a serial replay
 		// would have produced (exact merge ⇒ bit-identical).
 		merged, _ := eng.Snapshot()
-		for t := 0; t < merged.NumTrees(); t++ {
-			for l := 0; l < merged.Depth(); l++ {
-				if err := sw.Sketch().SetStageValues(t, l, merged.StageValues(t, l)); err != nil {
-					fatalf("%v", err)
-				}
-			}
+		if err := sw.Sketch().CopyFrom(merged); err != nil {
+			fatalf("%v", err)
 		}
 	case locked != nil && (srv != nil || *telAddr != ""):
 		// Concurrent readers exist (collection or telemetry scrapes):

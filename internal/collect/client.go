@@ -109,7 +109,7 @@ type ClientStats struct {
 	// DecodeFailures counts responses that framed cleanly but failed
 	// decoding (e.g. CRC mismatch from a corrupting link).
 	DecodeFailures uint64
-	// DeltasApplied counts v3 delta frames applied to the local baseline.
+	// DeltasApplied counts delta frames applied to the local baseline.
 	DeltasApplied uint64
 	// FullSnapshots counts full snapshots received on the v3 path (first
 	// poll and every fallback the server chose).
@@ -269,7 +269,7 @@ func (c *Client) ReadSketchContext(ctx context.Context) (*Snapshot, error) {
 	return snap, nil
 }
 
-// applyDeltaFrame folds one decoded v3 frame into the baseline and returns
+// applyDeltaFrame folds one decoded delta frame into the baseline and returns
 // the complete snapshot it represents (caller-owned). Any inconsistency —
 // a delta against a generation we do not hold, a block outside the
 // geometry, a post-apply state CRC that disagrees with the server's —

@@ -5,11 +5,9 @@
 package collect
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"slices"
 
 	"github.com/fcmsketch/fcm/internal/core"
@@ -19,9 +17,18 @@ import (
 // codec constants.
 const (
 	snapshotMagic = 0x46434d53 // "FCMS"
-	// Version 2 appended the CRC-32C trailer: a flipped bit anywhere in
-	// transit must fail decoding, never silently corrupt merged windows.
-	snapshotVersion = 2
+	// Version 3 stores every stage at its lane width (the sketch's
+	// resident layout) and carries the counter encoding. Version 2
+	// appended the CRC-32C trailer to a u32-per-counter body; it is still
+	// decoded, never encoded.
+	snapshotVersion   = 3
+	snapshotVersionV2 = 2
+	// snapshotFlagBit marks a snapshot of a flag-bit encoded sketch
+	// (core.Config.FlagBitIndicator); every other flag bit is reserved.
+	snapshotFlagBit = 0x01
+	// snapshotHeaderLen is the fixed prefix before the width bytes:
+	// magic(4), version(1), trees(1), stages(1), flags(1), k(4), w1(4).
+	snapshotHeaderLen = 16
 	// maxSaneBytes bounds decoded allocations against corrupt headers.
 	maxSaneBytes = 1 << 30
 )
@@ -29,17 +36,94 @@ const (
 // castagnoli is the CRC-32C table for the snapshot integrity trailer.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Snapshot is a decoded register dump of an FCM-Sketch: its geometry plus
-// every stage's raw node values. It carries everything the control plane
-// needs (virtual-counter conversion, EM, cardinality); restoring a
-// queryable sketch additionally requires the data plane's hash family.
+// Snapshot is a register dump of an FCM-Sketch: its geometry, its counter
+// encoding and every register, each stage at its own width. It carries
+// everything the control plane needs (virtual-counter conversion, EM,
+// cardinality); restoring a queryable sketch additionally requires the
+// data plane's hash family.
 type Snapshot struct {
 	K      int
 	Trees  int
 	W1     int
 	Widths []int
-	// Values[t][l] holds tree t, stage l node values.
-	Values [][][]uint32
+	// FlagBit records the counter encoding: set for the explicit
+	// overflow-flag encoding (core.Config.FlagBitIndicator), clear for the
+	// max-value marker.
+	FlagBit bool
+	// Regs holds every register in tree, stage, index order, each stage
+	// at its lane width (core.LaneBytes) — one byte per counter for
+	// stages of up to 8 bits, two up to 16, four above — little-endian. Stage l of every tree
+	// holds W1/K^l counters, so the geometry alone fixes the layout.
+	Regs []byte
+}
+
+// stageSpan locates one stage inside Snapshot.Regs: n counters of size
+// bytes each, starting at off.
+type stageSpan struct{ off, n, size int }
+
+// bytes returns the stage's slice of regs.
+func (sp stageSpan) bytes(regs []byte) []byte { return regs[sp.off : sp.off+sp.n*sp.size] }
+
+// eachStage calls fn for every stage in Regs order.
+func (s *Snapshot) eachStage(fn func(t, l int, sp stageSpan)) {
+	off := 0
+	for t := 0; t < s.Trees; t++ {
+		n := s.W1
+		for l, b := range s.Widths {
+			size := core.LaneBytes(b)
+			fn(t, l, stageSpan{off: off, n: n, size: size})
+			off += n * size
+			n /= s.K
+		}
+	}
+}
+
+// span returns the location of tree t, stage l.
+func (s *Snapshot) span(t, l int) stageSpan {
+	var out stageSpan
+	s.eachStage(func(ti, li int, sp stageSpan) {
+		if ti == t && li == l {
+			out = sp
+		}
+	})
+	return out
+}
+
+// regsLen is the length of Regs the geometry implies.
+func (s *Snapshot) regsLen() int {
+	per, n := 0, s.W1
+	for _, b := range s.Widths {
+		per += n * core.LaneBytes(b)
+		n /= s.K
+	}
+	return s.Trees * per
+}
+
+// checkGeometry reports why the snapshot's geometry is not one core.New
+// builds — every snapshot decoded is restorable — or nil. It also bounds
+// the register bytes the geometry implies.
+func (s *Snapshot) checkGeometry() error {
+	if s.Trees <= 0 || s.Trees > 255 || len(s.Widths) < 2 || len(s.Widths) > 255 {
+		return fmt.Errorf("collect: snapshot geometry out of range: trees=%d stages=%d", s.Trees, len(s.Widths))
+	}
+	if s.K < 2 || s.W1 <= 0 {
+		return fmt.Errorf("collect: snapshot geometry out of range: k=%d w1=%d", s.K, s.W1)
+	}
+	for i, b := range s.Widths {
+		if b < 2 || b > 32 || (i > 0 && b <= s.Widths[i-1]) {
+			return fmt.Errorf("collect: snapshot stage widths %v not increasing within [2,32]", s.Widths)
+		}
+	}
+	for n, l := s.W1, 1; l < len(s.Widths); l++ {
+		if n%s.K != 0 {
+			return fmt.Errorf("collect: snapshot w1=%d not a multiple of k^%d", s.W1, len(s.Widths)-1)
+		}
+		n /= s.K
+	}
+	if int64(s.W1)*int64(s.Trees)*4*2 > maxSaneBytes {
+		return fmt.Errorf("collect: snapshot claims over %dB of registers", maxSaneBytes)
+	}
+	return nil
 }
 
 // TakeSnapshot copies the registers out of a sketch.
@@ -47,12 +131,13 @@ func TakeSnapshot(s *core.Sketch) *Snapshot {
 	return TakeSnapshotInto(nil, s)
 }
 
-// TakeSnapshotInto copies the registers out of a sketch into snap, reusing
-// snap's geometry slices and per-stage value buffers when they have the
-// capacity — the alloc-free variant for per-poll serve paths. Pass nil to
-// build a fresh snapshot. The returned snapshot owns its values (nothing
-// aliases sketch state) but shares buffers with snap, so callers that
-// retain snapshots across polls must not pass the retained one back in.
+// TakeSnapshotInto copies the registers out of a sketch into snap — one
+// copy per stage at its lane width — reusing snap's width and register
+// buffers when they have the capacity, so a reused snapshot allocates
+// nothing. Pass nil to build a fresh snapshot. The returned snapshot owns
+// its registers (nothing aliases sketch state) but shares buffers with
+// snap, so callers that retain snapshots across polls must not pass the
+// retained one back in.
 func TakeSnapshotInto(snap *Snapshot, s *core.Sketch) *Snapshot {
 	if snap == nil {
 		snap = &Snapshot{}
@@ -60,49 +145,47 @@ func TakeSnapshotInto(snap *Snapshot, s *core.Sketch) *Snapshot {
 	snap.K = s.K()
 	snap.Trees = s.NumTrees()
 	snap.W1 = s.LeafWidth()
+	snap.FlagBit = s.FlagBitIndicator()
 	depth := s.Depth()
 	snap.Widths = snap.Widths[:0]
 	for l := 0; l < depth; l++ {
 		snap.Widths = append(snap.Widths, s.StageWidth(l))
 	}
-	if cap(snap.Values) < snap.Trees {
-		snap.Values = make([][][]uint32, snap.Trees)
-	}
-	snap.Values = snap.Values[:snap.Trees]
+	snap.Regs = slices.Grow(snap.Regs[:0], s.ResidentBytes())
 	for t := 0; t < snap.Trees; t++ {
-		stages := snap.Values[t]
-		if cap(stages) < depth {
-			stages = make([][]uint32, depth)
-		}
-		stages = stages[:depth]
 		for l := 0; l < depth; l++ {
-			stages[l] = s.StageValuesInto(stages[l], t, l)
+			snap.Regs = s.AppendStageBytes(snap.Regs, t, l)
 		}
-		snap.Values[t] = stages
 	}
 	return snap
 }
 
-// Restore rebuilds a queryable sketch from the snapshot. fam must be the
-// data plane's hash family for count queries to be meaningful; pass nil to
-// get a sketch that only supports control-plane conversion.
+// Restore rebuilds a queryable sketch from the snapshot, in the counter
+// encoding the snapshot was taken in. fam must be the data plane's hash
+// family for count queries to be meaningful; pass nil to get a sketch
+// that only supports control-plane conversion.
 func (s *Snapshot) Restore(fam hashing.Family) (*core.Sketch, error) {
 	sk, err := core.New(core.Config{
-		K:         s.K,
-		Trees:     s.Trees,
-		Widths:    s.Widths,
-		LeafWidth: s.W1,
-		Hash:      fam,
+		K:                s.K,
+		Trees:            s.Trees,
+		Widths:           s.Widths,
+		LeafWidth:        s.W1,
+		Hash:             fam,
+		FlagBitIndicator: s.FlagBit,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("collect: restore: %w", err)
 	}
-	for t := range s.Values {
-		for l := range s.Values[t] {
-			if err := sk.SetStageValues(t, l, s.Values[t][l]); err != nil {
-				return nil, fmt.Errorf("collect: restore: %w", err)
-			}
+	if want := s.regsLen(); len(s.Regs) != want {
+		return nil, fmt.Errorf("collect: restore: %dB of registers, geometry holds %d", len(s.Regs), want)
+	}
+	s.eachStage(func(t, l int, sp stageSpan) {
+		if err == nil {
+			err = sk.SetStageBytes(t, l, sp.bytes(s.Regs))
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("collect: restore: %w", err)
 	}
 	return sk, nil
 }
@@ -117,17 +200,24 @@ func (s *Snapshot) VirtualCounters() ([][]core.VirtualCounter, error) {
 	return sk.VirtualCounters(), nil
 }
 
-// Encode serializes the snapshot.
+// Encode serializes the snapshot as FCMS version 3.
 //
-// Layout (all big-endian):
+// Layout (header integers big-endian):
 //
-//	u32 magic, u8 version, u8 trees, u8 stages, u8 pad,
-//	u32 k, u32 w1,
+//	u32 magic "FCMS", u8 version(3), u8 trees, u8 stages,
+//	u8 flags (bit 0: flag-bit counter encoding), u32 k, u32 w1,
 //	stages × u8 width-bits,
-//	trees × stages × (u32 count, count × u32 value),
+//	the registers: Snapshot.Regs verbatim (tree/stage/index order, each
+//	stage at its lane width, little-endian; the length follows from the
+//	geometry),
 //	u32 crc32c over everything above
 func (s *Snapshot) Encode() ([]byte, error) {
 	return s.AppendEncode(nil)
+}
+
+// encodedSize is the exact size Encode produces for the snapshot.
+func (s *Snapshot) encodedSize() int {
+	return snapshotHeaderLen + len(s.Widths) + len(s.Regs) + 4
 }
 
 // AppendEncode serializes the snapshot (see Encode for the layout),
@@ -135,44 +225,42 @@ func (s *Snapshot) Encode() ([]byte, error) {
 // are identical to Encode's; only the destination differs, letting serve
 // paths reuse one response buffer across polls.
 func (s *Snapshot) AppendEncode(dst []byte) ([]byte, error) {
-	if s.Trees <= 0 || s.Trees > 255 || len(s.Widths) == 0 || len(s.Widths) > 255 {
-		return nil, fmt.Errorf("collect: snapshot geometry out of range: trees=%d stages=%d",
-			s.Trees, len(s.Widths))
+	if err := s.checkGeometry(); err != nil {
+		return nil, err
 	}
-	need := 17 + len(s.Widths)
-	for t := 0; t < s.Trees; t++ {
-		if len(s.Values[t]) != len(s.Widths) {
-			return nil, fmt.Errorf("collect: tree %d has %d stages, want %d",
-				t, len(s.Values[t]), len(s.Widths))
-		}
-		for _, vals := range s.Values[t] {
-			need += 4 + 4*len(vals)
-		}
+	if want := s.regsLen(); len(s.Regs) != want {
+		return nil, fmt.Errorf("collect: snapshot holds %dB of registers, geometry implies %d", len(s.Regs), want)
+	}
+	var flags uint8
+	if s.FlagBit {
+		flags |= snapshotFlagBit
 	}
 	start := len(dst)
-	dst = slices.Grow(dst, need)
+	dst = slices.Grow(dst, s.encodedSize())
 	dst = binary.BigEndian.AppendUint32(dst, snapshotMagic)
-	dst = append(dst, snapshotVersion, uint8(s.Trees), uint8(len(s.Widths)), 0)
+	dst = append(dst, snapshotVersion, uint8(s.Trees), uint8(len(s.Widths)), flags)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(s.K))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(s.W1))
 	for _, b := range s.Widths {
 		dst = append(dst, uint8(b))
 	}
-	for t := 0; t < s.Trees; t++ {
-		for _, vals := range s.Values[t] {
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(vals)))
-			for _, v := range vals {
-				dst = binary.BigEndian.AppendUint32(dst, v)
-			}
-		}
-	}
+	dst = append(dst, s.Regs...)
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
 }
 
 // DecodeSnapshot parses an encoded snapshot, verifying the CRC-32C
 // trailer first so corruption anywhere in the payload is rejected before
-// any field is trusted.
+// any field is trusted. It reads FCMS version 3 and the version-2
+// u32-per-counter body, whose counters it narrows to their lane width
+// with a range check (version 2 carries no encoding field, so it decodes
+// as the max-value marker encoding every version-2 producer wrote).
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	return decodeSnapshot(data, true)
+}
+
+// decodeSnapshot is DecodeSnapshot; frames that embed a snapshot pass
+// allowV2 false, since their own versions pin the body to version 3.
+func decodeSnapshot(data []byte, allowV2 bool) (*Snapshot, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("collect: snapshot of %dB too short for checksum", len(data))
 	}
@@ -180,58 +268,93 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if want, got := binary.BigEndian.Uint32(trailer), crc32.Checksum(body, castagnoli); want != got {
 		return nil, fmt.Errorf("collect: snapshot checksum mismatch (corrupt payload): got 0x%08x want 0x%08x", got, want)
 	}
-	r := bytes.NewReader(body)
-	var hdr struct {
-		Magic   uint32
-		Version uint8
-		Trees   uint8
-		Stages  uint8
-		Pad     uint8
-		K       uint32
-		W1      uint32
+	if len(body) < snapshotHeaderLen {
+		return nil, fmt.Errorf("collect: snapshot header of %dB truncated", len(body))
 	}
-	if err := binary.Read(r, binary.BigEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("collect: decoding header: %w", err)
+	if m := binary.BigEndian.Uint32(body); m != snapshotMagic {
+		return nil, fmt.Errorf("collect: bad snapshot magic 0x%08x", m)
 	}
-	if hdr.Magic != snapshotMagic {
-		return nil, fmt.Errorf("collect: bad snapshot magic 0x%08x", hdr.Magic)
-	}
-	if hdr.Version != snapshotVersion {
-		return nil, fmt.Errorf("collect: unsupported snapshot version %d", hdr.Version)
-	}
-	if hdr.Trees == 0 || hdr.Stages == 0 {
-		return nil, fmt.Errorf("collect: empty geometry")
-	}
-	s := &Snapshot{K: int(hdr.K), Trees: int(hdr.Trees), W1: int(hdr.W1)}
-	widths := make([]uint8, hdr.Stages)
-	if _, err := io.ReadFull(r, widths); err != nil {
-		return nil, fmt.Errorf("collect: decoding widths: %w", err)
-	}
-	for _, b := range widths {
-		s.Widths = append(s.Widths, int(b))
-	}
-	total := 0
-	for t := 0; t < s.Trees; t++ {
-		var stages [][]uint32
-		for l := 0; l < int(hdr.Stages); l++ {
-			var n uint32
-			if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-				return nil, fmt.Errorf("collect: decoding tree %d stage %d length: %w", t, l, err)
-			}
-			total += int(n) * 4
-			if total > maxSaneBytes {
-				return nil, fmt.Errorf("collect: snapshot claims over %dB of registers", maxSaneBytes)
-			}
-			vals := make([]uint32, n)
-			if err := binary.Read(r, binary.BigEndian, &vals); err != nil {
-				return nil, fmt.Errorf("collect: decoding tree %d stage %d values: %w", t, l, err)
-			}
-			stages = append(stages, vals)
+	version, stages, flags := body[4], int(body[6]), body[7]
+	switch {
+	case version == snapshotVersion:
+		if flags&^uint8(snapshotFlagBit) != 0 {
+			return nil, fmt.Errorf("collect: unknown snapshot flags 0x%02x", flags)
 		}
-		s.Values = append(s.Values, stages)
+	case version == snapshotVersionV2 && allowV2:
+	default:
+		return nil, fmt.Errorf("collect: unsupported snapshot version %d", version)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("collect: %d trailing bytes after snapshot", r.Len())
+	s := &Snapshot{
+		K:       int(binary.BigEndian.Uint32(body[8:])),
+		Trees:   int(body[5]),
+		W1:      int(binary.BigEndian.Uint32(body[12:])),
+		FlagBit: version == snapshotVersion && flags&snapshotFlagBit != 0,
+	}
+	rest := body[snapshotHeaderLen:]
+	if len(rest) < stages {
+		return nil, fmt.Errorf("collect: snapshot widths truncated")
+	}
+	s.Widths = make([]int, stages)
+	for l := range s.Widths {
+		s.Widths[l] = int(rest[l])
+	}
+	rest = rest[stages:]
+	if err := s.checkGeometry(); err != nil {
+		return nil, err
+	}
+	n := s.regsLen()
+	if version == snapshotVersion {
+		if len(rest) != n {
+			return nil, fmt.Errorf("collect: snapshot carries %dB of registers, geometry holds %d", len(rest), n)
+		}
+		s.Regs = slices.Clone(rest)
+		return s, nil
+	}
+	s.Regs = make([]byte, n)
+	var err error
+	s.eachStage(func(t, l int, sp stageSpan) {
+		if err == nil {
+			rest, err = narrowV2Stage(sp.bytes(s.Regs), rest, sp, t, l)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("collect: %d trailing bytes after snapshot", len(rest))
 	}
 	return s, nil
+}
+
+// narrowV2Stage reads one version-2 stage — u32 count, then count × u32
+// value, big-endian — from src into dst at the stage's lane width, and
+// returns the rest of src. The count must match the geometry and every
+// value must fit the lane.
+func narrowV2Stage(dst, src []byte, sp stageSpan, t, l int) ([]byte, error) {
+	if len(src) < 4 {
+		return nil, fmt.Errorf("collect: decoding tree %d stage %d length: truncated", t, l)
+	}
+	if n := binary.BigEndian.Uint32(src); n != uint32(sp.n) {
+		return nil, fmt.Errorf("collect: tree %d stage %d carries %d counters, geometry holds %d", t, l, n, sp.n)
+	}
+	src = src[4:]
+	if len(src) < 4*sp.n {
+		return nil, fmt.Errorf("collect: decoding tree %d stage %d values: truncated", t, l)
+	}
+	limit := uint32(1)<<(8*sp.size) - 1 // wraps to MaxUint32 for 4-byte lanes
+	for i := 0; i < sp.n; i++ {
+		v := binary.BigEndian.Uint32(src[4*i:])
+		if v > limit {
+			return nil, fmt.Errorf("collect: tree %d stage %d value %d at index %d exceeds its %d-byte lane", t, l, v, i, sp.size)
+		}
+		switch sp.size {
+		case 1:
+			dst[i] = uint8(v)
+		case 2:
+			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
+		default:
+			binary.LittleEndian.PutUint32(dst[4*i:], v)
+		}
+	}
+	return src[4*sp.n:], nil
 }

@@ -1,10 +1,12 @@
 package collect
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -121,13 +123,57 @@ func TestSnapshotVirtualCounters(t *testing.T) {
 func TestSnapshotIsACopy(t *testing.T) {
 	s := filledSketch(t)
 	snap := TakeSnapshot(s)
-	before := snap.Values[0][0][0]
+	before := slices.Clone(snap.Regs)
 	s.Update(k(999999), 1000000)
 	for i := 0; i < 10000; i++ {
 		s.Update(k(uint64(i)), 3)
 	}
-	if snap.Values[0][0][0] != before {
+	if !bytes.Equal(snap.Regs, before) {
 		t.Error("snapshot aliases live registers")
+	}
+}
+
+// TestSnapshotCarriesCounterEncoding: a flag-bit sketch must come back
+// flag-bit encoded through TakeSnapshot → Encode → DecodeSnapshot →
+// Restore. Restored with the max-value marker instead, every flag-bit
+// mark (2^(b-1)) reads as a plain count, and key 0's estimate collapses.
+func TestSnapshotCarriesCounterEncoding(t *testing.T) {
+	fam := hashing.NewBobFamily(42)
+	s, err := core.New(core.Config{
+		K: 8, Trees: 2, LeafWidth: 512, Widths: []int{8, 16, 32},
+		Hash: fam, FlagBitIndicator: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Key 0 overflows its 7-bit-capacity leaf into stage 1.
+	s.Update(k(0), 286)
+	for i := uint64(1); i < 2000; i++ {
+		s.Update(k(i%300), 1+i%5)
+	}
+	data, err := TakeSnapshot(s).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snap.FlagBit {
+		t.Fatal("decoded snapshot lost the flag-bit encoding")
+	}
+	restored, err := snap.Restore(fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.FirstRegisterDiff(restored); d != "" {
+		t.Fatalf("restored sketch differs: %s", d)
+	}
+	if !restored.FlagBitIndicator() {
+		t.Fatal("restored sketch is marker-encoded")
+	}
+	if got, want := restored.Estimate(k(0)), s.Estimate(k(0)); got != want {
+		t.Fatalf("key 0 estimate %d after the round trip, %d before", got, want)
 	}
 }
 
@@ -161,9 +207,9 @@ func TestEncodeValidation(t *testing.T) {
 	if _, err := (&Snapshot{Trees: 0}).Encode(); err == nil {
 		t.Error("expected geometry error")
 	}
-	s := &Snapshot{Trees: 1, Widths: []int{8, 16}, Values: [][][]uint32{{{1}}}}
+	s := &Snapshot{K: 2, Trees: 1, W1: 2, Widths: []int{8, 16}, Regs: []byte{1}}
 	if _, err := s.Encode(); err == nil {
-		t.Error("expected stage-count mismatch error")
+		t.Error("expected register-length mismatch error")
 	}
 }
 
@@ -201,13 +247,9 @@ func TestServerClientRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tree := range snap2.Values {
-		for _, stage := range tree {
-			for _, v := range stage {
-				if v != 0 {
-					t.Fatal("registers non-zero after remote reset")
-				}
-			}
+	for _, b := range snap2.Regs {
+		if b != 0 {
+			t.Fatal("registers non-zero after remote reset")
 		}
 	}
 }

@@ -1,11 +1,12 @@
-// Codec v3: delta snapshots. A full v2 snapshot re-sends every register
+// Codec v4: delta snapshots. A full snapshot re-sends every register
 // every poll; at fleet scale the registers barely change between polls and
 // collection bandwidth — not sketch accuracy — becomes the bottleneck
-// (DUNE, the P4 Count-Min telemetry analysis). A v3 frame carries only the
-// registers that changed since a baseline generation both sides agree on,
-// plus enough redundancy that a wrong reconstruction is impossible:
+// (DUNE, the P4 Count-Min telemetry analysis). A delta frame carries only
+// the registers that changed since a baseline generation both sides agree
+// on, each at its stage's width, plus enough redundancy that a wrong
+// reconstruction is impossible:
 //
-//   - the frame itself is CRC-32C protected (like v2), so transit
+//   - the frame itself is CRC-32C protected (like a snapshot), so transit
 //     corruption is rejected before any field is trusted;
 //   - the frame pins the CRC-32C of the COMPLETE post-apply register state
 //     (StateCRC), so a client that applies a delta to the wrong baseline —
@@ -14,31 +15,30 @@
 //   - generation numbers tie each delta to the exact server-side snapshot
 //     it was diffed against; any mismatch degrades to a full snapshot.
 //
-// The fallback is therefore: v3 delta → v3 full (server-chosen, and also
+// The fallback is therefore: delta → full (server-chosen, and also
 // whenever the delta would be larger than the full encoding). Both
 // re-converge; neither can merge wrong.
 package collect
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 	"sync"
-
-	"github.com/fcmsketch/fcm/internal/sketch"
 )
 
-// v3 codec constants.
+// Delta frame constants.
 const (
-	// deltaMagic ("FCMD") is distinct from the v2 snapshot magic so a v3
-	// frame can never be mistaken for a raw snapshot by an old decoder.
+	// deltaMagic ("FCMD") is distinct from the snapshot magic so a delta
+	// frame can never be mistaken for a raw snapshot.
 	deltaMagic = 0x46434d44
-	// deltaVersion is the wire version carried by delta frames.
-	deltaVersion = 3
-	// deltaFlagFull marks a frame whose body is a complete v2 snapshot
-	// (the in-band fallback rung).
+	// deltaVersion 4 carries stage-width register values and embeds FCMS
+	// version 3; version 3 carried u32 values and embedded FCMS version 2.
+	deltaVersion = 4
+	// deltaFlagFull marks a frame whose body is a complete snapshot (the
+	// in-band fallback rung).
 	deltaFlagFull = 0x01
 
 	// deltaHeaderLen is the fixed prefix before the body: magic(4),
@@ -47,18 +47,40 @@ const (
 	deltaHeaderLen = 32
 	// deltaTrailerLen is the CRC-32C over everything before it.
 	deltaTrailerLen = 4
+	// deltaBlockHeaderLen is one block's prefix: tree(1), stage(1),
+	// value bytes(1), pad(1), count(4).
+	deltaBlockHeaderLen = 8
 )
 
-// DeltaBlock is one stage's changed registers: parallel index/value slices,
-// indexes strictly within the stage the block names.
+// DeltaBlock is one stage's changed registers: Indexes names each changed
+// counter's position within the stage, and Values holds the new values at
+// the stage's lane width (1, 2 or 4 bytes each, little-endian — the
+// layout of Snapshot.Regs), so entry i is Values[i*w:(i+1)*w] with
+// w = len(Values)/len(Indexes). A block names at least one counter.
 type DeltaBlock struct {
 	Tree    int
 	Stage   int
 	Indexes []uint32
-	Values  []uint32
+	Values  []byte
 }
 
-// DeltaFrame is a decoded v3 collection response: either a delta against
+// valueBytes returns the block's bytes per value, or 0 when the block is
+// empty or its slices disagree with every lane width.
+func (b *DeltaBlock) valueBytes() int {
+	if len(b.Indexes) == 0 {
+		return 0
+	}
+	switch w := len(b.Values) / len(b.Indexes); {
+	case len(b.Values)%len(b.Indexes) != 0:
+		return 0
+	case w == 1 || w == 2 || w == 4:
+		return w
+	default:
+		return 0
+	}
+}
+
+// DeltaFrame is a decoded collection response: either a delta against
 // the baseline snapshot at BaseGen, or (Full) a complete snapshot. In both
 // cases NewGen names the server-side generation of the carried state and
 // StateCRC pins the CRC-32C of the complete post-apply register state.
@@ -74,197 +96,281 @@ type DeltaFrame struct {
 	Blocks []DeltaBlock
 }
 
-// Clone returns a deep copy of the snapshot (geometry and values share
+// Clone returns a deep copy of the snapshot (geometry and registers share
 // nothing with the receiver).
 func (s *Snapshot) Clone() *Snapshot {
-	c := &Snapshot{
-		K:      s.K,
-		Trees:  s.Trees,
-		W1:     s.W1,
-		Widths: append([]int(nil), s.Widths...),
-	}
-	c.Values = make([][][]uint32, len(s.Values))
-	for t := range s.Values {
-		c.Values[t] = make([][]uint32, len(s.Values[t]))
-		for l := range s.Values[t] {
-			c.Values[t][l] = append([]uint32(nil), s.Values[t][l]...)
-		}
-	}
-	return c
+	c := *s
+	c.Widths = slices.Clone(s.Widths)
+	c.Regs = slices.Clone(s.Regs)
+	return &c
 }
 
 // SameGeometry reports whether two snapshots describe the same sketch
-// shape (and may therefore be diffed / delta-applied against each other).
+// shape and counter encoding (and may therefore be diffed / delta-applied
+// against each other).
 func (s *Snapshot) SameGeometry(o *Snapshot) bool {
-	if o == nil || s.K != o.K || s.Trees != o.Trees || s.W1 != o.W1 || len(s.Widths) != len(o.Widths) {
-		return false
-	}
-	for i := range s.Widths {
-		if s.Widths[i] != o.Widths[i] {
-			return false
-		}
-	}
-	if len(s.Values) != len(o.Values) {
-		return false
-	}
-	for t := range s.Values {
-		if len(s.Values[t]) != len(o.Values[t]) {
-			return false
-		}
-		for l := range s.Values[t] {
-			if len(s.Values[t][l]) != len(o.Values[t][l]) {
-				return false
-			}
-		}
-	}
-	return true
+	return o != nil && s.K == o.K && s.Trees == o.Trees && s.W1 == o.W1 &&
+		s.FlagBit == o.FlagBit && slices.Equal(s.Widths, o.Widths) && len(s.Regs) == len(o.Regs)
 }
 
-// StateCRC is the CRC-32C over the snapshot's canonical register stream:
-// geometry header, then every stage's values in tree/stage/index order,
-// big-endian. A delta frame pins the post-apply state with this value, so
-// applying a delta to the wrong baseline cannot go unnoticed.
+// StateCRC is the CRC-32C over the snapshot's canonical state: a geometry
+// header (k, trees, w1 as big-endian u32s, the stage count and width
+// bytes, the flags byte of the snapshot encoding), then Regs in one pass.
+// A delta frame pins the post-apply state with this value, so applying a
+// delta to the wrong baseline cannot go unnoticed.
 func (s *Snapshot) StateCRC() uint32 {
-	// One pooled buffer carries the header, the width bytes, and then the
-	// values a fixed chunk at a time: the byte stream hashed is identical
-	// to appending one field at a time, without per-value bookkeeping or
-	// per-call allocation (crc32.Update's escape analysis would otherwise
-	// heap-allocate every buffer handed to it).
-	bufp := crcChunkPool.Get().(*[4096]byte)
-	defer crcChunkPool.Put(bufp)
-	buf := bufp[:]
-	binary.BigEndian.PutUint32(buf[0:], uint32(s.K))
-	binary.BigEndian.PutUint32(buf[4:], uint32(s.Trees))
-	binary.BigEndian.PutUint32(buf[8:], uint32(s.W1))
-	buf[12] = uint8(len(s.Widths))
-	n := 13
+	// The header goes through a pooled buffer: crc32.Update's escape
+	// analysis would otherwise heap-allocate every buffer handed to it,
+	// and StateCRC runs per poll on every served connection concurrently.
+	hp := crcHeaderPool.Get().(*[crcHeaderCap]byte)
+	h := binary.BigEndian.AppendUint32(hp[:0], uint32(s.K))
+	h = binary.BigEndian.AppendUint32(h, uint32(s.Trees))
+	h = binary.BigEndian.AppendUint32(h, uint32(s.W1))
+	h = append(h, uint8(len(s.Widths)))
 	for _, w := range s.Widths {
-		buf[n] = uint8(w)
-		n++
+		h = append(h, uint8(w))
 	}
-	crc := crc32.Update(0, castagnoli, buf[:n])
-	for t := range s.Values {
-		for l := range s.Values[t] {
-			vals := s.Values[t][l]
-			for len(vals) > 0 {
-				n := len(vals)
-				if n > len(buf)/4 {
-					n = len(buf) / 4
-				}
-				for i, v := range vals[:n] {
-					binary.BigEndian.PutUint32(buf[4*i:], v)
-				}
-				crc = crc32.Update(crc, castagnoli, buf[:4*n])
-				vals = vals[n:]
-			}
-		}
+	var flags uint8
+	if s.FlagBit {
+		flags |= snapshotFlagBit
 	}
-	return crc
+	crc := crc32.Update(0, castagnoli, append(h, flags))
+	crcHeaderPool.Put(hp)
+	return crc32.Update(crc, castagnoli, s.Regs)
 }
 
-// crcChunkPool feeds StateCRC's packing buffer; StateCRC runs per poll on
-// every served connection concurrently, so the scratch is pooled rather
-// than global. Widths caps at 255 stages, so header+widths fit the chunk.
-var crcChunkPool = sync.Pool{New: func() any { return new([4096]byte) }}
+// crcHeaderCap fits StateCRC's header for every encodable geometry
+// (at most 255 stages).
+const crcHeaderCap = 12 + 1 + 255 + 1
+
+// crcHeaderPool feeds StateCRC's header buffer.
+var crcHeaderPool = sync.Pool{New: func() any { return new([crcHeaderCap]byte) }}
+
+// Word-wide diff helpers. A stage's bytes are read eight at a time as
+// little-endian words, so field f of a word holds counter (word offset /
+// size) + f at bits [8·size·f, 8·size·(f+1)); a stage whose byte length
+// is not a multiple of 8 ends in a zero-padded partial word. Whole words
+// go four at a time: one OR of their XORs skips an unchanged 32-byte
+// block, the common case between polls.
+
+// laneHighBits has the highest bit of every field set, per counter size.
+var laneHighBits = [5]uint64{1: 0x8080808080808080, 2: 0x8000800080008000, 4: 0x8000000080000000}
+
+// fieldMarks turns every nonzero field of x into a field holding 1 and
+// every zero field into 0: adding ^hi to the field's low bits carries into
+// its high bit exactly when they are nonzero.
+func fieldMarks(x, hi uint64, shift uint) uint64 {
+	return ((((x &^ hi) + ^hi) | x) & hi) >> shift
+}
+
+// xorBlock returns the XORs of the four little-endian words of a and b.
+func xorBlock(a, b *[32]byte) (x0, x1, x2, x3 uint64) {
+	le := binary.LittleEndian
+	return le.Uint64(a[0:8]) ^ le.Uint64(b[0:8]), le.Uint64(a[8:16]) ^ le.Uint64(b[8:16]),
+		le.Uint64(a[16:24]) ^ le.Uint64(b[16:24]), le.Uint64(a[24:32]) ^ le.Uint64(b[24:32])
+}
+
+// tailWord loads the (at most eight) bytes of b from i on as a
+// little-endian word, zero-padded.
+func tailWord(b []byte, i int) uint64 {
+	var w uint64
+	for j, c := range b[i:min(i+8, len(b))] {
+		w |= uint64(c) << (8 * j)
+	}
+	return w
+}
+
+// countChanged counts the counters of size bytes that differ between a
+// and b (one stage each, equal lengths). A block's field marks are summed
+// (at most 4 per field) and the sum's fields added by one multiply.
+func countChanged(a, b []byte, size int) int {
+	hi, shift := laneHighBits[size], uint(8*size-1)
+	ones, top := hi>>shift, uint(64-8*size)
+	n, i := 0, 0
+	for ; i+32 <= len(a); i += 32 {
+		x0, x1, x2, x3 := xorBlock((*[32]byte)(a[i:]), (*[32]byte)(b[i:]))
+		if x0|x1|x2|x3 != 0 {
+			m := fieldMarks(x0, hi, shift) + fieldMarks(x1, hi, shift) +
+				fieldMarks(x2, hi, shift) + fieldMarks(x3, hi, shift)
+			n += int(m * ones >> top)
+		}
+	}
+	for ; i < len(a); i += 8 {
+		m := fieldMarks(tailWord(a, i)^tailWord(b, i), hi, shift)
+		n += int(m * ones >> top)
+	}
+	return n
+}
+
+// stageDiff writes the index and new value of every counter that differs
+// between the stage bytes of a base and a current snapshot into idx and
+// val, which countChanged sized exactly.
+type stageDiff struct {
+	idx   []uint32
+	val   []byte
+	k     int  // entries written
+	size  int  // bytes per counter
+	shift uint // log2 of the bits per counter
+}
+
+// word records the changed fields of x, the XOR of the base and current
+// words at byte offset i; cw is the current word.
+func (d *stageDiff) word(i int, x, cw uint64) {
+	mask := uint64(1)<<(8*d.size) - 1
+	first := uint32(i >> (d.shift - 3))
+	for x != 0 {
+		f := uint(bits.TrailingZeros64(x)) >> d.shift
+		pos := f << d.shift
+		d.idx[d.k] = first + uint32(f)
+		v := cw >> pos
+		switch d.size {
+		case 1:
+			d.val[d.k] = uint8(v)
+		case 2:
+			binary.LittleEndian.PutUint16(d.val[2*d.k:], uint16(v))
+		default:
+			binary.LittleEndian.PutUint32(d.val[4*d.k:], uint32(v))
+		}
+		d.k++
+		x &^= mask << pos
+	}
+}
+
+// diffStage fills idx and val from stage bytes a (base) and b (current);
+// only words that differ are walked per field.
+func diffStage(idx []uint32, val []byte, a, b []byte, size int) {
+	d := stageDiff{idx: idx, val: val, size: size, shift: uint(bits.TrailingZeros(uint(size))) + 3}
+	i := 0
+	for ; i+32 <= len(a); i += 32 {
+		pb := (*[32]byte)(b[i:])
+		x0, x1, x2, x3 := xorBlock((*[32]byte)(a[i:]), pb)
+		if x0|x1|x2|x3 == 0 {
+			continue
+		}
+		le := binary.LittleEndian
+		if x0 != 0 {
+			d.word(i, x0, le.Uint64(pb[0:8]))
+		}
+		if x1 != 0 {
+			d.word(i+8, x1, le.Uint64(pb[8:16]))
+		}
+		if x2 != 0 {
+			d.word(i+16, x2, le.Uint64(pb[16:24]))
+		}
+		if x3 != 0 {
+			d.word(i+24, x3, le.Uint64(pb[24:32]))
+		}
+	}
+	for ; i < len(a); i += 8 {
+		cw := tailWord(b, i)
+		if w := tailWord(a, i) ^ cw; w != 0 {
+			d.word(i, w, cw)
+		}
+	}
+}
 
 // DiffSnapshots computes the registers of cur that differ from base, as
 // per-stage delta blocks in tree/stage/index order. ok is false when the
 // snapshots do not share a geometry (no delta exists between them).
+//
+// Each stage is compared eight bytes at a time; only words that differ
+// are walked field by field. A first pass counts the changed counters so
+// the blocks' indexes and values land in two buffers allocated once at
+// their exact size.
 func DiffSnapshots(base, cur *Snapshot) (blocks []DeltaBlock, ok bool) {
-	if base == nil || cur == nil || !base.SameGeometry(cur) {
+	if base == nil || cur == nil || !base.SameGeometry(cur) || len(base.Regs) != base.regsLen() {
 		return nil, false
 	}
-	for t := range cur.Values {
-		for l := range cur.Values[t] {
-			bv, cv := base.Values[t][l], cur.Values[t][l]
-			// Prescreen 16-value (64-byte) runs with a word-wide memory
-			// compare over the slices' raw bytes; only runs that differ are
-			// walked per register. Between polls most registers are
-			// unchanged, so diff cost becomes proportional to the changed
-			// blocks rather than the sketch size.
-			bb, cb := sketch.BytesU32(bv), sketch.BytesU32(cv)
-			var idx, val []uint32
-			const run = 16
-			for lo := 0; lo < len(cv); lo += run {
-				end := lo + run
-				if end > len(cv) {
-					end = len(cv)
-				}
-				if bytes.Equal(bb[4*lo:4*end], cb[4*lo:4*end]) {
-					continue
-				}
-				for i := lo; i < end; i++ {
-					if cv[i] != bv[i] {
-						idx = append(idx, uint32(i))
-						val = append(val, cv[i])
-					}
-				}
-			}
-			if len(idx) > 0 {
-				blocks = append(blocks, DeltaBlock{Tree: t, Stage: l, Indexes: idx, Values: val})
-			}
+	counts := make([]int, 0, base.Trees*len(base.Widths))
+	nBlocks, nIdx, nVal := 0, 0, 0
+	base.eachStage(func(_, _ int, sp stageSpan) {
+		c := countChanged(sp.bytes(base.Regs), sp.bytes(cur.Regs), sp.size)
+		counts = append(counts, c)
+		if c > 0 {
+			nBlocks, nIdx, nVal = nBlocks+1, nIdx+c, nVal+c*sp.size
 		}
+	})
+	if nBlocks == 0 {
+		return nil, true
 	}
+	blocks = make([]DeltaBlock, 0, nBlocks)
+	idx, val := make([]uint32, nIdx), make([]byte, nVal)
+	i := 0
+	base.eachStage(func(t, l int, sp stageSpan) {
+		c := counts[i]
+		i++
+		if c == 0 {
+			return
+		}
+		b := DeltaBlock{Tree: t, Stage: l, Indexes: idx[:c:c], Values: val[: c*sp.size : c*sp.size]}
+		idx, val = idx[c:], val[c*sp.size:]
+		diffStage(b.Indexes, b.Values, sp.bytes(base.Regs), sp.bytes(cur.Regs), sp.size)
+		blocks = append(blocks, b)
+	})
 	return blocks, true
 }
 
 // ApplyDelta returns a new snapshot: base with every block's registers
-// overwritten. The base is not modified. Any block naming a tree, stage or
-// index outside the base's geometry is an error — the delta was diffed
-// against a different baseline and must not be merged.
+// overwritten — one copy of base's registers, then a scatter. The base is
+// not modified. Any block naming a tree, stage or index outside the
+// base's geometry, or carrying values of another width than its stage's,
+// is an error — the delta was diffed against a different baseline and
+// must not be merged.
 func ApplyDelta(base *Snapshot, blocks []DeltaBlock) (*Snapshot, error) {
+	if want := base.regsLen(); len(base.Regs) != want {
+		return nil, fmt.Errorf("collect: delta base holds %dB of registers, geometry implies %d", len(base.Regs), want)
+	}
 	out := base.Clone()
 	for bi, b := range blocks {
-		if b.Tree < 0 || b.Tree >= len(out.Values) {
-			return nil, fmt.Errorf("collect: delta block %d names tree %d of %d", bi, b.Tree, len(out.Values))
+		if b.Tree < 0 || b.Tree >= out.Trees {
+			return nil, fmt.Errorf("collect: delta block %d names tree %d of %d", bi, b.Tree, out.Trees)
 		}
-		if b.Stage < 0 || b.Stage >= len(out.Values[b.Tree]) {
-			return nil, fmt.Errorf("collect: delta block %d names stage %d of %d", bi, b.Stage, len(out.Values[b.Tree]))
+		if b.Stage < 0 || b.Stage >= len(out.Widths) {
+			return nil, fmt.Errorf("collect: delta block %d names stage %d of %d", bi, b.Stage, len(out.Widths))
 		}
-		stage := out.Values[b.Tree][b.Stage]
-		if len(b.Indexes) != len(b.Values) {
-			return nil, fmt.Errorf("collect: delta block %d has %d indexes, %d values", bi, len(b.Indexes), len(b.Values))
+		sp := out.span(b.Tree, b.Stage)
+		if len(b.Values) != len(b.Indexes)*sp.size {
+			return nil, fmt.Errorf("collect: delta block %d has %d indexes and %dB of values, stage counters are %dB",
+				bi, len(b.Indexes), len(b.Values), sp.size)
 		}
+		stage := sp.bytes(out.Regs)
 		for i, idx := range b.Indexes {
-			if int(idx) >= len(stage) {
-				return nil, fmt.Errorf("collect: delta block %d index %d outside stage of %d", bi, idx, len(stage))
+			if int(idx) >= sp.n {
+				return nil, fmt.Errorf("collect: delta block %d index %d outside stage of %d", bi, idx, sp.n)
 			}
-			stage[idx] = b.Values[i]
+			switch sp.size {
+			case 1:
+				stage[idx] = b.Values[i]
+			case 2:
+				copy(stage[2*idx:2*idx+2], b.Values[2*i:2*i+2])
+			default:
+				copy(stage[4*idx:4*idx+4], b.Values[4*i:4*i+4])
+			}
 		}
 	}
 	return out, nil
 }
 
-// deltaBlocksEncodedSize is the exact encoded size of a delta-frame body
+// deltaBlocksEncodedSize is the exact encoded size of a delta frame
 // holding blocks (used to pick delta vs full before encoding anything).
 func deltaBlocksEncodedSize(blocks []DeltaBlock) int {
 	n := 4 // block count
 	for _, b := range blocks {
-		n += 8 + 8*len(b.Indexes) // tree, stage, pad, count, entries
+		n += deltaBlockHeaderLen + 4*len(b.Indexes) + len(b.Values)
 	}
 	return deltaHeaderLen + n + deltaTrailerLen
 }
 
-// encodedSizeV2 is the exact size Encode would produce for the snapshot,
-// computed without encoding.
-func (s *Snapshot) encodedSizeV2() int {
-	n := 16 + len(s.Widths) // header + width bytes
-	for t := range s.Values {
-		for l := range s.Values[t] {
-			n += 4 + 4*len(s.Values[t][l])
-		}
-	}
-	return n + 4 // CRC trailer
-}
-
-// Encode serializes the frame.
+// Encode serializes the frame as FCMD version 4.
 //
-// Layout (all big-endian):
+// Layout (integers big-endian unless noted):
 //
-//	u32 magic "FCMD", u8 version(3), u8 flags, u16 pad,
+//	u32 magic "FCMD", u8 version(4), u8 flags, u16 pad,
 //	u64 baseGen, u64 newGen, u32 stateCRC, u32 bodyLen,
-//	body (full: a complete v2 snapshot; delta: u32 blockCount, then per
-//	block u8 tree, u8 stage, u16 pad, u32 count, count × (u32 idx, u32 val)),
+//	body (full: a complete FCMS version-3 snapshot; delta: u32 blockCount,
+//	then per block u8 tree, u8 stage, u8 value bytes (1, 2 or 4), u8 pad,
+//	u32 count ≥ 1, count × u32 index, count × value at the value width,
+//	little-endian),
 //	u32 crc32c over everything above
 func (f *DeltaFrame) Encode() ([]byte, error) {
 	return f.AppendEncode(nil)
@@ -281,7 +387,7 @@ func (f *DeltaFrame) AppendEncode(dst []byte) ([]byte, error) {
 		if f.Snap == nil {
 			return nil, fmt.Errorf("collect: full delta frame without snapshot")
 		}
-		dst = slices.Grow(dst, deltaHeaderLen+f.Snap.encodedSizeV2()+deltaTrailerLen)
+		dst = slices.Grow(dst, deltaHeaderLen+f.Snap.encodedSize()+deltaTrailerLen)
 	} else {
 		dst = slices.Grow(dst, deltaBlocksEncodedSize(f.Blocks))
 	}
@@ -305,25 +411,29 @@ func (f *DeltaFrame) AppendEncode(dst []byte) ([]byte, error) {
 			if b.Tree < 0 || b.Tree > 255 || b.Stage < 0 || b.Stage > 255 {
 				return nil, fmt.Errorf("collect: delta block tree/stage out of range: %d/%d", b.Tree, b.Stage)
 			}
-			if len(b.Indexes) != len(b.Values) {
-				return nil, fmt.Errorf("collect: delta block has %d indexes, %d values", len(b.Indexes), len(b.Values))
+			w := b.valueBytes()
+			if w == 0 {
+				return nil, fmt.Errorf("collect: delta block has %d indexes and %dB of values", len(b.Indexes), len(b.Values))
 			}
-			dst = append(dst, uint8(b.Tree), uint8(b.Stage), 0, 0)
+			dst = append(dst, uint8(b.Tree), uint8(b.Stage), uint8(w), 0)
 			dst = binary.BigEndian.AppendUint32(dst, uint32(len(b.Indexes)))
-			for i := range b.Indexes {
-				dst = binary.BigEndian.AppendUint32(dst, b.Indexes[i])
-				dst = binary.BigEndian.AppendUint32(dst, b.Values[i])
+			for _, idx := range b.Indexes {
+				dst = binary.BigEndian.AppendUint32(dst, idx)
 			}
+			dst = append(dst, b.Values...)
 		}
 	}
 	binary.BigEndian.PutUint32(dst[start+28:], uint32(len(dst)-bodyStart))
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
 }
 
-// DecodeDeltaFrame parses an encoded v3 frame, verifying the frame CRC
+// DecodeDeltaFrame parses an encoded frame, verifying the frame CRC
 // before trusting any field. A full frame's embedded snapshot is decoded
 // (its own CRC re-verified) and checked against the frame's StateCRC, so a
-// decoded full frame is always internally consistent.
+// decoded full frame is always internally consistent. Only FCMD version 4
+// decodes, and only with an FCMS version-3 body: both ends of a
+// collection link move versions together, so a mismatch is a decode
+// error, never a guess.
 func DecodeDeltaFrame(data []byte) (*DeltaFrame, error) {
 	if len(data) < deltaHeaderLen+deltaTrailerLen {
 		return nil, fmt.Errorf("collect: delta frame of %dB too short", len(data))
@@ -342,6 +452,9 @@ func DecodeDeltaFrame(data []byte) (*DeltaFrame, error) {
 	if flags&^uint8(deltaFlagFull) != 0 {
 		return nil, fmt.Errorf("collect: unknown delta flags 0x%02x", flags)
 	}
+	if pad := binary.BigEndian.Uint16(data[6:]); pad != 0 {
+		return nil, fmt.Errorf("collect: delta frame padding 0x%04x must be zero", pad)
+	}
 	f := &DeltaFrame{
 		Full:     flags&deltaFlagFull != 0,
 		BaseGen:  binary.BigEndian.Uint64(data[8:]),
@@ -350,11 +463,11 @@ func DecodeDeltaFrame(data []byte) (*DeltaFrame, error) {
 	}
 	bodyLen := binary.BigEndian.Uint32(data[28:])
 	payload := data[deltaHeaderLen : len(data)-4]
-	if int(bodyLen) != len(payload) {
+	if int64(bodyLen) != int64(len(payload)) {
 		return nil, fmt.Errorf("collect: delta body length %d, frame carries %d", bodyLen, len(payload))
 	}
 	if f.Full {
-		snap, err := DecodeSnapshot(payload)
+		snap, err := decodeSnapshot(payload, false)
 		if err != nil {
 			return nil, fmt.Errorf("collect: embedded full snapshot: %w", err)
 		}
@@ -367,55 +480,45 @@ func DecodeDeltaFrame(data []byte) (*DeltaFrame, error) {
 		f.Snap = snap
 		return f, nil
 	}
-	r := bytes.NewReader(payload)
-	var nBlocks uint32
-	if err := binary.Read(r, binary.BigEndian, &nBlocks); err != nil {
-		return nil, fmt.Errorf("collect: delta block count: %w", err)
+	if len(payload) < 4 {
+		return nil, fmt.Errorf("collect: delta block count truncated")
 	}
-	// Every block costs ≥ 8 bytes on the wire, so the remaining payload
-	// bounds the count before any allocation proportional to it.
-	if int64(nBlocks)*8 > int64(r.Len()) {
-		return nil, fmt.Errorf("collect: %d delta blocks cannot fit %d body bytes", nBlocks, r.Len())
+	nBlocks := binary.BigEndian.Uint32(payload)
+	p := payload[4:]
+	// Every block costs at least a header and one entry on the wire, so
+	// the remaining payload bounds the count before any allocation
+	// proportional to it.
+	if int64(nBlocks)*(deltaBlockHeaderLen+5) > int64(len(p)) {
+		return nil, fmt.Errorf("collect: %d delta blocks cannot fit %d body bytes", nBlocks, len(p))
 	}
-	total := 0
+	f.Blocks = make([]DeltaBlock, 0, nBlocks)
 	for bi := uint32(0); bi < nBlocks; bi++ {
-		var bh struct {
-			Tree  uint8
-			Stage uint8
-			Pad   uint16
-			Count uint32
+		if len(p) < deltaBlockHeaderLen {
+			return nil, fmt.Errorf("collect: delta block %d header truncated", bi)
 		}
-		if err := binary.Read(r, binary.BigEndian, &bh); err != nil {
-			return nil, fmt.Errorf("collect: delta block %d header: %w", bi, err)
-		}
-		if bh.Pad != 0 {
+		w, count := int(p[2]), binary.BigEndian.Uint32(p[4:])
+		switch {
+		case p[3] != 0:
 			return nil, fmt.Errorf("collect: delta block %d nonzero padding", bi)
+		case w != 1 && w != 2 && w != 4:
+			return nil, fmt.Errorf("collect: delta block %d values of %d bytes", bi, w)
+		case count == 0:
+			return nil, fmt.Errorf("collect: delta block %d is empty", bi)
+		case int64(count)*int64(4+w) > int64(len(p)-deltaBlockHeaderLen):
+			return nil, fmt.Errorf("collect: delta block %d claims %d entries beyond body", bi, count)
 		}
-		if int64(bh.Count)*8 > int64(r.Len()) {
-			return nil, fmt.Errorf("collect: delta block %d claims %d entries beyond body", bi, bh.Count)
+		n := int(count)
+		b := DeltaBlock{Tree: int(p[0]), Stage: int(p[1]), Indexes: make([]uint32, n)}
+		p = p[deltaBlockHeaderLen:]
+		for i := range b.Indexes {
+			b.Indexes[i] = binary.BigEndian.Uint32(p[4*i:])
 		}
-		total += int(bh.Count) * 8
-		if total > maxSaneBytes {
-			return nil, fmt.Errorf("collect: delta claims over %dB of entries", maxSaneBytes)
-		}
-		b := DeltaBlock{
-			Tree:    int(bh.Tree),
-			Stage:   int(bh.Stage),
-			Indexes: make([]uint32, bh.Count),
-			Values:  make([]uint32, bh.Count),
-		}
-		for i := uint32(0); i < bh.Count; i++ {
-			var entry [8]byte
-			if _, err := r.Read(entry[:]); err != nil {
-				return nil, fmt.Errorf("collect: delta block %d entry %d: %w", bi, i, err)
-			}
-			b.Indexes[i] = binary.BigEndian.Uint32(entry[0:])
-			b.Values[i] = binary.BigEndian.Uint32(entry[4:])
-		}
+		b.Values = slices.Clone(p[4*n : 4*n+w*n])
+		p = p[(4+w)*n:]
 		f.Blocks = append(f.Blocks, b)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("collect: %d trailing bytes after delta blocks", r.Len())
+	if len(p) != 0 {
+		return nil, fmt.Errorf("collect: %d trailing bytes after delta blocks", len(p))
 	}
 	return f, nil
 }

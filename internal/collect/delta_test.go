@@ -90,10 +90,13 @@ func TestApplyDeltaRejectsOutOfRange(t *testing.T) {
 		name  string
 		block DeltaBlock
 	}{
-		{"tree", DeltaBlock{Tree: 99, Indexes: []uint32{0}, Values: []uint32{1}}},
-		{"stage", DeltaBlock{Stage: 99, Indexes: []uint32{0}, Values: []uint32{1}}},
-		{"index", DeltaBlock{Indexes: []uint32{1 << 30}, Values: []uint32{1}}},
-		{"length", DeltaBlock{Indexes: []uint32{0, 1}, Values: []uint32{1}}},
+		{"tree", DeltaBlock{Tree: 99, Indexes: []uint32{0}, Values: []byte{1}}},
+		{"stage", DeltaBlock{Stage: 99, Indexes: []uint32{0}, Values: []byte{1}}},
+		{"index", DeltaBlock{Indexes: []uint32{1 << 30}, Values: []byte{1}}},
+		{"length", DeltaBlock{Indexes: []uint32{0, 1}, Values: []byte{1}}},
+		// Stage 1 of filledSketch is 16 bits wide: one-byte values were
+		// diffed against another geometry.
+		{"width", DeltaBlock{Stage: 1, Indexes: []uint32{0}, Values: []byte{1}}},
 	} {
 		if _, err := ApplyDelta(base, []DeltaBlock{tc.block}); err == nil {
 			t.Errorf("%s: out-of-range block applied without error", tc.name)
@@ -159,8 +162,8 @@ func TestDeltaFrameSizeComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(fullBytes), cur.encodedSizeV2(); got != want {
-		t.Fatalf("encodedSizeV2 predicted %d, encoded %d", want, got)
+	if got, want := len(fullBytes), cur.encodedSize(); got != want {
+		t.Fatalf("encodedSize predicted %d, encoded %d", want, got)
 	}
 	if len(data) >= len(fullBytes) {
 		t.Fatalf("one-update delta (%dB) not smaller than full snapshot (%dB)", len(data), len(fullBytes))

@@ -18,7 +18,7 @@ var updateDeltaCorpus = flag.Bool("update-delta-corpus", false,
 // three pinned golden vectors plus one representative of each fault class
 // the protocol must degrade through — truncation, bit flips in the header
 // and body, a lying body length, an absurd block count, a version from the
-// future, and the empty input.
+// future, a retired version with valid checksums, and the empty input.
 func deltaFrameSeeds() [][]byte {
 	mustHex := func(s string) []byte {
 		b, err := hex.DecodeString(s)
@@ -41,17 +41,18 @@ func deltaFrameSeeds() [][]byte {
 		empty,
 		delta,
 		full,
-		nil,                                // empty input
-		delta[:deltaHeaderLen],             // header only, no body or trailer
-		delta[:len(delta)-1],               // trailer truncated
-		flip(empty, 4, 0x01),               // version byte: 3 -> 2
-		flip(empty, 4, 0x07),               // version byte: 3 -> 4 (future)
-		flip(delta, 5, 0x01),               // flags: delta claims to be full
-		flip(delta, deltaHeaderLen, 0x80),  // block count goes enormous
-		flip(delta, 24, 0x01),              // stateCRC corrupted
-		flip(delta, 28, 0x01),              // bodyLen lies by one
-		flip(full, deltaHeaderLen+2, 0x01), // embedded v2 version corrupted
-		flip(full, len(full)-2, 0xff),      // frame trailer corrupted
+		nil,                                 // empty input
+		delta[:deltaHeaderLen],              // header only, no body or trailer
+		delta[:len(delta)-1],                // trailer truncated
+		mustHex(retiredDeltaV3Hex),          // version 3 with valid checksums
+		flip(empty, 4, 0x01),                // version byte: 4 -> 5 (future)
+		flip(delta, 5, 0x01),                // flags: delta claims to be full
+		flip(delta, deltaHeaderLen, 0x80),   // block count goes enormous
+		flip(delta, deltaHeaderLen+6, 0x03), // block value width: 1 -> 2
+		flip(delta, 24, 0x01),               // stateCRC corrupted
+		flip(delta, 28, 0x01),               // bodyLen lies by one
+		flip(full, deltaHeaderLen+4, 0x01),  // embedded snapshot version: 3 -> 2
+		flip(full, len(full)-2, 0xff),       // frame trailer corrupted
 	}
 }
 

@@ -4,37 +4,44 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
+	"strings"
 	"testing"
 )
 
-// Codec v3 golden vectors, pinned against the same goldenSketch the v2
-// vector uses. Any codec change that alters these bytes breaks deployed
-// collectors mid-fleet and must bump the version instead of silently
-// shifting the layout.
+// FCMD version-4 golden vectors, pinned against the same goldenSketch the
+// snapshot vectors use. Any codec change that alters these bytes breaks
+// deployed collectors mid-fleet and must bump the version instead of
+// silently shifting the layout.
 //
-// Shared layout (big-endian): magic "FCMD", version 3, flags, pad,
+// Shared layout (big-endian): magic "FCMD", version 4, flags, pad,
 // baseGen u64, newGen u64, stateCRC u32 (CRC-32C over the complete
 // post-apply register state), bodyLen u32, body, CRC-32C trailer over
 // everything before it.
 const (
 	// goldenEmptyDeltaHex is the nothing-changed frame: baseGen = newGen
-	// = 7, zero delta blocks, state CRC 0xa24a7eba of the unchanged golden
+	// = 7, zero delta blocks, state CRC 0x32bd3486 of the unchanged golden
 	// registers. At 40 bytes it is the steady-state cost of polling an
-	// idle switch — versus 53 bytes for the full golden snapshot (and tens
-	// of KB for paper-sized geometries).
-	goldenEmptyDeltaHex = "46434d440300000000000000000000070000000000000007a24a7eba0000000400000000e6d30518"
+	// idle switch — versus 64 bytes for the full golden frame (and about a
+	// megabyte for the paper-sized geometry).
+	goldenEmptyDeltaHex = "46434d44040000000000000000000007000000000000000732bd348600000004000000000fd26a10"
 
 	// goldenDeltaHex carries one changed register: flow 3 of the golden
 	// sketch incremented by 2, which lands in tree 0, stage 1, index 1
 	// (the leaf stage is already saturated at its overflow marker, so only
-	// the stage-1 counter moves: 11 → 13... encoded value 0x04 is the
-	// stored register). baseGen 7 → newGen 9, one block, one entry.
-	goldenDeltaHex = "46434d44030000000000000000000007000000000000000984eb99520000001400000001000100000000000100000001000000049b180432"
+	// the stage-1 counter moves, 2 → 4). baseGen 7 → newGen 9, one block
+	// (tree 0, stage 1, one-byte values, pad, count 1), index 1, value 04.
+	goldenDeltaHex = "46434d440400000000000000000000070000000000000009141cd36e0000001100000001000101000000000100000001049ec0ccaa"
 
 	// goldenFullDeltaHex is the fallback frame: flags bit0 set, baseGen 0,
-	// and the body is the complete v2 encoding (magic "FCMS" and its own
-	// CRC trailer) of the post-update golden sketch.
-	goldenFullDeltaHex = "46434d44030100000000000000000000000000000000000984eb99520000003646434d5302010200000000020000000402040000000400000003000000030000000300000002000000020000000b00000004f9f481d335b0bb9e"
+	// and the body is the complete FCMS version-3 encoding (magic "FCMS"
+	// and its own CRC trailer) of the post-update golden sketch.
+	goldenFullDeltaHex = "46434d440401000000000000000000000000000000000009141cd36e0000001c46434d530301020000000002000000040204030303020b04c1ed6ea2e23b6cfe"
+
+	// retiredDeltaV3Hex is an FCMD version-3 frame with valid checksums —
+	// the empty delta over the golden registers as the previous codec
+	// encoded it. Version 4 decoders must reject it.
+	retiredDeltaV3Hex = "46434d440300000000000000000000070000000000000007a24a7eba0000000400000000e6d30518"
 )
 
 // goldenDeltaSketches returns the (base, cur) snapshot pair the delta
@@ -83,15 +90,16 @@ func TestGoldenDeltaFrameEncoding(t *testing.T) {
 		t.Fatalf("full frame drifted from pinned vector:\n got %s\nwant %s", got, goldenFullDeltaHex)
 	}
 
-	// The full frame's body must be exactly the v2 golden encoding of the
-	// post-update sketch — v3's fallback rung IS v2, not a near-copy.
+	// The full frame's body must be exactly the version-3 snapshot
+	// encoding of the post-update sketch — the fallback rung IS a plain
+	// snapshot, not a near-copy.
 	body := fb[deltaHeaderLen : len(fb)-deltaTrailerLen]
-	v2, err := cur.Encode()
+	plain, err := cur.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(body, v2) {
-		t.Fatalf("full-frame body is not the v2 encoding:\n got %x\nwant %x", body, v2)
+	if !bytes.Equal(body, plain) {
+		t.Fatalf("full-frame body is not the snapshot encoding:\n got %x\nwant %x", body, plain)
 	}
 }
 
@@ -155,7 +163,7 @@ func TestGoldenDeltaFrameDecodes(t *testing.T) {
 }
 
 // TestGoldenDeltaRejectsEveryBitFlip: the frame CRC covers every byte of
-// every v3 frame shape — header fields, delta entries, the embedded full
+// every version-4 frame shape — header fields, delta entries, the embedded full
 // snapshot, and the trailer itself.
 func TestGoldenDeltaRejectsEveryBitFlip(t *testing.T) {
 	for _, vec := range []struct {
@@ -177,5 +185,40 @@ func TestGoldenDeltaRejectsEveryBitFlip(t *testing.T) {
 				t.Fatalf("%s frame: decode accepted a bit flip at byte %d", vec.name, i)
 			}
 		}
+	}
+}
+
+// TestRetiredFrameVersionsRejected pins the upgrade rule: both ends of a
+// collection link move together, and a frame of a retired version —
+// FCMD version 3, FCMW version 1, or a version-4 full frame embedding an
+// FCMS version-2 body — is a decode error even with every checksum
+// valid, never a guess at its layout.
+func TestRetiredFrameVersionsRejected(t *testing.T) {
+	v3, _ := hex.DecodeString(retiredDeltaV3Hex)
+	if _, err := DecodeDeltaFrame(v3); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("FCMD version 3 frame: err = %v, want an unsupported-version error", err)
+	}
+	w1, _ := hex.DecodeString(retiredWindowV1Hex)
+	if _, _, err := DecodeWindow(w1); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("FCMW version 1 frame: err = %v, want an unsupported-version error", err)
+	}
+
+	// A version-4 full frame around the version-2 golden body, with a
+	// correct frame CRC and the body's own state CRC.
+	v2, _ := hex.DecodeString(goldenSnapshotHex)
+	snap, err := DecodeSnapshot(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, deltaMagic)
+	frame = append(frame, deltaVersion, deltaFlagFull, 0, 0)
+	frame = binary.BigEndian.AppendUint64(frame, 0)
+	frame = binary.BigEndian.AppendUint64(frame, 1)
+	frame = binary.BigEndian.AppendUint32(frame, snap.StateCRC())
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(v2)))
+	frame = append(frame, v2...)
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli))
+	if _, err := DecodeDeltaFrame(frame); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("full frame embedding FCMS version 2: err = %v, want an unsupported-version error", err)
 	}
 }

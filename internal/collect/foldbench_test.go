@@ -156,3 +156,33 @@ func TestDeltaAppendEncodeMatchesEncode(t *testing.T) {
 		}
 	}
 }
+
+// TestTakeSnapshotIntoAllocs pins the per-poll read-out alloc-free: a
+// snapshot taken into a reused one copies every stage into the buffers it
+// already holds, and the state CRC over it allocates nothing either.
+func TestTakeSnapshotIntoAllocs(t *testing.T) {
+	sk, err := core.New(core.Config{K: 8, Trees: 2, LeafWidth: 4096, Widths: []int{8, 16, 32}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	key := make([]byte, 4)
+	for i := 0; i < 20000; i++ {
+		key[0], key[1] = byte(i), byte(i>>8)
+		sk.Update(key, 1)
+	}
+	snap := TakeSnapshot(sk)
+	want := snap.StateCRC()
+	if n := testing.AllocsPerRun(20, func() {
+		if TakeSnapshotInto(snap, sk) != snap {
+			t.Fatal("TakeSnapshotInto returned another snapshot")
+		}
+	}); n != 0 {
+		t.Fatalf("TakeSnapshotInto a reused snapshot allocates %.1f objects/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = snap.StateCRC() }); n != 0 {
+		t.Fatalf("StateCRC allocates %.1f objects/op, want 0", n)
+	}
+	if got := snap.StateCRC(); got != want {
+		t.Fatalf("reused snapshot state CRC 0x%08x, fresh 0x%08x", got, want)
+	}
+}

@@ -2,12 +2,13 @@ package collect
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"github.com/fcmsketch/fcm/internal/core"
 )
 
-// FuzzDeltaFrame fuzzes the codec v3 frame as the client consumes it:
+// FuzzDeltaFrame fuzzes the FCMD delta frame as the client consumes it:
 // decode, then the client's apply gate against a fixed baseline. The
 // invariant is the protocol's core promise — every mutation either decodes
 // to a frame whose application reproduces exactly the state its CRC pins,
@@ -86,7 +87,8 @@ func baselineForFuzz() *Snapshot {
 }
 
 // FuzzDecodeSnapshot checks the codec never panics or over-allocates on
-// malformed snapshots, and that valid snapshots survive re-encoding.
+// malformed snapshots, and that valid snapshots — FCMS version 3, or the
+// version 2 it still reads — survive re-encoding with their state intact.
 func FuzzDecodeSnapshot(f *testing.F) {
 	s, err := core.New(core.Config{K: 2, Trees: 1, LeafWidth: 8, Widths: []int{4, 8}})
 	if err != nil {
@@ -97,7 +99,22 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A flag-bit sketch whose stages span all three lane widths.
+	fb, err := core.New(core.Config{K: 2, Trees: 2, LeafWidth: 4, Widths: []int{7, 12, 20}, FlagBitIndicator: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fb.Update([]byte{5, 6, 7, 8}, 300)
+	wide, err := TakeSnapshot(fb).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	v3, _ := hex.DecodeString(goldenSnapshotV3Hex)
+	v2, _ := hex.DecodeString(goldenSnapshotHex)
 	f.Add(good)
+	f.Add(wide)
+	f.Add(v3)
+	f.Add(v2)
 	f.Add([]byte{})
 	f.Add(good[:8])
 
@@ -116,8 +133,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded snapshot failed to decode: %v", err)
 		}
-		if again.K != snap.K || again.Trees != snap.Trees || again.W1 != snap.W1 {
-			t.Fatal("snapshot geometry changed across round trip")
+		if !again.SameGeometry(snap) || again.StateCRC() != snap.StateCRC() {
+			t.Fatal("snapshot state changed across round trip")
+		}
+		if _, err := snap.Restore(nil); err != nil {
+			t.Fatalf("decoded snapshot does not restore: %v", err)
 		}
 	})
 }

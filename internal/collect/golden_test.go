@@ -13,16 +13,28 @@ import (
 	"github.com/fcmsketch/fcm/internal/hashing"
 )
 
-// goldenSnapshotHex is the exact v2 encoding of goldenSketch's snapshot,
-// CRC-32C trailer included. It pins the wire format: any codec change that
-// alters these bytes breaks decoding for every deployed collector and must
-// bump snapshotVersion instead of silently shifting the layout.
+// goldenSnapshotHex is the exact FCMS version-2 encoding of goldenSketch's
+// snapshot, CRC-32C trailer included. Nothing encodes version 2 any more;
+// the vector pins what DecodeSnapshot still reads (narrowing each u32
+// value to its stage's lane width).
 //
 // Layout (big-endian): magic "FCMS", version 2, trees 1, stages 2, pad,
 // k=2, w1=4, width bits {2,4}, then per-stage counts and values
 // (leaves [3 3 3 2] — 3 is the 2-bit overflow marker — and stage-1
 // [11 2]), then CRC-32C 0xdf55663b over everything before it.
 const goldenSnapshotHex = "46434d5302010200000000020000000402040000000400000003000000030000000300000002000000020000000b00000002df55663b"
+
+// goldenSnapshotV3Hex is the exact FCMS version-3 encoding of the same
+// snapshot. It pins the wire format: any codec change that alters these
+// bytes breaks decoding for every deployed collector and must bump
+// snapshotVersion instead of silently shifting the layout.
+//
+// Layout: magic "FCMS", version 3, trees 1, stages 2, flags 0 (marker
+// encoding), k=2, w1=4 (big-endian), width bits {2,4}, then the registers
+// at lane width — both stages fit one byte per counter, so leaves
+// 03 03 03 02 and stage-1 0b 02 — then CRC-32C 0xe74c894a over
+// everything before it.
+const goldenSnapshotV3Hex = "46434d530301020000000002000000040204030303020b02e74c894a"
 
 // goldenSketch builds the fixed sketch the golden vector was produced
 // from: 6 flows with sizes 1..6 through a tiny 2-ary geometry whose leaf
@@ -45,7 +57,7 @@ func goldenSketch(t *testing.T) *core.Sketch {
 }
 
 func TestGoldenSnapshotEncoding(t *testing.T) {
-	want, err := hex.DecodeString(goldenSnapshotHex)
+	want, err := hex.DecodeString(goldenSnapshotV3Hex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +66,7 @@ func TestGoldenSnapshotEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("snapshot encoding drifted from the pinned v2 golden vector:\n got %x\nwant %x", got, want)
+		t.Fatalf("snapshot encoding drifted from the pinned version-3 golden vector:\n got %x\nwant %x", got, want)
 	}
 	// The trailer must be CRC-32C (Castagnoli) of the body — pinned
 	// explicitly so the integrity check can't silently become a no-op.
@@ -62,8 +74,48 @@ func TestGoldenSnapshotEncoding(t *testing.T) {
 	if sum := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)); binary.BigEndian.Uint32(trailer) != sum {
 		t.Fatalf("trailer 0x%x is not the CRC-32C of the body (0x%08x)", trailer, sum)
 	}
-	if binary.BigEndian.Uint32(trailer) != 0xdf55663b {
-		t.Fatalf("trailer 0x%x drifted from pinned 0xdf55663b", trailer)
+	if binary.BigEndian.Uint32(trailer) != 0xe74c894a {
+		t.Fatalf("trailer 0x%x drifted from pinned 0xe74c894a", trailer)
+	}
+}
+
+// TestGoldenSnapshotV3Decodes: the version-3 vector restores the golden
+// registers, and the version-2 vector decodes to the same snapshot —
+// narrowing loses nothing.
+func TestGoldenSnapshotV3Decodes(t *testing.T) {
+	data, _ := hex.DecodeString(goldenSnapshotV3Hex)
+	snap, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := snap.Restore(hashing.NewBobFamily(0xfc3141 ^ 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := goldenSketch(t).FirstRegisterDiff(restored); d != "" {
+		t.Fatalf("version-3 golden vector does not restore the original registers: %s", d)
+	}
+	v2, _ := hex.DecodeString(goldenSnapshotHex)
+	old, err := DecodeSnapshot(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !old.SameGeometry(snap) || !bytes.Equal(old.Regs, snap.Regs) {
+		t.Fatalf("version-2 vector decodes to %+v, version 3 to %+v", old, snap)
+	}
+}
+
+// TestGoldenSnapshotV3RejectsEveryBitFlip: the CRC trailer catches a flip
+// at any byte of the version-3 vector — header, register bytes and the
+// trailer itself.
+func TestGoldenSnapshotV3RejectsEveryBitFlip(t *testing.T) {
+	data, _ := hex.DecodeString(goldenSnapshotV3Hex)
+	for i := range data {
+		corrupt := append([]byte(nil), data...)
+		corrupt[i] ^= 0x10
+		if _, err := DecodeSnapshot(corrupt); err == nil {
+			t.Fatalf("decode accepted a bit flip at byte %d", i)
+		}
 	}
 }
 
@@ -101,19 +153,19 @@ func TestGoldenSnapshotRejectsEveryBitFlip(t *testing.T) {
 
 // TestGoldenWireExchange pins the full TCP exchange of a first read: the
 // 19-byte no-baseline OpReadDelta request frame and the exact response
-// frame (length prefix, status byte, FCMD full frame) a server must
-// produce for the golden sketch. The full frame's body is the v2 golden
-// snapshot verbatim.
+// frame (length prefix, status byte, FCMD version-4 full frame) a server
+// must produce for the golden sketch. The full frame's body is the FCMS
+// version-3 golden snapshot verbatim.
 func TestGoldenWireExchange(t *testing.T) {
 	// Length 19, OpReadDelta, session ID 0x0102030405060708, no baseline,
 	// acked generation 0, trailing zero byte.
 	request, _ := hex.DecodeString("00000013" + "03" + "0102030405060708" + "00" + "0000000000000000" + "00")
-	// Magic "FCMD", version 3, flags full, pad, baseGen 0, newGen 0 (the
+	// Magic "FCMD", version 4, flags full, pad, baseGen 0, newGen 0 (the
 	// locked source's writes bypassed it), state CRC of the golden
-	// registers, body length 54.
-	header, _ := hex.DecodeString("46434d440301000000000000000000000000000000000000a24a7eba00000036")
-	payload, _ := hex.DecodeString(goldenSnapshotHex)
-	trailer, _ := hex.DecodeString("91bd174c")
+	// registers, body length 28.
+	header, _ := hex.DecodeString("46434d440401000000000000000000000000000000000000" + "32bd3486" + "0000001c")
+	payload, _ := hex.DecodeString(goldenSnapshotV3Hex)
+	trailer, _ := hex.DecodeString("a66dd6a6")
 	frameLen := len(header) + len(payload) + len(trailer)
 	wantResp := make([]byte, 0, 5+frameLen)
 	wantResp = binary.BigEndian.AppendUint32(wantResp, uint32(1+frameLen))

@@ -36,14 +36,10 @@ func TestPollerCollectsAndResets(t *testing.T) {
 		Reset:    true,
 		OnSnapshot: func(snap *Snapshot) {
 			snaps.Add(1)
-			for _, tree := range snap.Values {
-				for _, stage := range tree {
-					for _, v := range stage {
-						if v != 0 {
-							nonZero.Add(1)
-							return
-						}
-					}
+			for _, b := range snap.Regs {
+				if b != 0 {
+					nonZero.Add(1)
+					return
 				}
 			}
 		},

@@ -26,7 +26,7 @@ import (
 const (
 	// OpResetSketch clears the registers (window rotation).
 	OpResetSketch = 2
-	// OpReadDelta is the register read: it returns a codec v3 delta frame
+	// OpReadDelta is the register read: it returns an FCMD delta frame
 	// against the client's acked generation, or an embedded full snapshot
 	// when no usable baseline exists or a delta would not be smaller.
 	OpReadDelta = 3

@@ -186,7 +186,7 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 		switch {
 		case !ok:
 			fallback = fbGeometry
-		case deltaBlocksEncodedSize(blocks) >= deltaHeaderLen+cur.encodedSizeV2()+deltaTrailerLen:
+		case deltaBlocksEncodedSize(blocks) >= deltaHeaderLen+cur.encodedSize()+deltaTrailerLen:
 			fallback = fbDeltaLarger
 		default:
 			frame.BaseGen = ackedGen

@@ -10,16 +10,17 @@ import (
 // Window frame codec: a closed measurement window's snapshot plus the
 // temporal metadata the over-time ring keeps per bucket (coarsening
 // level, window span, generation range, wall-clock bounds, packet count).
-// The sketch body is the plain v2 snapshot encoding, byte-identical to
-// Snapshot.Encode — the windowed layer rides along without forking the
-// register wire format — and the whole frame carries its own CRC-32C
-// trailer, so metadata corruption is caught even though the embedded body
-// has a valid inner checksum.
+// The sketch body is the plain FCMS version-3 snapshot encoding,
+// byte-identical to Snapshot.Encode — the windowed layer rides along
+// without forking the register wire format — and the whole frame carries
+// its own CRC-32C trailer, so metadata corruption is caught even though
+// the embedded body has a valid inner checksum.
 const (
 	windowMagic = 0x46434d57 // "FCMW"
-	// Version 1: fixed 56-byte header, embedded v2 snapshot body, CRC-32C
-	// trailer over header+body.
-	windowVersion = 1
+	// Version 2: fixed 56-byte header, embedded FCMS version-3 body,
+	// CRC-32C trailer over header+body. (Version 1 embedded FCMS version
+	// 2.)
+	windowVersion = 2
 	// windowHeaderLen is the encoded header size:
 	// magic u32, version u8, level u8, reserved u16, span u32,
 	// firstGen u64, gen u64, minTime i64, maxTime i64, packets u64,
@@ -49,10 +50,11 @@ type WindowMeta struct {
 //
 // Layout (all big-endian):
 //
-//	u32 magic "FCMW", u8 version, u8 level, u16 reserved,
+//	u32 magic "FCMW", u8 version(2), u8 level, u16 reserved,
 //	u32 span, u64 firstGeneration, u64 generation,
 //	i64 minTimeUnixNano, i64 maxTimeUnixNano, u64 packets,
-//	u32 bodyLen, bodyLen × body (a v2 snapshot, Snapshot.Encode verbatim),
+//	u32 bodyLen, bodyLen × body (an FCMS version-3 snapshot,
+//	Snapshot.Encode verbatim),
 //	u32 crc32c over everything above
 func EncodeWindow(meta WindowMeta, snap *Snapshot) ([]byte, error) {
 	return AppendEncodeWindow(nil, meta, snap)
@@ -68,12 +70,8 @@ func AppendEncodeWindow(dst []byte, meta WindowMeta, snap *Snapshot) ([]byte, er
 		return nil, fmt.Errorf("collect: window frame generations inverted: [%d,%d]",
 			meta.FirstGeneration, meta.Generation)
 	}
-	body, err := snap.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("collect: window frame body: %w", err)
-	}
 	start := len(dst)
-	dst = slices.Grow(dst, windowHeaderLen+len(body)+4)
+	dst = slices.Grow(dst, windowHeaderLen+snap.encodedSize()+4)
 	dst = binary.BigEndian.AppendUint32(dst, windowMagic)
 	dst = append(dst, windowVersion, meta.Level, 0, 0)
 	dst = binary.BigEndian.AppendUint32(dst, meta.Span)
@@ -82,14 +80,19 @@ func AppendEncodeWindow(dst []byte, meta WindowMeta, snap *Snapshot) ([]byte, er
 	dst = binary.BigEndian.AppendUint64(dst, uint64(meta.MinTimeUnixNano))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(meta.MaxTimeUnixNano))
 	dst = binary.BigEndian.AppendUint64(dst, meta.Packets)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
-	dst = append(dst, body...)
+	dst = binary.BigEndian.AppendUint32(dst, 0) // bodyLen, patched below
+	bodyStart := len(dst)
+	dst, err := snap.AppendEncode(dst)
+	if err != nil {
+		return nil, fmt.Errorf("collect: window frame body: %w", err)
+	}
+	binary.BigEndian.PutUint32(dst[bodyStart-4:], uint32(len(dst)-bodyStart))
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
 }
 
 // DecodeWindow parses a window frame, verifying the outer CRC-32C trailer
 // before any field is trusted; the embedded snapshot body is then decoded
-// through the v2 path (which re-verifies its inner checksum).
+// as FCMS version 3 (which re-verifies its inner checksum).
 func DecodeWindow(data []byte) (WindowMeta, *Snapshot, error) {
 	var meta WindowMeta
 	if len(data) < windowHeaderLen+4 {
@@ -130,7 +133,7 @@ func DecodeWindow(data []byte) (WindowMeta, *Snapshot, error) {
 		return meta, nil, fmt.Errorf("collect: window frame body length %d does not match payload %d",
 			bodyLen, len(payload)-windowHeaderLen)
 	}
-	snap, err := DecodeSnapshot(payload[windowHeaderLen:])
+	snap, err := decodeSnapshot(payload[windowHeaderLen:], false)
 	if err != nil {
 		return meta, nil, err
 	}

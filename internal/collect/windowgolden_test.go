@@ -21,17 +21,25 @@ var goldenWindowMeta = WindowMeta{
 	Packets:         21,
 }
 
-// goldenWindowHex is the exact FCMW v1 encoding of goldenWindowMeta over
-// goldenSketch's snapshot, outer CRC-32C trailer included. It pins the
-// window frame wire format: any change that alters these bytes breaks
-// decoding for every deployed collector and must bump windowVersion
-// instead of silently shifting the layout.
+// goldenWindowHex is the exact FCMW version-2 encoding of
+// goldenWindowMeta over goldenSketch's snapshot, outer CRC-32C trailer
+// included. It pins the window frame wire format: any change that alters
+// these bytes breaks decoding for every deployed collector and must bump
+// windowVersion instead of silently shifting the layout.
 //
-// Layout (big-endian): magic "FCMW", version 1, level 1, reserved 0,
+// Layout (big-endian): magic "FCMW", version 2, level 1, reserved 0,
 // span 2, firstGen 3, gen 4, minTime/maxTime unix-nanos, packets 21,
-// bodyLen, the v2 snapshot body verbatim, then the outer CRC-32C.
-const goldenWindowHex = "46434d5701010000000000020000000000000003000000000000000417979cfe362a000017979cff602ff2000000000000000015000000364643" +
-	"4d5302010200000000020000000402040000000400000003000000030000000300000002000000020000000b00000002df55663b" +
+// bodyLen 28, the FCMS version-3 snapshot body verbatim, then the outer
+// CRC-32C.
+const goldenWindowHex = "46434d5702010000000000020000000000000003000000000000000417979cfe362a000017979cff602ff20000000000000000150000001c" +
+	"46434d530301020000000002000000040204030303020b02e74c894a" +
+	"f95f2207"
+
+// retiredWindowV1Hex is the FCMW version-1 frame of the same window — an
+// FCMS version-2 body — with valid checksums. Version-2 decoders must
+// reject it.
+const retiredWindowV1Hex = "46434d5701010000000000020000000000000003000000000000000417979cfe362a000017979cff602ff20000000000000000150000003646434d" +
+	"5302010200000000020000000402040000000400000003000000030000000300000002000000020000000b00000002df55663b" +
 	"732f8441"
 
 func TestGoldenWindowFrameEncoding(t *testing.T) {
@@ -55,7 +63,7 @@ func TestGoldenWindowFrameEncoding(t *testing.T) {
 }
 
 // TestGoldenWindowFrameEmbedsPlainSnapshot pins the body-identity claim:
-// the sketch bytes inside a window frame are the plain v2 snapshot
+// the sketch bytes inside a window frame are the plain version-3 snapshot
 // encoding, byte-for-byte — the temporal layer rides along without
 // forking the register wire format.
 func TestGoldenWindowFrameEmbedsPlainSnapshot(t *testing.T) {
@@ -63,13 +71,13 @@ func TestGoldenWindowFrameEmbedsPlainSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := hex.DecodeString(goldenSnapshotHex)
+	plain, err := hex.DecodeString(goldenSnapshotV3Hex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := frame[windowHeaderLen : len(frame)-4]
 	if !bytes.Equal(body, plain) {
-		t.Fatalf("embedded body is not the plain v2 snapshot:\n got %x\nwant %x", body, plain)
+		t.Fatalf("embedded body is not the plain snapshot:\n got %x\nwant %x", body, plain)
 	}
 }
 
@@ -89,7 +97,7 @@ func TestGoldenWindowFrameDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := hex.DecodeString(goldenSnapshotHex); !bytes.Equal(reenc, want) {
+	if want, _ := hex.DecodeString(goldenSnapshotV3Hex); !bytes.Equal(reenc, want) {
 		t.Fatalf("decoded body does not round-trip to the plain snapshot:\n got %x\nwant %x", reenc, want)
 	}
 }

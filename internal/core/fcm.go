@@ -112,6 +112,7 @@ func DefaultWidths() []int { return []int{8, 16, 32} }
 // laneKind selects which typed counter lane a stage's nodes live in.
 type laneKind uint8
 
+// The kinds are numbered so that a lane holds 1 << kind bytes per node.
 const (
 	laneU8  laneKind = iota // stage widths ≤ 8 bits: one byte per node
 	laneU16                 // 9–16 bits: two bytes per node
@@ -129,6 +130,11 @@ func laneKindFor(b int) laneKind {
 		return laneU32
 	}
 }
+
+// LaneBytes returns the bytes per counter a b-bit stage occupies: 1, 2 or
+// 4. It is the resident layout, and the layout AppendStageBytes and
+// SetStageBytes exchange.
+func LaneBytes(b int) int { return 1 << laneKindFor(b) }
 
 // stageView locates one stage inside its typed lane.
 type stageView struct {
@@ -937,8 +943,9 @@ func (s *Sketch) Widths() []int { return append([]int(nil), s.widths...) }
 func (s *Sketch) StageMax(l int) uint64 { return uint64(s.trees[0].max[l]) }
 
 // StageValues returns the node values of stage l of tree t at uniform
-// 32-bit width — the control plane's view of the registers, used by the
-// collect codec and the PISA compiler. Stages resident in the 32-bit lane
+// 32-bit width — the exported register view the differential harness's
+// scalar oracles are written against (the collection plane reads stages
+// at lane width through AppendStageBytes). Stages resident in the 32-bit lane
 // alias internal state; narrower stages return a freshly widened copy.
 // Callers must treat the result as read-only either way; use
 // SetStageValues to write registers.
@@ -955,36 +962,96 @@ func (s *Sketch) StageValues(t, l int) []uint32 {
 	}
 }
 
-// StageValuesInto widens stage l of tree t into dst and returns it,
-// reusing dst's backing array when it has the capacity — the alloc-free
-// variant of StageValues for per-poll snapshot paths. Unlike StageValues
-// it always copies, so the result never aliases sketch state.
-func (s *Sketch) StageValuesInto(dst []uint32, t, l int) []uint32 {
+// AppendStageBytes appends stage l of tree t to dst at the stage's lane
+// width — one byte per counter for stages of up to 8 bits, two up to 16,
+// four above — little-endian, and returns the extended slice. It is the
+// collection plane's read-out: one copy per stage, no widening, and no
+// allocation when dst has the capacity. The result never aliases sketch
+// state.
+func (s *Sketch) AppendStageBytes(dst []byte, t, l int) []byte {
 	tr := s.trees[t]
 	sv := tr.views[l]
-	if cap(dst) < sv.n {
-		dst = make([]uint32, sv.n)
-	}
-	dst = dst[:sv.n]
 	switch sv.kind {
 	case laneU8:
-		sketch.WidenU8(dst, tr.lane8[sv.base:sv.base+sv.n])
+		return append(dst, tr.lane8[sv.base:sv.base+sv.n]...)
 	case laneU16:
-		sketch.WidenU16(dst, tr.lane16[sv.base:sv.base+sv.n])
+		src := tr.lane16[sv.base : sv.base+sv.n]
+		if nativeLittleEndian {
+			return append(dst, sketch.BytesU16(src)...)
+		}
+		for _, v := range src {
+			dst = binary.LittleEndian.AppendUint16(dst, v)
+		}
 	default:
-		copy(dst, tr.lane32[sv.base:sv.base+sv.n])
+		src := tr.lane32[sv.base : sv.base+sv.n]
+		if nativeLittleEndian {
+			return append(dst, sketch.BytesU32(src)...)
+		}
+		for _, v := range src {
+			dst = binary.LittleEndian.AppendUint32(dst, v)
+		}
 	}
 	return dst
+}
+
+// SetStageBytes overwrites stage l of tree t from src, laid out as
+// AppendStageBytes writes it. Like SetStageValues it checks the range:
+// src must hold exactly the stage's counters at its lane width, so every
+// value fits the resident lane by construction.
+func (s *Sketch) SetStageBytes(t, l int, src []byte) error {
+	tr := s.trees[t]
+	sv := tr.views[l]
+	size := 1 << sv.kind // LaneBytes of the stage
+	if len(src) != sv.n*size {
+		return fmt.Errorf("core: stage %d/%d of %d bytes, want %d (%d counters × %d)",
+			t, l, len(src), sv.n*size, sv.n, size)
+	}
+	switch sv.kind {
+	case laneU8:
+		copy(tr.lane8[sv.base:sv.base+sv.n], src)
+	case laneU16:
+		dst := tr.lane16[sv.base : sv.base+sv.n]
+		if nativeLittleEndian {
+			copy(sketch.BytesU16(dst), src)
+			return nil
+		}
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint16(src[2*i:])
+		}
+	default:
+		dst := tr.lane32[sv.base : sv.base+sv.n]
+		if nativeLittleEndian {
+			copy(sketch.BytesU32(dst), src)
+			return nil
+		}
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(src[4*i:])
+		}
+	}
+	return nil
+}
+
+// nativeLittleEndian selects the memory-copy paths of the stage byte
+// accessors: on little-endian hosts the lanes already hold their
+// counters in wire order.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// FlagBitIndicator reports whether the sketch uses the explicit
+// overflow-flag counter encoding (Config.FlagBitIndicator) rather than
+// the max-value marker.
+func (s *Sketch) FlagBitIndicator() bool {
+	w := s.widths[0]
+	return s.trees[0].mark[0] != uint32(1)<<uint(w)-1
 }
 
 // StageWidth returns the counter bit width of stage l — the per-stage,
 // alloc-free accessor behind Widths.
 func (s *Sketch) StageWidth(l int) int { return s.widths[l] }
 
-// SetStageValues overwrites stage l of tree t, used when reconstructing a
-// sketch from a collected snapshot. The length must match, and every value
-// must fit the stage's resident lane (a snapshot taken from a real sketch
-// always does: stage values never exceed the overflow marker).
+// SetStageValues overwrites stage l of tree t from 32-bit values. The
+// length must match, and every value must fit the stage's resident lane
+// (registers read from a real sketch always do: stage values never exceed
+// the overflow marker).
 func (s *Sketch) SetStageValues(t, l int, vals []uint32) error {
 	tr := s.trees[t]
 	sv := tr.views[l]

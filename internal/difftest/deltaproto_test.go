@@ -57,7 +57,11 @@ func TestDeltaCollectionEquivalence(t *testing.T) {
 			}
 			defer cli.Close() //nolint:errcheck // teardown
 
-			windows := w.Windows(8)
+			// Thirty-two windows keep a window's churn on the small
+			// geometries below the size of their stage-width full
+			// snapshot, so steady-state reads take the delta path rather
+			// than the delta_larger fallback.
+			windows := w.Windows(32)
 			for wi, win := range windows {
 				for _, k := range win.Keys {
 					eng.Update(k, 1)

@@ -1,17 +1,15 @@
 package sketch
 
 // This file is the widening/narrowing adapter boundary between the typed
-// counter lanes of internal/core and every consumer that speaks []uint32:
-// the collect codec (whose v2 wire format is u32 values), the PISA
-// compiler, StageValues/SetStageValues, and the differential harness's
-// exact-oracle helpers. The data plane stores level-1 counters in one byte
-// and level-2 counters in two (the hardware layout of the paper's §8:
-// counters saturate at 254 and 65534, so the native width is the whole
-// contract); the control plane keeps its uniform 32-bit view by widening
-// on the way out and narrowing — with an explicit range check — on the way
-// back in. Keeping the conversion here, rather than scattered through the
-// codec and the tests, is what lets the wire bytes and golden vectors stay
-// identical across storage layouts.
+// counter lanes of internal/core and the consumers that speak []uint32:
+// StageValues/SetStageValues and, through them, the differential
+// harness's scalar oracles. The data plane stores level-1 counters in one
+// byte and level-2 counters in two (the hardware layout of the paper's
+// §8: counters saturate at 254 and 65534, so the native width is the
+// whole contract); the uniform 32-bit view widens on the way out and
+// narrows — with an explicit range check — on the way back in. The
+// collection plane does neither: it reads and writes stages at their lane
+// width (core.Sketch.AppendStageBytes/SetStageBytes).
 
 // WidenU8 copies src into dst value-for-value. dst must be at least as
 // long as src; the filled prefix is returned.
