@@ -128,6 +128,14 @@ gate 'MergeMatchesScalar|FirstRegisterDiffPrescreen|Merge' ./internal/core/ -rac
 # whose byte length is not a multiple of 8, at dirty densities from none
 # to all, with ApplyDelta reproducing the diffed state and its state CRC.
 gate 'TestDiffMatchesScalar' ./internal/difftest/ -race -count=1
+# The collection read's cores and copies: the diff cut into ranges at 1, 2,
+# 3 and 7 parts per stage against the same oracle, the client's in-place
+# delta apply through a bad block and a bad state CRC, and the server's
+# recycled session snapshots under two racing connections on one session.
+# Repeated under -race so rare interleavings of the shared session get a
+# chance.
+gate 'TestSplitDiffMatchesScalar|TestDeltaApplyInPlaceFailures|TestDeltaSessionRecycling' \
+  ./internal/collect/ -race -count=10
 # Fold-path gate, part 2: the zero-allocation contracts of the fold plane,
 # uncached — Merge's carry scratch, the append-style frame encoders, and
 # the per-poll snapshot read-out into a reused snapshot.

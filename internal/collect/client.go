@@ -269,8 +269,9 @@ func (c *Client) ReadSketchContext(ctx context.Context) (*Snapshot, error) {
 	return snap, nil
 }
 
-// applyDeltaFrame folds one decoded delta frame into the baseline and returns
-// the complete snapshot it represents (caller-owned). Any inconsistency —
+// applyDeltaFrame folds one decoded delta frame into the baseline, in
+// place, and returns a copy of the complete snapshot it represents (the
+// caller's to keep: it shares nothing with the baseline). Any inconsistency —
 // a delta against a generation we do not hold, a block outside the
 // geometry, a post-apply state CRC that disagrees with the server's —
 // invalidates the baseline and errors, so the retry (or next poll)
@@ -293,22 +294,22 @@ func (c *Client) applyDeltaFrame(frame *DeltaFrame) (*Snapshot, error) {
 		return nil, fmt.Errorf("collect: delta against generation %d, baseline is %d (have=%v)",
 			frame.BaseGen, haveGen, had)
 	}
-	next, err := ApplyDelta(c.baseline, frame.Blocks)
-	if err != nil {
+	// The blocks scatter into the baseline itself; a bad block or a state
+	// CRC mismatch discards it, so a partial apply is never built on.
+	if err := c.baseline.applyBlocks(frame.Blocks); err != nil {
 		c.deltaFallbacks++
 		c.baseline, c.haveBaseline = nil, false
 		return nil, err
 	}
-	if got := next.StateCRC(); got != frame.StateCRC {
+	if got := c.baseline.StateCRC(); got != frame.StateCRC {
 		c.deltaFallbacks++
 		c.baseline, c.haveBaseline = nil, false
 		return nil, fmt.Errorf("collect: state CRC after delta 0x%08x, server pinned 0x%08x",
 			got, frame.StateCRC)
 	}
 	c.deltasApplied++
-	c.baseline = next
 	c.baselineGen = frame.NewGen
-	return next.Clone(), nil
+	return c.baseline.Clone(), nil
 }
 
 // ResetSketch clears the data plane's registers (window rotation). It is

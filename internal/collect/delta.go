@@ -25,8 +25,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Delta frame constants.
@@ -208,40 +210,51 @@ func countChanged(a, b []byte, size int) int {
 type stageDiff struct {
 	idx   []uint32
 	val   []byte
-	k     int  // entries written
-	size  int  // bytes per counter
-	shift uint // log2 of the bits per counter
+	k     int    // entries written
+	size  int    // bytes per counter
+	hi    uint64 // laneHighBits[size]
+	shift uint   // log2 of the bits per counter
 }
 
 // word records the changed fields of x, the XOR of the base and current
-// words at byte offset i; cw is the current word.
+// words at stage byte offset i; cw is the current word. It walks the
+// unshifted field marks, one bit per changed field, so a field costs one
+// trailing-zero count, in a loop specialised per counter size.
 func (d *stageDiff) word(i int, x, cw uint64) {
-	mask := uint64(1)<<(8*d.size) - 1
 	first := uint32(i >> (d.shift - 3))
-	for x != 0 {
-		f := uint(bits.TrailingZeros64(x)) >> d.shift
-		pos := f << d.shift
-		d.idx[d.k] = first + uint32(f)
-		v := cw >> pos
-		switch d.size {
-		case 1:
-			d.val[d.k] = uint8(v)
-		case 2:
-			binary.LittleEndian.PutUint16(d.val[2*d.k:], uint16(v))
-		default:
-			binary.LittleEndian.PutUint32(d.val[4*d.k:], uint32(v))
+	m, k := fieldMarks(x, d.hi, 0), d.k
+	switch d.size {
+	case 1:
+		for ; m != 0; m &= m - 1 {
+			f := uint(bits.TrailingZeros64(m)) >> 3
+			d.idx[k], d.val[k] = first+uint32(f), uint8(cw>>(f<<3))
+			k++
 		}
-		d.k++
-		x &^= mask << pos
+	case 2:
+		for ; m != 0; m &= m - 1 {
+			f := uint(bits.TrailingZeros64(m)) >> 4
+			d.idx[k] = first + uint32(f)
+			binary.LittleEndian.PutUint16(d.val[2*k:], uint16(cw>>(f<<4)))
+			k++
+		}
+	default:
+		for ; m != 0; m &= m - 1 {
+			f := uint(bits.TrailingZeros64(m)) >> 5
+			d.idx[k] = first + uint32(f)
+			binary.LittleEndian.PutUint32(d.val[4*k:], uint32(cw>>(f<<5)))
+			k++
+		}
 	}
+	d.k = k
 }
 
-// diffStage fills idx and val from stage bytes a (base) and b (current);
-// only words that differ are walked per field.
-func diffStage(idx []uint32, val []byte, a, b []byte, size int) {
-	d := stageDiff{idx: idx, val: val, size: size, shift: uint(bits.TrailingZeros(uint(size))) + 3}
-	i := 0
-	for ; i+32 <= len(a); i += 32 {
+// diffRange fills idx and val from bytes [lo, hi) of stage bytes a (base)
+// and b (current), lo a multiple of 8; only words that differ are walked
+// per field. Indexes stay relative to the stage, not the range.
+func diffRange(idx []uint32, val []byte, a, b []byte, lo, hi, size int) {
+	d := stageDiff{idx: idx, val: val, size: size, hi: laneHighBits[size], shift: uint(bits.TrailingZeros(uint(size))) + 3}
+	i := lo
+	for ; i+32 <= hi; i += 32 {
 		pb := (*[32]byte)(b[i:])
 		x0, x1, x2, x3 := xorBlock((*[32]byte)(a[i:]), pb)
 		if x0|x1|x2|x3 == 0 {
@@ -261,11 +274,85 @@ func diffStage(idx []uint32, val []byte, a, b []byte, size int) {
 			d.word(i+24, x3, le.Uint64(pb[24:32]))
 		}
 	}
-	for ; i < len(a); i += 8 {
+	for ; i < hi; i += 8 {
 		cw := tailWord(b, i)
 		if w := tailWord(a, i) ^ cw; w != 0 {
 			d.word(i, w, cw)
 		}
+	}
+}
+
+// diffMinPart is the smallest stage range, in bytes, that DiffSnapshots
+// hands to a core of its own: below it a goroutine's start and wake-up
+// cost more than the range's count and walk.
+const diffMinPart = 32 << 10
+
+// diffParts is the number of ranges DiffSnapshots cuts a stage of n bytes
+// into: one per core the stage can keep busy, so a stage under two
+// minimum ranges stays whole. Tests replace it to force cuts inside small
+// stages.
+var diffParts = func(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n/diffMinPart)) }
+
+// diffPart is one word-aligned byte range [lo, hi) of tree t, stage l:
+// its changed-counter count n, then its offsets into the diff's index
+// and value buffers.
+type diffPart struct {
+	t, l         int
+	sp           stageSpan
+	lo, hi       int
+	n, off, voff int
+}
+
+// snapshotDiff is one DiffSnapshots call: the registers it compares, the
+// ranges it cut them into and the buffers the ranges fill.
+type snapshotDiff struct {
+	base, cur []byte
+	parts     []diffPart
+	idx       []uint32
+	val       []byte
+}
+
+// count is the first pass over part i.
+func (d *snapshotDiff) count(i int) {
+	p := &d.parts[i]
+	p.n = countChanged(p.sp.bytes(d.base)[p.lo:p.hi], p.sp.bytes(d.cur)[p.lo:p.hi], p.sp.size)
+}
+
+// walk is the second pass over part i, into the place count made for it.
+func (d *snapshotDiff) walk(i int) {
+	p := &d.parts[i]
+	if p.n > 0 {
+		diffRange(d.idx[p.off:p.off+p.n], d.val[p.voff:p.voff+p.n*p.sp.size],
+			p.sp.bytes(d.base), p.sp.bytes(d.cur), p.lo, p.hi, p.sp.size)
+	}
+}
+
+// each runs pass(d, i) for every part on up to workers goroutines, the
+// caller's among them, each claiming the next part in turn; one worker
+// runs the parts in order on the caller's goroutine.
+func (d *snapshotDiff) each(workers int, pass func(*snapshotDiff, int)) {
+	n := len(d.parts)
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			pass(d, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go d.claim(&next, &wg, pass)
+	}
+	d.claim(&next, &wg, pass)
+	wg.Wait()
+}
+
+// claim runs pass on parts claimed from next until none are left.
+func (d *snapshotDiff) claim(next *atomic.Int64, wg *sync.WaitGroup, pass func(*snapshotDiff, int)) {
+	defer wg.Done()
+	for i := int(next.Add(1) - 1); i < len(d.parts); i = int(next.Add(1) - 1) {
+		pass(d, i)
 	}
 }
 
@@ -274,69 +361,93 @@ func diffStage(idx []uint32, val []byte, a, b []byte, size int) {
 // snapshots do not share a geometry (no delta exists between them).
 //
 // Each stage is compared eight bytes at a time; only words that differ
-// are walked field by field. A first pass counts the changed counters so
-// the blocks' indexes and values land in two buffers allocated once at
-// their exact size.
+// are walked field by field. A stage large enough to keep several cores
+// busy is cut into word-aligned ranges (diffParts), and the ranges of
+// every stage run in parallel: a first pass counts each range's changed
+// counters, which places every range exactly in two buffers allocated
+// once at their total size, and a second pass walks the ranges into
+// them. The blocks are the same whatever the cut.
 func DiffSnapshots(base, cur *Snapshot) (blocks []DeltaBlock, ok bool) {
 	if base == nil || cur == nil || !base.SameGeometry(cur) || len(base.Regs) != base.regsLen() {
 		return nil, false
 	}
-	counts := make([]int, 0, base.Trees*len(base.Widths))
-	nBlocks, nIdx, nVal := 0, 0, 0
-	base.eachStage(func(_, _ int, sp stageSpan) {
-		c := countChanged(sp.bytes(base.Regs), sp.bytes(cur.Regs), sp.size)
-		counts = append(counts, c)
-		if c > 0 {
-			nBlocks, nIdx, nVal = nBlocks+1, nIdx+c, nVal+c*sp.size
+	d := &snapshotDiff{base: base.Regs, cur: cur.Regs, parts: make([]diffPart, 0, base.Trees*len(base.Widths))}
+	workers := 1
+	base.eachStage(func(t, l int, sp stageSpan) {
+		n := sp.n * sp.size
+		words, p := (n+7)/8, diffParts(n)
+		workers = max(workers, p)
+		for j := 0; j < p; j++ {
+			if lo, hi := 8*(j*words/p), min(8*((j+1)*words/p), n); lo < hi {
+				d.parts = append(d.parts, diffPart{t: t, l: l, sp: sp, lo: lo, hi: hi})
+			}
 		}
 	})
-	if nBlocks == 0 {
+	d.each(workers, (*snapshotDiff).count)
+	nIdx, nVal := 0, 0
+	for i := range d.parts {
+		p := &d.parts[i]
+		p.off, p.voff = nIdx, nVal
+		nIdx, nVal = nIdx+p.n, nVal+p.n*p.sp.size
+	}
+	if nIdx == 0 {
 		return nil, true
 	}
-	blocks = make([]DeltaBlock, 0, nBlocks)
-	idx, val := make([]uint32, nIdx), make([]byte, nVal)
-	i := 0
-	base.eachStage(func(t, l int, sp stageSpan) {
-		c := counts[i]
-		i++
-		if c == 0 {
-			return
+	d.idx, d.val = make([]uint32, nIdx), make([]byte, nVal)
+	d.each(workers, (*snapshotDiff).walk)
+	blocks = make([]DeltaBlock, 0, base.Trees*len(base.Widths))
+	idx, val := d.idx, d.val
+	for i := 0; i < len(d.parts); {
+		p, c := d.parts[i], 0
+		for ; i < len(d.parts) && d.parts[i].sp == p.sp; i++ {
+			c += d.parts[i].n
 		}
-		b := DeltaBlock{Tree: t, Stage: l, Indexes: idx[:c:c], Values: val[: c*sp.size : c*sp.size]}
-		idx, val = idx[c:], val[c*sp.size:]
-		diffStage(b.Indexes, b.Values, sp.bytes(base.Regs), sp.bytes(cur.Regs), sp.size)
-		blocks = append(blocks, b)
-	})
+		if w := c * p.sp.size; c > 0 {
+			blocks = append(blocks, DeltaBlock{Tree: p.t, Stage: p.l, Indexes: idx[:c:c], Values: val[:w:w]})
+			idx, val = idx[c:], val[w:]
+		}
+	}
 	return blocks, true
 }
 
 // ApplyDelta returns a new snapshot: base with every block's registers
-// overwritten — one copy of base's registers, then a scatter. The base is
-// not modified. Any block naming a tree, stage or index outside the
-// base's geometry, or carrying values of another width than its stage's,
-// is an error — the delta was diffed against a different baseline and
-// must not be merged.
+// overwritten — one copy of base's registers, then the scatter of
+// applyBlocks. The base is not modified. Any block naming a tree, stage or
+// index outside the base's geometry, or carrying values of another width
+// than its stage's, is an error — the delta was diffed against a
+// different baseline and must not be merged.
 func ApplyDelta(base *Snapshot, blocks []DeltaBlock) (*Snapshot, error) {
-	if want := base.regsLen(); len(base.Regs) != want {
-		return nil, fmt.Errorf("collect: delta base holds %dB of registers, geometry implies %d", len(base.Regs), want)
-	}
 	out := base.Clone()
+	if err := out.applyBlocks(blocks); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// applyBlocks overwrites s's registers with every block's, in place (see
+// ApplyDelta for what is an error). A failed apply leaves the blocks
+// before the bad entry scattered: a caller applying to a snapshot it keeps
+// must discard it on error.
+func (s *Snapshot) applyBlocks(blocks []DeltaBlock) error {
+	if want := s.regsLen(); len(s.Regs) != want {
+		return fmt.Errorf("collect: delta base holds %dB of registers, geometry implies %d", len(s.Regs), want)
+	}
 	for bi, b := range blocks {
-		if b.Tree < 0 || b.Tree >= out.Trees {
-			return nil, fmt.Errorf("collect: delta block %d names tree %d of %d", bi, b.Tree, out.Trees)
+		if b.Tree < 0 || b.Tree >= s.Trees {
+			return fmt.Errorf("collect: delta block %d names tree %d of %d", bi, b.Tree, s.Trees)
 		}
-		if b.Stage < 0 || b.Stage >= len(out.Widths) {
-			return nil, fmt.Errorf("collect: delta block %d names stage %d of %d", bi, b.Stage, len(out.Widths))
+		if b.Stage < 0 || b.Stage >= len(s.Widths) {
+			return fmt.Errorf("collect: delta block %d names stage %d of %d", bi, b.Stage, len(s.Widths))
 		}
-		sp := out.span(b.Tree, b.Stage)
+		sp := s.span(b.Tree, b.Stage)
 		if len(b.Values) != len(b.Indexes)*sp.size {
-			return nil, fmt.Errorf("collect: delta block %d has %d indexes and %dB of values, stage counters are %dB",
+			return fmt.Errorf("collect: delta block %d has %d indexes and %dB of values, stage counters are %dB",
 				bi, len(b.Indexes), len(b.Values), sp.size)
 		}
-		stage := sp.bytes(out.Regs)
+		stage := sp.bytes(s.Regs)
 		for i, idx := range b.Indexes {
 			if int(idx) >= sp.n {
-				return nil, fmt.Errorf("collect: delta block %d index %d outside stage of %d", bi, idx, sp.n)
+				return fmt.Errorf("collect: delta block %d index %d outside stage of %d", bi, idx, sp.n)
 			}
 			switch sp.size {
 			case 1:
@@ -348,7 +459,7 @@ func ApplyDelta(base *Snapshot, blocks []DeltaBlock) (*Snapshot, error) {
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // deltaBlocksEncodedSize is the exact encoded size of a delta frame

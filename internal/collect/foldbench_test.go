@@ -2,9 +2,12 @@ package collect
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/fcmsketch/fcm/internal/core"
+	"github.com/fcmsketch/fcm/internal/hashing"
+	"github.com/fcmsketch/fcm/internal/trace"
 )
 
 // fleetSize matches the aggregator fleet scenario (PR 7): one export
@@ -83,14 +86,69 @@ func benchSnapshots(b *testing.B) (base, cur *Snapshot) {
 	return base, cur
 }
 
-func BenchmarkDiffSnapshots(b *testing.B) {
-	base, cur := benchSnapshots(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := DiffSnapshots(base, cur); !ok {
-			b.Fatal("geometry mismatch")
+// paperSnapshots returns the two states one switch serves on consecutive
+// polls at the default 1 MiB geometry (K=8, two trees, {8,16,32}): two
+// reset windows of 256 Ki skewed packets each, cut from a 2 Mi-packet
+// CAIDA-like trace (Zipf α = 1, seed 1) as windows 0 and 2 — what one of
+// two switches ingests in consecutive collection rounds — so cur differs
+// from base wherever either window touched a register. The trace takes
+// seconds to generate, so the pair is built once per test binary.
+func paperSnapshots(b *testing.B) (base, cur *Snapshot) {
+	b.Helper()
+	snaps, err := paperSnapshotPair()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return snaps[0], snaps[1]
+}
+
+var paperSnapshotPair = sync.OnceValues(func() ([2]*Snapshot, error) {
+	const window = 1 << 18
+	var snaps [2]*Snapshot
+	tr, err := trace.CAIDALike(8*window, 1)
+	if err != nil {
+		return snaps, err
+	}
+	for i := range snaps {
+		sk, err := core.New(core.Config{K: 8, Trees: 2, MemoryBytes: 1 << 20, Widths: core.DefaultWidths(),
+			Hash: hashing.DataPlaneFamily(0)})
+		if err != nil {
+			return snaps, err
 		}
+		for _, id := range tr.Order[2*i*window : (2*i+1)*window] {
+			sk.Update(tr.Keys[id].Bytes(), 1)
+		}
+		snaps[i] = TakeSnapshot(sk)
+	}
+	return snaps, nil
+})
+
+// BenchmarkDiffSnapshots times the per-poll diff: "small" is a 10 KiB
+// sketch with about 0.5% of its leaves moved, "paper" the default 1 MiB
+// geometry across two reset windows. changed/op is the number of
+// counters the diff reports.
+func BenchmarkDiffSnapshots(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		make func(*testing.B) (*Snapshot, *Snapshot)
+	}{{"small", benchSnapshots}, {"paper", paperSnapshots}} {
+		b.Run(c.name, func(b *testing.B) {
+			base, cur := c.make(b)
+			changed := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blocks, ok := DiffSnapshots(base, cur)
+				if !ok {
+					b.Fatal("geometry mismatch")
+				}
+				changed = 0
+				for _, blk := range blocks {
+					changed += len(blk.Indexes)
+				}
+			}
+			b.ReportMetric(float64(changed), "changed/op")
+		})
 	}
 }
 

@@ -119,22 +119,19 @@ func encodeReadDelta(sessionID uint64, hasBaseline bool, ackedGen uint64) []byte
 	return req
 }
 
-// genSnapshot takes the source's snapshot together with its generation
-// token. Equal generations imply bit-identical registers within one
-// server lifetime, which is what enables the empty-delta fast path.
-func (s *Server) genSnapshot() (*Snapshot, uint64) {
-	sk, gen := s.src.Snapshot()
-	if sk == nil {
-		return nil, 0
-	}
-	return TakeSnapshot(sk), gen
-}
-
 // serveDelta handles one OpReadDelta request. A non-nil return means the
 // connection is done (protocol violation or write failure) and must be
 // closed — the server closes the connection after any error status.
 // tr (nil-safe) records the snapshot, diff, and write phases, and names
 // the fallback reason when the response degraded to a full snapshot.
+//
+// The source's sketch and generation come first, outside any lock. Equal
+// generations imply bit-identical registers within one server lifetime,
+// which is what enables the empty-delta fast path. Everything after that
+// runs under the session's lock, encode included: the snapshot a request
+// takes is written into the buffers of the one its session releases, and
+// a concurrent request on the same session may release this request's
+// snapshot as soon as the lock drops.
 func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *connScratch) error {
 	if len(req) != readDeltaReqLen {
 		msg := fmt.Sprintf("delta request of %dB, want %d", len(req), readDeltaReqLen)
@@ -146,9 +143,9 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 	ackedGen := binary.BigEndian.Uint64(req[10:])
 
 	ssp := tr.StartSpan("snapshot")
-	cur, curGen := s.genSnapshot()
-	ssp.End()
-	if cur == nil {
+	sk, curGen := s.src.Snapshot()
+	if sk == nil {
+		ssp.End()
 		s.writeError(conn, "no sketch available yet") //nolint:errcheck // teardown follows
 		return fmt.Errorf("collect: source has no sketch yet")
 	}
@@ -160,11 +157,22 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 	// candidate becomes the acked baseline. Echoing the already-acked
 	// generation means our last response was lost; the acked baseline
 	// stands and the delta below is a retransmission against it.
+	//
+	// Either way the request releases one snapshot — the old acked one on
+	// promotion, otherwise the sent candidate cur supersedes — and cur is
+	// taken into its buffers, so a session pins at most two snapshots and
+	// a steady one allocates none.
+	var released *Snapshot
 	if hasBaseline && sess.haveSent && sess.sentGen == ackedGen {
+		released = sess.acked
 		sess.haveAcked = true
 		sess.ackedGen, sess.acked, sess.ackedCRC = sess.sentGen, sess.sent, sess.sentCRC
-		sess.haveSent, sess.sent = false, nil
+	} else {
+		released = sess.sent
 	}
+	sess.haveSent, sess.sent = false, nil
+	cur := TakeSnapshotInto(released, sk)
+	ssp.End()
 
 	dsp := tr.StartSpan("diff")
 	frame := &DeltaFrame{NewGen: curGen}
@@ -209,13 +217,13 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 	// response arrived and cur becomes its acked baseline.
 	sess.haveSent = true
 	sess.sentGen, sess.sent, sess.sentCRC = curGen, cur, frame.StateCRC
-	sess.mu.Unlock()
 
 	esp := tr.StartSpan("encode")
 	// The frame encodes into the connection's reusable response buffer
 	// (the session retains cur itself, but never the encoded bytes).
 	scr.resp = append(scr.resp[:0], statusOK)
 	resp, err := frame.AppendEncode(scr.resp)
+	sess.mu.Unlock()
 	if err != nil {
 		esp.Fail(err)
 		esp.End()
