@@ -89,7 +89,9 @@ gate 'Chaos|Blackhole|AcceptLoop|MaxConns|Idle|Skipped|Retries|StalledPeer|Stop'
 # ingest path, uncached so it cannot rot behind the test cache. These
 # tests pin AllocsPerRun == 0 on core.UpdateBatch, the engine batcher and
 # first-free-shard UpdateBatch, Ring.UpdateBatch and the ring's coarsening
-# scan, trace replay (batched and unbatched) and the streaming pcap replay.
+# scan, trace replay (batched and unbatched) and the streaming pcap replay,
+# and cap a warm ring's Rotate plus freshness fold below 64 KiB per window
+# (no register memory: dead shards and buckets are recycled).
 gate 'Allocs' './internal/engine/ ./internal/trace/ ./internal/window/' -count=1
 
 # Batch-placement race gate: first-free-shard UpdateBatch writers (batch
@@ -103,8 +105,11 @@ gate 'TestShardedConcurrentWritersAndSnapshots|TestUpdateBatchRoundRobinSpread' 
 # update lands in and counts its packets there. Writers racing Rotate on a
 # ring must leave filed + live packets equal to the packets sent, and the
 # lock-free Framework.Update must still put each update in exactly one
-# window. Repeated under -race so rare rotate interleavings get a chance.
-gate 'TestWindowPacketsConservedUnderRotate|TestFrameworkRotateUnderConcurrentUpdate' \
+# window. Readers pin the buckets they fold: every fold kind and frame
+# export, racing writers, Rotate, coarsening and retention, must equal a
+# serial re-ingest of the windows it covers while dead sketches are
+# recycled. Repeated under -race so rare rotate interleavings get a chance.
+gate 'TestWindowPacketsConservedUnderRotate|TestFrameworkRotateUnderConcurrentUpdate|TestWindowPinsUnderRecycling' \
   '. ./internal/window/' -race -count=10
 
 # Benchmark compile gate: perfbench is a nested module, so the root
@@ -144,8 +149,10 @@ gate 'TestMergeAllocs|TestDeltaAppendEncodeMatchesEncode|TestTakeSnapshotIntoAll
 # Fold-path gate, part 3: bench smoke — one iteration of the fold
 # benchmarks, the word-wide merge, equality, fleet-fold and diff paths,
 # plus the paper-geometry merge and cardinality kernels beside the plain
-# word-add ceiling they are reported against.
+# word-add ceiling they are reported against, and the paper-geometry ring
+# rotation (shard swap, merge, in-place coarsening, recycling).
 smoke 'MergePair|EqualRegisters|MergePaper|CardinalityPaper|WordAddCeiling' ./internal/core/
+smoke 'RingRotate' ./internal/window/
 smoke 'AbsorbFleet|DiffSnapshots|StateCRC' ./internal/collect/
 
 # Lane-layout gate: the compact typed counter slabs (uint8/uint16/uint32

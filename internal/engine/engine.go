@@ -20,16 +20,24 @@
 //     one shard per writer goroutine. The per-shard mutex is then
 //     uncontended and the engine scales with writer count.
 //
-// Readers never stall ingest: Snapshot copies each shard's registers under
-// that shard's lock only for the duration of the copy, then merges the
-// copies outside all locks. A shard is blocked for one memcpy, not for the
-// encode or network write of a collection.
+// Readers never stall ingest: Snapshot takes its copy targets before it
+// locks anything, copies each shard's registers under that shard's lock
+// only for the duration of the copy, then merges the copies outside all
+// locks. A shard is blocked for one memcpy, not for an allocation, the
+// encode or the network write of a collection.
 //
 // The engine is also the window's only rotation authority. Each shard
 // counts the packets it recorded under the same lock as its registers, so
 // Rotate closes a window together with its exact packet count, and a live
 // snapshot reports the packets its registers hold — exact past root
 // saturation, where the sketch's own totals are only a floor.
+//
+// Like a switch resetting its register arrays at a window boundary, the
+// engine reuses dead sketches instead of allocating new ones: Rotate and
+// Snapshot draw their fresh shards and copy targets from a pool of spares
+// of the engine's geometry, and put the per-shard sketches they merged
+// away back into it. Recycle lets an owner (the window ring) hand back
+// sketches it got from the engine once nothing references them.
 package engine
 
 import (
@@ -47,9 +55,9 @@ import (
 type Config struct {
 	// Shards is the number of per-writer sketch replicas (default 1).
 	Shards int
-	// Build constructs one shard: once per shard in New, and once per
-	// shard on every Rotate, which swaps a fresh empty sketch in for the
-	// closed one. It must return identically-configured sketches (same
+	// Build constructs one shard: once per shard in New, and whenever
+	// Rotate or Snapshot needs a sketch and the engine has no spare to
+	// reuse. It must return identically-configured sketches (same
 	// geometry AND same hash family) on every call, or merging is
 	// silently meaningless; geometry mismatches are caught.
 	Build func() (*core.Sketch, error)
@@ -75,6 +83,10 @@ type Engine struct {
 	hasher hashing.Hasher
 	// next is the round-robin start of UpdateBatch's shard probe.
 	next atomic.Uint64
+	// spares holds dead sketches of the engine's geometry, registers
+	// undefined and telemetry detached. A sync.Pool, so spares never
+	// outlive two garbage collections: an idle engine retains nothing.
+	spares sync.Pool
 
 	// Latency histograms, nil until Instrument; read-plane only, so a nil
 	// check per Snapshot/Rotate is the whole uninstrumented cost.
@@ -329,22 +341,30 @@ func (e *Engine) snapshot() (sk *core.Sketch, gen, packets uint64) {
 	if e.snapSeconds != nil {
 		defer e.snapSeconds.ObserveSince(time.Now())
 	}
-	clones := make([]*core.Sketch, len(e.shards))
+	// Take every copy target before locking anything: a writer waits for
+	// a register copy, never for an allocation.
+	copies := make([]*core.Sketch, len(e.shards))
+	for i := range copies {
+		copies[i] = e.spareOrBuild()
+	}
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		clones[i] = sh.sk.Clone()
+		err := copies[i].CopyFrom(sh.sk)
 		gen += sh.gen.Load()
 		packets += sh.packets
 		sh.mu.Unlock()
+		if err != nil {
+			panic(fmt.Sprintf("engine: shard %d does not match Build's geometry: %v", i, err))
+		}
 	}
-	return e.mergeClones(clones), gen, packets
+	return e.mergeClones(copies), gen, packets
 }
 
 // mergeClones folds per-shard sketches the caller owns — Snapshot's
 // register copies, or the shard sketches Rotate swapped out — into the
 // first of them outside all shard locks, timing the exact-merge phase when
-// instrumented.
+// instrumented. The others are spent and go back to the spares.
 func (e *Engine) mergeClones(clones []*core.Sketch) *core.Sketch {
 	if e.mergeSeconds != nil {
 		defer e.mergeSeconds.ObserveSince(time.Now())
@@ -356,32 +376,82 @@ func (e *Engine) mergeClones(clones []*core.Sketch) *core.Sketch {
 			// contract violation, not a runtime condition.
 			panic(fmt.Sprintf("engine: shards not mergeable: %v", err))
 		}
+		e.Recycle(c)
 	}
 	return merged
 }
 
+// Spare returns a dead sketch of the engine's geometry for the caller to
+// own, or nil when none is pooled. Its registers hold arbitrary counts:
+// overwrite them (CopyFrom, Reset) before use.
+func (e *Engine) Spare() *core.Sketch {
+	if v := e.spares.Get(); v != nil {
+		return v.(*core.Sketch)
+	}
+	return nil
+}
+
+// spareOrBuild returns a spare, or a freshly built sketch when the pool is
+// empty. Either way the registers are the caller's to overwrite.
+func (e *Engine) spareOrBuild() *core.Sketch {
+	if sk := e.Spare(); sk != nil {
+		return sk
+	}
+	return e.mustBuild()
+}
+
+// mustBuild returns a fresh empty sketch from Config.Build.
+func (e *Engine) mustBuild() *core.Sketch {
+	sk, err := e.build()
+	if err != nil {
+		// Build succeeded for every shard in New; failing now breaks its
+		// contract, like the geometry check in mergeClones.
+		panic(fmt.Sprintf("engine: building a spare shard sketch: %v", err))
+	}
+	return sk
+}
+
+// Recycle hands sk back for reuse by a later Rotate or Snapshot. sk must
+// have come from this engine — a Spare, or a sketch Rotate or Snapshot
+// returned — and nothing may read or write it afterwards: the engine will
+// overwrite its registers. Recycling is optional; a sketch never handed
+// back is simply garbage collected.
+func (e *Engine) Recycle(sk *core.Sketch) { e.spares.Put(sk) }
+
+// Compatible reports why o cannot merge with the engine's shards — a
+// different geometry, counter encoding, hash mode or hash seed — or nil
+// when it can.
+func (e *Engine) Compatible(o *core.Sketch) error {
+	sh := &e.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.sk.Compatible(o)
+}
+
 // Rotate closes the current window and returns the exact merge of its
-// shards and the packets it recorded. It builds one empty sketch per shard
-// outside the locks, then swaps each in under its shard's lock: the
-// closed window is the shards' own sketches, so a shard is blocked for a
-// pointer swap, not a register copy and clear. The shard's telemetry moves
-// to the new sketch and is detached from the closed one. Updates
-// concurrent with Rotate land in either the closed or the new window
-// (never both, never neither), and so do their packets: each shard's count
-// is read and zeroed under the lock that swaps its sketch.
+// shards and the packets it recorded; the caller owns the result. It
+// readies one empty sketch per shard outside the locks — a spare, cleared,
+// or a fresh Build when none is pooled — then swaps each in under its
+// shard's lock: the closed window is the shards' own sketches, so a shard
+// is blocked for a pointer swap, not a register copy and clear. The
+// shard's telemetry moves to the new sketch and is detached from the
+// closed one. The closed shards merged into the first go back to the
+// spares. Updates concurrent with Rotate land in either the closed or the
+// new window (never both, never neither), and so do their packets: each
+// shard's count is read and zeroed under the lock that swaps its sketch.
 func (e *Engine) Rotate() (*core.Sketch, uint64) {
 	if e.rotateSeconds != nil {
 		defer e.rotateSeconds.ObserveSince(time.Now())
 	}
 	closed := make([]*core.Sketch, len(e.shards))
 	for i := range closed {
-		sk, err := e.build()
-		if err != nil {
-			// Build succeeded for every shard in New; failing now breaks
-			// its contract, like the geometry check in mergeClones.
-			panic(fmt.Sprintf("engine: building a fresh shard for rotation: %v", err))
+		// A built sketch is already empty; clearing it would only fault
+		// its fresh pages in early.
+		if closed[i] = e.Spare(); closed[i] != nil {
+			closed[i].Reset()
+		} else {
+			closed[i] = e.mustBuild()
 		}
-		closed[i] = sk
 	}
 	var packets uint64
 	for i := range e.shards {

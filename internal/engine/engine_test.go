@@ -174,6 +174,59 @@ func TestRotateReturnsClosedWindow(t *testing.T) {
 	}
 }
 
+// TestRecycledSparesStartClean: spares keep whatever registers they died
+// with, so every reuse must overwrite them. Dirty sketches handed back
+// through Recycle must not leak into a rotated-in shard (Rotate clears
+// its spares) nor into a snapshot (Snapshot copies over its targets), and
+// a caller-owned closed window stays untouched by later rotations.
+func TestRecycledSparesStartClean(t *testing.T) {
+	cfg := geometries[0]
+	eng, err := New(Config{Shards: 2, Build: build(cfg, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := build(cfg, 4)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := func() *core.Sketch {
+		sk, err := build(cfg, 4)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5000; i++ {
+			sk.Update(key(uint64(i)), 3)
+		}
+		return sk
+	}
+	var kept, want []*core.Sketch
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 4; i++ {
+			eng.Recycle(dirty())
+		}
+		serial.Reset()
+		for i := 0; i < 300; i++ {
+			eng.Update(key(uint64(round*1000+i%40)), 1)
+			serial.Update(key(uint64(round*1000+i%40)), 1)
+		}
+		snap, _ := eng.Snapshot()
+		registersEqual(t, serial, snap)
+		eng.Recycle(snap)
+		closed, packets := eng.Rotate()
+		if packets != 300 {
+			t.Fatalf("round %d: closed window counted %d packets, want 300", round, packets)
+		}
+		registersEqual(t, serial, closed)
+		kept, want = append(kept, closed), append(want, serial.Clone())
+		if empty, _ := eng.Snapshot(); empty.Estimate(key(1)) != 0 || empty.Cardinality() != 0 {
+			t.Fatalf("round %d: the window after Rotate is not empty", round)
+		}
+	}
+	for round := range kept {
+		registersEqual(t, want[round], kept[round])
+	}
+}
+
 func TestGenerationTracksUpdates(t *testing.T) {
 	eng, err := New(Config{Shards: 2, Build: build(geometries[0], 1)})
 	if err != nil {

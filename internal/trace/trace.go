@@ -362,28 +362,28 @@ func distinctKeys(rng *rand.Rand, n int, kind packet.KeyKind) []packet.Key {
 
 // buildOrder materializes the packet arrival order. Without shuffling,
 // packets are emitted in a round-robin interleave over the flows, which
-// avoids pathological bursts while staying O(total).
+// avoids pathological bursts: round r emits one packet of every flow
+// larger than r, in flow order. Each round walks only the flows that still
+// have packets, so the whole order costs O(total), not O(largest × flows).
 func buildOrder(rng *rand.Rand, sizes []uint32, shuffle bool) []uint32 {
 	total := 0
-	for _, s := range sizes {
+	active := make([]uint32, 0, len(sizes))
+	for id, s := range sizes {
 		total += int(s)
+		if s > 0 {
+			active = append(active, uint32(id))
+		}
 	}
 	order := make([]uint32, 0, total)
-	remaining := make([]uint32, len(sizes))
-	copy(remaining, sizes)
-	for left := total; left > 0; {
-		emitted := false
-		for id := range remaining {
-			if remaining[id] > 0 {
-				order = append(order, uint32(id))
-				remaining[id]--
-				left--
-				emitted = true
+	for round := uint32(1); len(active) > 0; round++ {
+		kept := active[:0]
+		for _, id := range active {
+			order = append(order, id)
+			if sizes[id] > round {
+				kept = append(kept, id)
 			}
 		}
-		if !emitted {
-			break
-		}
+		active = kept
 	}
 	if shuffle {
 		rng.Shuffle(len(order), func(i, j int) {

@@ -168,6 +168,7 @@ func (r *Ring) ExportFrames(lb Lookback) ([][]byte, error) {
 	r.mu.Lock()
 	covering := r.coveringLocked(lb)
 	r.mu.Unlock()
+	defer unpin(covering)
 	if len(covering) == 0 {
 		return nil, ErrEmpty
 	}

@@ -24,9 +24,22 @@
 // two oldest of that level are merged (word-wide SWAR kernel) into one
 // bucket of the next level with double the span. A retention of n windows therefore holds
 // O(SpanCap · log n) buckets, and any lookback folds O(log n) sketches.
-// Coarsening always allocates the merged sketch fresh — buckets are
-// immutable once filed — so queries that collected bucket references
-// before a coarsen or rotate still fold a consistent pre-step view.
+//
+// # Recycling and pins
+//
+// Like a switch resetting its registers in place, the ring allocates no
+// register memory in steady state. A query pins every bucket it collected
+// (an atomic count taken under the ring lock) until its fold or export is
+// done with the sketch. When a bucket leaves the ring — as a coarsening
+// source or by retention — its sketch is recycled only if the ring built
+// it and no reader pins it at that moment; the check runs under the ring
+// lock, which every pin is taken under, so nothing can pin it afterwards.
+// A pinned bucket is left to the garbage collector. Coarsening merges in
+// place into the older source when the ring built it and it is unpinned;
+// otherwise into a recycled copy, cloning only when no spare is pooled.
+// Sketches filed through FileWindow stay the caller's: they are never
+// merged into or recycled. A live ring shares its spares with its engine,
+// so a dead bucket becomes the next rotation's fresh shard.
 //
 // # Edge semantics (floor/ceil)
 //
@@ -42,7 +55,8 @@
 //
 // Queries fold the covering buckets into a pooled scratch sketch outside
 // the ring lock, so rotation-vs-query races resolve to either the pre- or
-// the post-rotation view, never a torn one.
+// the post-rotation view, never a torn one: a pinned bucket's registers
+// are never written.
 package window
 
 import (
@@ -116,7 +130,14 @@ func (c Config) withDefaults() Config {
 // bucket is one closed, immutable entry of the ring: a sketch plus the
 // metadata that locates it on the time and generation axes.
 type bucket struct {
-	sk       *core.Sketch
+	sk *core.Sketch
+	// owned marks a sketch the ring built (a rotated window or a
+	// coarsening target), which it may merge into and recycle; filed
+	// sketches stay the caller's.
+	owned bool
+	// pins counts readers holding sk. It rises only under the ring lock
+	// (coveringLocked) and falls when the reader is done with sk.
+	pins     atomic.Int32
 	level    int // coarsening level; a fresh window is level 0
 	span     int // original windows folded into this bucket
 	firstGen uint64
@@ -207,10 +228,12 @@ type Ring struct {
 	gen       uint64 // ordinal of the newest closed window
 	liveStart time.Time
 
-	// scratch pools fold targets so steady-state queries allocate no
-	// sketch state. A collector ring can adopt a new geometry once
-	// retention has emptied it, so scratchFor verifies each pooled entry
-	// against the fold's first source and discards stale ones.
+	// scratch pools a collector ring's dead sketches — fold targets and
+	// recycled buckets — so steady-state queries and coarsening allocate
+	// no sketch state; a live ring uses its engine's spares instead. A
+	// collector ring can adopt a new geometry once retention has emptied
+	// it, so scratchFor verifies each pooled entry against the sketch it
+	// copies and discards stale ones.
 	scratch sync.Pool
 
 	rotations      atomic.Uint64
@@ -281,37 +304,45 @@ func (r *Ring) Rotate() error {
 	defer r.mu.Unlock()
 	now := r.cfg.Now()
 	sk, packets := r.live.Rotate()
-	r.fileLocked(sk, r.liveStart, now, packets)
+	r.fileLocked(sk, true, r.liveStart, now, packets)
 	r.liveStart = now
 	return nil
 }
 
 // FileWindow appends an externally closed window — collector mode's
-// ingest path. sk must merge with previously filed windows — same
-// geometry, hash mode, hash seed and counter encoding (the first call
-// adopts them) — and must not be mutated by the caller afterwards: the
-// ring treats buckets as immutable.
+// ingest path. sk must merge with previously filed windows (and, on a
+// live ring, with the live window) — same geometry, hash mode, hash seed
+// and counter encoding (a collector ring's first call adopts them) — and
+// must not be mutated by the caller afterwards: the ring treats buckets as
+// immutable. sk stays the caller's: the ring reads it, and never merges
+// into it or reuses its memory, even after retention drops it.
 func (r *Ring) FileWindow(sk *core.Sketch, minTime, maxTime time.Time, packets uint64) error {
 	if sk == nil {
 		return errors.New("window: cannot file a nil sketch")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.buckets) > 0 {
-		if err := r.buckets[len(r.buckets)-1].sk.Compatible(sk); err != nil {
-			return fmt.Errorf("window: filed window cannot merge: %w", err)
-		}
+	var err error
+	switch {
+	case r.live != nil:
+		err = r.live.Compatible(sk)
+	case len(r.buckets) > 0:
+		err = r.buckets[len(r.buckets)-1].sk.Compatible(sk)
 	}
-	r.fileLocked(sk, minTime, maxTime, packets)
+	if err != nil {
+		return fmt.Errorf("window: filed window cannot merge: %w", err)
+	}
+	r.fileLocked(sk, false, minTime, maxTime, packets)
 	return nil
 }
 
-// fileLocked appends a closed window and re-establishes the exponential
-// histogram and retention invariants. Callers hold r.mu.
-func (r *Ring) fileLocked(sk *core.Sketch, minTime, maxTime time.Time, packets uint64) {
+// fileLocked appends a closed window — owned when the ring built sk — and
+// re-establishes the exponential histogram and retention invariants.
+// Callers hold r.mu.
+func (r *Ring) fileLocked(sk *core.Sketch, owned bool, minTime, maxTime time.Time, packets uint64) {
 	r.gen++
 	r.buckets = append(r.buckets, &bucket{
-		sk: sk, level: 0, span: 1,
+		sk: sk, owned: owned, level: 0, span: 1,
 		firstGen: r.gen, lastGen: r.gen,
 		minTime: minTime, maxTime: maxTime, packets: packets,
 	})
@@ -323,9 +354,9 @@ func (r *Ring) fileLocked(sk *core.Sketch, minTime, maxTime time.Time, packets u
 // coarsenLocked restores the exponential-histogram invariant: no level
 // holds more than SpanCap buckets. Overfull levels cascade upward — the
 // two oldest buckets of the lowest overfull level merge into one bucket
-// one level up, which may overfill that level in turn. Merged sketches
-// are freshly allocated (clone + SWAR merge); the source buckets stay
-// untouched for any fold that already collected them.
+// one level up, which may overfill that level in turn. A merge writes
+// into the older source only when the ring owns it and no reader pins
+// it; a pinned or filed source stays untouched for the fold holding it.
 func (r *Ring) coarsenLocked() {
 	for {
 		lvl, i := r.lowestOverfullLocked()
@@ -360,16 +391,25 @@ func (r *Ring) lowestOverfullLocked() (int, int) {
 
 // mergeAdjacentLocked merges buckets[i] and buckets[i+1] into one bucket
 // at the next coarsening level. Levels are non-increasing oldest→newest,
-// so the two oldest buckets of any level are always adjacent.
+// so the two oldest buckets of any level are always adjacent. The merge
+// target is a's own sketch when the ring owns it and no reader pins it,
+// else a copy of it in a spare (a clone when none is pooled). b is
+// retired; an a that could not be merged into is pinned or not the ring's,
+// so there is nothing to retire.
 func (r *Ring) mergeAdjacentLocked(i int) {
 	a, b := r.buckets[i], r.buckets[i+1]
-	sk := a.sk.Clone()
+	sk := a.sk
+	if !r.reusableLocked(a) {
+		sk = r.scratchFor(a.sk)
+	}
 	// Same geometry by construction; Merge cannot fail.
 	if err := sk.Merge(b.sk); err != nil {
 		panic("window: coarsening merge of same-geometry buckets failed: " + err.Error())
 	}
+	r.retireLocked(b)
 	merged := &bucket{
 		sk:       sk,
+		owned:    true,
 		level:    max(a.level, b.level) + 1,
 		span:     a.span + b.span,
 		firstGen: a.firstGen,
@@ -414,6 +454,7 @@ func (r *Ring) retainLocked() {
 	floor := r.gen - uint64(r.cfg.MaxWindows)
 	for len(r.buckets) > 0 && r.buckets[0].lastGen <= floor {
 		r.droppedWindows.Add(uint64(r.buckets[0].span))
+		r.retireLocked(r.buckets[0])
 		// Nil the vacated slot so the backing array does not keep the
 		// dropped sketch reachable until the next reallocation.
 		r.buckets[0] = nil
@@ -445,8 +486,26 @@ func (r *Ring) Buckets() []BucketInfo {
 	return out
 }
 
+// reusableLocked reports whether b's sketch may be written or recycled:
+// the ring built it and no reader holds it. Callers hold r.mu, under which
+// every pin is taken, so once b has left the bucket slice the answer can
+// no longer turn false.
+func (r *Ring) reusableLocked(b *bucket) bool {
+	return b.owned && b.pins.Load() == 0
+}
+
+// retireLocked recycles the sketch of a bucket that is leaving the ring,
+// when reusableLocked allows; otherwise the garbage collector reclaims it
+// once its reader or owner lets go. Callers hold r.mu.
+func (r *Ring) retireLocked(b *bucket) {
+	if r.reusableLocked(b) {
+		r.release(b.sk)
+	}
+}
+
 // coveringLocked resolves a lookback to the covering bucket set (oldest
-// first) under the ceiling semantics. Callers hold r.mu.
+// first) under the ceiling semantics and pins every bucket in it; the
+// caller must unpin them once done with their sketches. Callers hold r.mu.
 func (r *Ring) coveringLocked(lb Lookback) []*bucket {
 	bs := r.buckets
 	i := 0
@@ -465,17 +524,30 @@ func (r *Ring) coveringLocked(lb Lookback) []*bucket {
 			i--
 		}
 	}
-	return append([]*bucket(nil), bs[i:]...)
+	covering := append([]*bucket(nil), bs[i:]...)
+	for _, b := range covering {
+		b.pins.Add(1)
+	}
+	return covering
 }
 
-// fold resolves the lookback, collects the covering bucket references and
-// (if requested) a live snapshot under the ring lock, then SWAR-folds
-// them into a pooled scratch sketch outside it: the first source is
-// copied in (merging into an empty sketch is the identity) and the rest
-// are merged. The caller must hand the scratch back via release. The
-// two-phase shape is what makes rotate-during-query atomic: the reference
-// set is fixed in one critical section, and buckets are immutable, so the
-// fold sees exactly the pre- or post-rotation ring — never a mix.
+// unpin releases the pins coveringLocked took.
+func unpin(covering []*bucket) {
+	for _, b := range covering {
+		b.pins.Add(-1)
+	}
+}
+
+// fold resolves the lookback, collects and pins the covering bucket
+// references and (if requested) a live snapshot under the ring lock, then
+// SWAR-folds them into a pooled scratch sketch outside it: the first
+// source is copied in (merging into an empty sketch is the identity) and
+// the rest are merged. With no covering bucket the live snapshot, already
+// the fold's own, is the result. The caller must hand the result back via
+// release. The two-phase shape is what makes rotate-during-query atomic:
+// the reference set is fixed in one critical section, and a pinned
+// bucket's registers are never written, so the fold sees exactly the pre-
+// or post-rotation ring — never a mix.
 func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
 	r.mu.Lock()
 	covering := r.coveringLocked(lb)
@@ -502,12 +574,17 @@ func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
 		cov.To = r.cfg.Now()
 	}
 	r.mu.Unlock()
+	defer unpin(covering)
 
 	if len(covering) == 0 {
 		if liveCore == nil {
 			return nil, cov, ErrEmpty
 		}
-		return r.scratchFor(liveCore), cov, nil
+		return liveCore, cov, nil
+	}
+	if liveCore != nil {
+		// Spent once merged into the fold below.
+		defer r.release(liveCore)
 	}
 	sk := r.scratchFor(covering[0].sk)
 	for _, b := range covering[1:] {
@@ -525,39 +602,54 @@ func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
 	return sk, cov, nil
 }
 
-// scratchFor returns a scratch sketch holding a copy of first's registers,
-// from the pool when possible. CopyFrom verifies each pooled entry against
-// first: after a collector-mode geometry change (FileWindow adopts a new
-// shape once retention empties the ring) the pool can still hold
-// old-geometry sketches, and reusing one would fail every fold until the
-// pool happened to drain.
-func (r *Ring) scratchFor(first *core.Sketch) *core.Sketch {
+// scratchFor returns a sketch the caller owns holding a copy of src's
+// registers: a spare when one is pooled, else a clone. CopyFrom verifies
+// each spare against src: after a collector-mode geometry change
+// (FileWindow adopts a new shape once retention empties the ring) the pool
+// can still hold old-geometry sketches, and reusing one would fail every
+// fold until the pool happened to drain.
+func (r *Ring) scratchFor(src *core.Sketch) *core.Sketch {
 	for {
-		v := r.scratch.Get()
-		if v == nil {
-			return first.Clone()
+		sk := r.spare()
+		if sk == nil {
+			return src.Clone()
 		}
-		if sk := v.(*core.Sketch); sk.CopyFrom(first) == nil {
+		if sk.CopyFrom(src) == nil {
 			return sk
 		}
 		// Stale geometry: drop it and try the next pooled entry.
 	}
 }
 
-// release hands a fold scratch back to the pool.
-func (r *Ring) release(sk *core.Sketch) { r.scratch.Put(sk) }
+// spare returns a pooled dead sketch, or nil: the engine's spares on a
+// live ring, the ring's own pool on a collector ring.
+func (r *Ring) spare() *core.Sketch {
+	if r.live != nil {
+		return r.live.Spare()
+	}
+	if v := r.scratch.Get(); v != nil {
+		return v.(*core.Sketch)
+	}
+	return nil
+}
+
+// release hands a sketch nothing references any more — a fold result, a
+// spent live snapshot, a retired bucket — back for reuse. Every sketch a
+// live ring releases has its engine's geometry: FileWindow checks filed
+// windows against the engine, and spares and clones copy ring sketches.
+func (r *Ring) release(sk *core.Sketch) {
+	if r.live != nil {
+		r.live.Recycle(sk)
+		return
+	}
+	r.scratch.Put(sk)
+}
 
 // SnapshotOverTime returns a caller-owned sketch holding the exact fold
 // of the lookback's covering windows — the primitive every other
-// over-time query is defined in terms of.
+// over-time query is defined in terms of. The ring never reuses it.
 func (r *Ring) SnapshotOverTime(lb Lookback) (*core.Sketch, Coverage, error) {
-	sk, cov, err := r.fold(lb)
-	if err != nil {
-		return nil, cov, err
-	}
-	out := sk.Clone()
-	r.release(sk)
-	return out, cov, nil
+	return r.fold(lb)
 }
 
 // QueryOverTime answers the per-flow count query over the lookback. Like
