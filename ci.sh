@@ -48,6 +48,17 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
 
+# Link gate: the differential oracles and their uint32 register view
+# (internal/difftest) are test-only. No production package — the root
+# package, the commands, the examples or any other internal package — may
+# link them.
+mod=$(go list -m)
+prod=$(go list . ./cmd/... ./examples/... ./internal/... | grep -vx "$mod/internal/difftest")
+if go list -deps $prod | grep -qx "$mod/internal/difftest"; then
+  echo "ci.sh: a production package links $mod/internal/difftest" >&2
+  exit 1
+fi
+
 # Docs gate: the docs may not cite what does not exist. Every BENCH_*.json
 # named in README.md, DESIGN.md, EXPERIMENTS.md, this file, the verify
 # skill or a Go comment must be checked in, and every `fcmbench -run`
@@ -157,10 +168,11 @@ smoke 'AbsorbFleet|DiffSnapshots|StateCRC' ./internal/collect/
 
 # Lane-layout gate: the compact typed counter slabs (uint8/uint16/uint32
 # lanes), under -race and uncached. Covers the in-package lane suite
-# (boundaries at 254/65534, lane range checks, exact resident-byte
-# arithmetic, clone layout) and the resident-bytes telemetry gauges.
+# (boundaries at 254/65534, exact resident-byte arithmetic, clone layout),
+# the lane range checks of difftest's uint32 register view, and the
+# resident-bytes telemetry gauges.
 gate 'TypedLanes|LaneRange|SaturationBoundaries|SharesLayout|ResidentBytes' \
-  './internal/core/ ./internal/engine/' -race -count=1
+  './internal/core/ ./internal/engine/ ./internal/difftest/' -race -count=1
 
 # Fleet gate: the 200+-switch two-level aggregation test under -race and
 # uncached — delta sessions end to end through faultnet faults, an
@@ -199,12 +211,15 @@ gate 'TestDeltaSeedCorpus' ./internal/collect/ -count=1
 # Fuzz gate, part 2: short smoke runs of every native fuzz target — the
 # state-machine fuzzer over the ingest ops, the pcap differential fuzzer
 # and the EM input fuzzer — plus the collect codec fuzzers that predate
-# them. Ten seconds each is not a soak; it gates that the targets still
-# build, the corpora still replay, and nothing shallow regressed.
+# them (delta frames, bare snapshots, length-prefixed wire frames). Ten
+# seconds each is not a soak; it gates that the targets still build, the
+# corpora still replay, and nothing shallow regressed.
 fuzz FuzzSketchOps ./internal/difftest/
 fuzz FuzzPcapIngest ./internal/difftest/
 fuzz FuzzEMInput ./internal/difftest/
 fuzz FuzzDeltaFrame ./internal/collect/
+fuzz FuzzDecodeSnapshot ./internal/collect/
+fuzz FuzzWireFrame ./internal/collect/
 fuzz FuzzWindowOps ./internal/difftest/
 
 # Window gate, part 1: the windowed differential battery under -race and

@@ -18,11 +18,9 @@ import (
 const (
 	snapshotMagic = 0x46434d53 // "FCMS"
 	// Version 3 stores every stage at its lane width (the sketch's
-	// resident layout) and carries the counter encoding. Version 2
-	// appended the CRC-32C trailer to a u32-per-counter body; it is still
-	// decoded, never encoded.
-	snapshotVersion   = 3
-	snapshotVersionV2 = 2
+	// resident layout) and carries the counter encoding. Version 2 (a
+	// u32-per-counter body) is retired: it is neither encoded nor decoded.
+	snapshotVersion = 3
 	// snapshotFlagBit marks a snapshot of a flag-bit encoded sketch
 	// (core.Config.FlagBitIndicator); every other flag bit is reserved.
 	snapshotFlagBit = 0x01
@@ -250,17 +248,9 @@ func (s *Snapshot) AppendEncode(dst []byte) ([]byte, error) {
 
 // DecodeSnapshot parses an encoded snapshot, verifying the CRC-32C
 // trailer first so corruption anywhere in the payload is rejected before
-// any field is trusted. It reads FCMS version 3 and the version-2
-// u32-per-counter body, whose counters it narrows to their lane width
-// with a range check (version 2 carries no encoding field, so it decodes
-// as the max-value marker encoding every version-2 producer wrote).
+// any field is trusted. It reads FCMS version 3 only; the retired
+// version-2 body fails as an unsupported version.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	return decodeSnapshot(data, true)
-}
-
-// decodeSnapshot is DecodeSnapshot; frames that embed a snapshot pass
-// allowV2 false, since their own versions pin the body to version 3.
-func decodeSnapshot(data []byte, allowV2 bool) (*Snapshot, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("collect: snapshot of %dB too short for checksum", len(data))
 	}
@@ -275,20 +265,17 @@ func decodeSnapshot(data []byte, allowV2 bool) (*Snapshot, error) {
 		return nil, fmt.Errorf("collect: bad snapshot magic 0x%08x", m)
 	}
 	version, stages, flags := body[4], int(body[6]), body[7]
-	switch {
-	case version == snapshotVersion:
-		if flags&^uint8(snapshotFlagBit) != 0 {
-			return nil, fmt.Errorf("collect: unknown snapshot flags 0x%02x", flags)
-		}
-	case version == snapshotVersionV2 && allowV2:
-	default:
+	if version != snapshotVersion {
 		return nil, fmt.Errorf("collect: unsupported snapshot version %d", version)
+	}
+	if flags&^uint8(snapshotFlagBit) != 0 {
+		return nil, fmt.Errorf("collect: unknown snapshot flags 0x%02x", flags)
 	}
 	s := &Snapshot{
 		K:       int(binary.BigEndian.Uint32(body[8:])),
 		Trees:   int(body[5]),
 		W1:      int(binary.BigEndian.Uint32(body[12:])),
-		FlagBit: version == snapshotVersion && flags&snapshotFlagBit != 0,
+		FlagBit: flags&snapshotFlagBit != 0,
 	}
 	rest := body[snapshotHeaderLen:]
 	if len(rest) < stages {
@@ -302,59 +289,9 @@ func decodeSnapshot(data []byte, allowV2 bool) (*Snapshot, error) {
 	if err := s.checkGeometry(); err != nil {
 		return nil, err
 	}
-	n := s.regsLen()
-	if version == snapshotVersion {
-		if len(rest) != n {
-			return nil, fmt.Errorf("collect: snapshot carries %dB of registers, geometry holds %d", len(rest), n)
-		}
-		s.Regs = slices.Clone(rest)
-		return s, nil
+	if n := s.regsLen(); len(rest) != n {
+		return nil, fmt.Errorf("collect: snapshot carries %dB of registers, geometry holds %d", len(rest), n)
 	}
-	s.Regs = make([]byte, n)
-	var err error
-	s.eachStage(func(t, l int, sp stageSpan) {
-		if err == nil {
-			rest, err = narrowV2Stage(sp.bytes(s.Regs), rest, sp, t, l)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("collect: %d trailing bytes after snapshot", len(rest))
-	}
+	s.Regs = slices.Clone(rest)
 	return s, nil
-}
-
-// narrowV2Stage reads one version-2 stage — u32 count, then count × u32
-// value, big-endian — from src into dst at the stage's lane width, and
-// returns the rest of src. The count must match the geometry and every
-// value must fit the lane.
-func narrowV2Stage(dst, src []byte, sp stageSpan, t, l int) ([]byte, error) {
-	if len(src) < 4 {
-		return nil, fmt.Errorf("collect: decoding tree %d stage %d length: truncated", t, l)
-	}
-	if n := binary.BigEndian.Uint32(src); n != uint32(sp.n) {
-		return nil, fmt.Errorf("collect: tree %d stage %d carries %d counters, geometry holds %d", t, l, n, sp.n)
-	}
-	src = src[4:]
-	if len(src) < 4*sp.n {
-		return nil, fmt.Errorf("collect: decoding tree %d stage %d values: truncated", t, l)
-	}
-	limit := uint32(1)<<(8*sp.size) - 1 // wraps to MaxUint32 for 4-byte lanes
-	for i := 0; i < sp.n; i++ {
-		v := binary.BigEndian.Uint32(src[4*i:])
-		if v > limit {
-			return nil, fmt.Errorf("collect: tree %d stage %d value %d at index %d exceeds its %d-byte lane", t, l, v, i, sp.size)
-		}
-		switch sp.size {
-		case 1:
-			dst[i] = uint8(v)
-		case 2:
-			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
-		default:
-			binary.LittleEndian.PutUint32(dst[4*i:], v)
-		}
-	}
-	return src[4*sp.n:], nil
 }

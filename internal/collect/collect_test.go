@@ -51,23 +51,6 @@ func filledSketch(t testing.TB) *core.Sketch {
 	return s
 }
 
-func sketchesEqual(a, b *core.Sketch) bool {
-	for t := 0; t < a.NumTrees(); t++ {
-		for l := 0; l < a.Depth(); l++ {
-			av, bv := a.StageValues(t, l), b.StageValues(t, l)
-			if len(av) != len(bv) {
-				return false
-			}
-			for i := range av {
-				if av[i] != bv[i] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 func TestSnapshotEncodeDecode(t *testing.T) {
 	s := filledSketch(t)
 	snap := TakeSnapshot(s)
@@ -86,8 +69,8 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sketchesEqual(s, restored) {
-		t.Error("restored sketch differs from original")
+	if d := s.FirstRegisterDiff(restored); d != "" {
+		t.Errorf("restored sketch differs from original: %s", d)
 	}
 	// With the matching hash family, queries agree too.
 	for i := uint64(0); i < 300; i++ {
@@ -235,8 +218,8 @@ func TestServerClientRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sketchesEqual(s, restored) {
-		t.Error("collected sketch differs from data plane")
+	if d := s.FirstRegisterDiff(restored); d != "" {
+		t.Errorf("collected sketch differs from data plane: %s", d)
 	}
 
 	// Reset over the wire.
@@ -350,8 +333,8 @@ func TestServerShardedEngineSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sketchesEqual(restored, snapshotOf(eng)) {
-		t.Error("collected snapshot differs from engine merge")
+	if d := restored.FirstRegisterDiff(snapshotOf(eng)); d != "" {
+		t.Errorf("collected snapshot differs from engine merge: %s", d)
 	}
 }
 
@@ -453,8 +436,8 @@ func TestDrainRoundExactlyOnce(t *testing.T) {
 	}
 	onlyA2 := newSketch()
 	onlyA2.Update(k(1), 3)
-	if !sketchesEqual(r2, onlyA2) {
-		t.Fatal("round 2 is not bit-identical to member a's interval alone: a missed poll re-contributed stale traffic")
+	if d := r2.FirstRegisterDiff(onlyA2); d != "" {
+		t.Fatalf("round 2 is not bit-identical to member a's interval alone: a missed poll re-contributed stale traffic: %s", d)
 	}
 
 	// The concatenation of drained rounds == serial ingest of every
@@ -467,8 +450,8 @@ func TestDrainRoundExactlyOnce(t *testing.T) {
 	if err := folded.Merge(r2); err != nil {
 		t.Fatal(err)
 	}
-	if !sketchesEqual(folded, serial) {
-		t.Fatal("merged drained rounds diverge from serial re-ingest of all member intervals")
+	if d := folded.FirstRegisterDiff(serial); d != "" {
+		t.Fatalf("merged drained rounds diverge from serial re-ingest of all member intervals: %s", d)
 	}
 
 	// Round 3: nobody reported — nothing to file.

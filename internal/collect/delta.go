@@ -578,7 +578,7 @@ func DecodeDeltaFrame(data []byte) (*DeltaFrame, error) {
 		return nil, fmt.Errorf("collect: delta body length %d, frame carries %d", bodyLen, len(payload))
 	}
 	if f.Full {
-		snap, err := decodeSnapshot(payload, false)
+		snap, err := DecodeSnapshot(payload)
 		if err != nil {
 			return nil, fmt.Errorf("collect: embedded full snapshot: %w", err)
 		}

@@ -42,6 +42,16 @@ const (
 	// the empty delta over the golden registers as the previous codec
 	// encoded it. Version 4 decoders must reject it.
 	retiredDeltaV3Hex = "46434d440300000000000000000000070000000000000007a24a7eba0000000400000000e6d30518"
+
+	// retiredSnapshotV2Hex is the FCMS version-2 encoding of the golden
+	// sketch's snapshot, CRC-32C trailer included — the u32-per-counter
+	// body the codec wrote before version 3. Nothing decodes it any more.
+	//
+	// Layout (big-endian): magic "FCMS", version 2, trees 1, stages 2, pad,
+	// k=2, w1=4, width bits {2,4}, then per-stage counts and values
+	// (leaves [3 3 3 2] — 3 is the 2-bit overflow marker — and stage-1
+	// [11 2]), then CRC-32C 0xdf55663b over everything before it.
+	retiredSnapshotV2Hex = "46434d5302010200000000020000000402040000000400000003000000030000000300000002000000020000000b00000002df55663b"
 )
 
 // goldenDeltaSketches returns the (base, cur) snapshot pair the delta
@@ -190,9 +200,9 @@ func TestGoldenDeltaRejectsEveryBitFlip(t *testing.T) {
 
 // TestRetiredFrameVersionsRejected pins the upgrade rule: both ends of a
 // collection link move together, and a frame of a retired version —
-// FCMD version 3, FCMW version 1, or a version-4 full frame embedding an
-// FCMS version-2 body — is a decode error even with every checksum
-// valid, never a guess at its layout.
+// FCMD version 3, FCMW version 1, a bare FCMS version-2 snapshot, or a
+// version-4 full frame embedding one — is a decode error even with every
+// checksum valid, never a guess at its layout.
 func TestRetiredFrameVersionsRejected(t *testing.T) {
 	v3, _ := hex.DecodeString(retiredDeltaV3Hex)
 	if _, err := DecodeDeltaFrame(v3); err == nil || !strings.Contains(err.Error(), "version 3") {
@@ -203,10 +213,16 @@ func TestRetiredFrameVersionsRejected(t *testing.T) {
 		t.Fatalf("FCMW version 1 frame: err = %v, want an unsupported-version error", err)
 	}
 
-	// A version-4 full frame around the version-2 golden body, with a
-	// correct frame CRC and the body's own state CRC.
-	v2, _ := hex.DecodeString(goldenSnapshotHex)
-	snap, err := DecodeSnapshot(v2)
+	v2, _ := hex.DecodeString(retiredSnapshotV2Hex)
+	if _, err := DecodeSnapshot(v2); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 2") {
+		t.Fatalf("FCMS version 2 snapshot: err = %v, want an unsupported-version error", err)
+	}
+
+	// A version-4 full frame around the version-2 body, with a correct
+	// frame CRC and the state CRC of the registers it holds — the golden
+	// registers the version-3 vector carries.
+	v3snap, _ := hex.DecodeString(goldenSnapshotV3Hex)
+	snap, err := DecodeSnapshot(v3snap)
 	if err != nil {
 		t.Fatal(err)
 	}

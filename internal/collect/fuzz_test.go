@@ -87,8 +87,9 @@ func baselineForFuzz() *Snapshot {
 }
 
 // FuzzDecodeSnapshot checks the codec never panics or over-allocates on
-// malformed snapshots, and that valid snapshots — FCMS version 3, or the
-// version 2 it still reads — survive re-encoding with their state intact.
+// malformed snapshots, and that valid FCMS version-3 snapshots survive
+// re-encoding with their state intact. The retired version-2 vector seeds
+// an input that must be rejected.
 func FuzzDecodeSnapshot(f *testing.F) {
 	s, err := core.New(core.Config{K: 2, Trees: 1, LeafWidth: 8, Widths: []int{4, 8}})
 	if err != nil {
@@ -110,7 +111,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	v3, _ := hex.DecodeString(goldenSnapshotV3Hex)
-	v2, _ := hex.DecodeString(goldenSnapshotHex)
+	v2, _ := hex.DecodeString(retiredSnapshotV2Hex)
 	f.Add(good)
 	f.Add(wide)
 	f.Add(v3)
@@ -122,6 +123,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
 			return
+		}
+		if data[4] != snapshotVersion {
+			t.Fatalf("decode accepted snapshot version %d", data[4])
 		}
 		re, err := snap.Encode()
 		if err != nil {

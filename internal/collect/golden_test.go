@@ -13,17 +13,6 @@ import (
 	"github.com/fcmsketch/fcm/internal/hashing"
 )
 
-// goldenSnapshotHex is the exact FCMS version-2 encoding of goldenSketch's
-// snapshot, CRC-32C trailer included. Nothing encodes version 2 any more;
-// the vector pins what DecodeSnapshot still reads (narrowing each u32
-// value to its stage's lane width).
-//
-// Layout (big-endian): magic "FCMS", version 2, trees 1, stages 2, pad,
-// k=2, w1=4, width bits {2,4}, then per-stage counts and values
-// (leaves [3 3 3 2] — 3 is the 2-bit overflow marker — and stage-1
-// [11 2]), then CRC-32C 0xdf55663b over everything before it.
-const goldenSnapshotHex = "46434d5302010200000000020000000402040000000400000003000000030000000300000002000000020000000b00000002df55663b"
-
 // goldenSnapshotV3Hex is the exact FCMS version-3 encoding of the same
 // snapshot. It pins the wire format: any codec change that alters these
 // bytes breaks decoding for every deployed collector and must bump
@@ -80,8 +69,7 @@ func TestGoldenSnapshotEncoding(t *testing.T) {
 }
 
 // TestGoldenSnapshotV3Decodes: the version-3 vector restores the golden
-// registers, and the version-2 vector decodes to the same snapshot —
-// narrowing loses nothing.
+// registers.
 func TestGoldenSnapshotV3Decodes(t *testing.T) {
 	data, _ := hex.DecodeString(goldenSnapshotV3Hex)
 	snap, err := DecodeSnapshot(data)
@@ -95,14 +83,6 @@ func TestGoldenSnapshotV3Decodes(t *testing.T) {
 	if d := goldenSketch(t).FirstRegisterDiff(restored); d != "" {
 		t.Fatalf("version-3 golden vector does not restore the original registers: %s", d)
 	}
-	v2, _ := hex.DecodeString(goldenSnapshotHex)
-	old, err := DecodeSnapshot(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !old.SameGeometry(snap) || !bytes.Equal(old.Regs, snap.Regs) {
-		t.Fatalf("version-2 vector decodes to %+v, version 3 to %+v", old, snap)
-	}
 }
 
 // TestGoldenSnapshotV3RejectsEveryBitFlip: the CRC trailer catches a flip
@@ -110,38 +90,6 @@ func TestGoldenSnapshotV3Decodes(t *testing.T) {
 // trailer itself.
 func TestGoldenSnapshotV3RejectsEveryBitFlip(t *testing.T) {
 	data, _ := hex.DecodeString(goldenSnapshotV3Hex)
-	for i := range data {
-		corrupt := append([]byte(nil), data...)
-		corrupt[i] ^= 0x10
-		if _, err := DecodeSnapshot(corrupt); err == nil {
-			t.Fatalf("decode accepted a bit flip at byte %d", i)
-		}
-	}
-}
-
-func TestGoldenSnapshotDecodes(t *testing.T) {
-	data, _ := hex.DecodeString(goldenSnapshotHex)
-	snap, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.K != 2 || snap.Trees != 1 || snap.W1 != 4 || len(snap.Widths) != 2 {
-		t.Fatalf("decoded geometry %+v drifted", snap)
-	}
-	restored, err := snap.Restore(hashing.NewBobFamily(0xfc3141 ^ 77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := goldenSketch(t)
-	if d := ref.FirstRegisterDiff(restored); d != "" {
-		t.Fatalf("golden vector does not restore the original registers: %s", d)
-	}
-}
-
-// TestGoldenSnapshotRejectsEveryBitFlip: the CRC trailer must catch a flip
-// at any byte position — header, counter values and the trailer itself.
-func TestGoldenSnapshotRejectsEveryBitFlip(t *testing.T) {
-	data, _ := hex.DecodeString(goldenSnapshotHex)
 	for i := range data {
 		corrupt := append([]byte(nil), data...)
 		corrupt[i] ^= 0x10

@@ -133,7 +133,7 @@ func DecodeWindow(data []byte) (WindowMeta, *Snapshot, error) {
 		return meta, nil, fmt.Errorf("collect: window frame body length %d does not match payload %d",
 			bodyLen, len(payload)-windowHeaderLen)
 	}
-	snap, err := decodeSnapshot(payload[windowHeaderLen:], false)
+	snap, err := DecodeSnapshot(payload[windowHeaderLen:])
 	if err != nil {
 		return meta, nil, err
 	}

@@ -107,8 +107,8 @@ func TestMaxDegree(t *testing.T) {
 		t.Errorf("empty sketch max degree %d", got)
 	}
 	// Overflow both leaves of one parent: degree 2 at least.
-	s.SetStageValues(0, 0, []uint32{3, 3, 0, 0})
-	s.SetStageValues(0, 1, []uint32{5, 0})
+	setStage(t, s, 0, 0, 3, 3, 0, 0)
+	setStage(t, s, 0, 1, 5, 0)
 	if got := s.MaxDegree(); got != 2 {
 		t.Errorf("max degree %d, want 2", got)
 	}

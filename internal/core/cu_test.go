@@ -61,13 +61,8 @@ func TestCUSingleTreeIsPlain(t *testing.T) {
 		a.Update(key, 1)
 		b.Update(key, 1)
 	}
-	for l := 0; l < a.Depth(); l++ {
-		av, bv := a.StageValues(0, l), b.StageValues(0, l)
-		for i := range av {
-			if av[i] != bv[i] {
-				t.Fatalf("single-tree CU diverged at stage %d idx %d", l, i)
-			}
-		}
+	if d := a.FirstRegisterDiff(b); d != "" {
+		t.Fatalf("single-tree CU diverged: %s", d)
 	}
 }
 

@@ -16,9 +16,7 @@ func TestEqualRegistersComparesEncoding(t *testing.T) {
 		}
 		leaves := make([]uint32, 16)
 		leaves[5] = 128
-		if err := s.SetStageValues(0, 0, leaves); err != nil {
-			t.Fatal(err)
-		}
+		setStage(t, s, 0, 0, leaves...)
 		return s
 	}
 	estimatesDiffer := func(a, b *Sketch) bool {

@@ -942,26 +942,6 @@ func (s *Sketch) Widths() []int { return append([]int(nil), s.widths...) }
 // StageMax returns θ_l, the counting capacity 2^b−2 of stage l (0-based).
 func (s *Sketch) StageMax(l int) uint64 { return uint64(s.trees[0].max[l]) }
 
-// StageValues returns the node values of stage l of tree t at uniform
-// 32-bit width — the exported register view the differential harness's
-// scalar oracles are written against (the collection plane reads stages
-// at lane width through AppendStageBytes). Stages resident in the 32-bit lane
-// alias internal state; narrower stages return a freshly widened copy.
-// Callers must treat the result as read-only either way; use
-// SetStageValues to write registers.
-func (s *Sketch) StageValues(t, l int) []uint32 {
-	tr := s.trees[t]
-	sv := tr.views[l]
-	switch sv.kind {
-	case laneU8:
-		return sketch.WidenU8(make([]uint32, sv.n), tr.lane8[sv.base:sv.base+sv.n])
-	case laneU16:
-		return sketch.WidenU16(make([]uint32, sv.n), tr.lane16[sv.base:sv.base+sv.n])
-	default:
-		return tr.lane32[sv.base : sv.base+sv.n : sv.base+sv.n]
-	}
-}
-
 // AppendStageBytes appends stage l of tree t to dst at the stage's lane
 // width — one byte per counter for stages of up to 8 bits, two up to 16,
 // four above — little-endian, and returns the extended slice. It is the
@@ -995,9 +975,9 @@ func (s *Sketch) AppendStageBytes(dst []byte, t, l int) []byte {
 }
 
 // SetStageBytes overwrites stage l of tree t from src, laid out as
-// AppendStageBytes writes it. Like SetStageValues it checks the range:
-// src must hold exactly the stage's counters at its lane width, so every
-// value fits the resident lane by construction.
+// AppendStageBytes writes it. src must hold exactly the stage's counters
+// at its lane width, so every value fits the resident lane by
+// construction.
 func (s *Sketch) SetStageBytes(t, l int, src []byte) error {
 	tr := s.trees[t]
 	sv := tr.views[l]
@@ -1047,31 +1027,6 @@ func (s *Sketch) FlagBitIndicator() bool {
 // StageWidth returns the counter bit width of stage l — the per-stage,
 // alloc-free accessor behind Widths.
 func (s *Sketch) StageWidth(l int) int { return s.widths[l] }
-
-// SetStageValues overwrites stage l of tree t from 32-bit values. The
-// length must match, and every value must fit the stage's resident lane
-// (registers read from a real sketch always do: stage values never exceed
-// the overflow marker).
-func (s *Sketch) SetStageValues(t, l int, vals []uint32) error {
-	tr := s.trees[t]
-	sv := tr.views[l]
-	if len(vals) != sv.n {
-		return fmt.Errorf("core: stage %d/%d length %d, want %d", t, l, len(vals), sv.n)
-	}
-	switch sv.kind {
-	case laneU8:
-		if i := sketch.NarrowU8(tr.lane8[sv.base:sv.base+sv.n], vals); i >= 0 {
-			return fmt.Errorf("core: stage %d/%d value %d at index %d exceeds byte lane", t, l, vals[i], i)
-		}
-	case laneU16:
-		if i := sketch.NarrowU16(tr.lane16[sv.base:sv.base+sv.n], vals); i >= 0 {
-			return fmt.Errorf("core: stage %d/%d value %d at index %d exceeds uint16 lane", t, l, vals[i], i)
-		}
-	default:
-		copy(tr.lane32[sv.base:sv.base+sv.n], vals)
-	}
-	return nil
-}
 
 // TotalCount returns the sum of counts recorded in tree t (each overflowed
 // node contributes its capacity, terminals their value). It equals the

@@ -144,15 +144,8 @@ func TestBulkEqualsUnitUpdates(t *testing.T) {
 			b.Update(key, 1)
 		}
 	}
-	for tr := 0; tr < 2; tr++ {
-		for l := 0; l < 3; l++ {
-			av, bv := a.StageValues(tr, l), b.StageValues(tr, l)
-			for i := range av {
-				if av[i] != bv[i] {
-					t.Fatalf("tree %d stage %d idx %d: bulk %d unit %d", tr, l, i, av[i], bv[i])
-				}
-			}
-		}
+	if d := a.FirstRegisterDiff(b); d != "" {
+		t.Fatalf("bulk and unit updates differ: %s", d)
 	}
 }
 
@@ -214,26 +207,20 @@ func TestPaperFigure4(t *testing.T) {
 		K: 2, Trees: 1, LeafWidth: 4, Widths: []int{2, 4, 8},
 		Hash: &fixedFamily{h: h},
 	})
-	mustSet := func(l int, vals []uint32) {
-		t.Helper()
-		if err := s.SetStageValues(0, l, vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustSet(0, []uint32{3, 0, 2, 3})
-	mustSet(1, []uint32{15, 4})
-	mustSet(2, []uint32{9})
+	setStage(t, s, 0, 0, 3, 0, 2, 3)
+	setStage(t, s, 0, 1, 15, 4)
+	setStage(t, s, 0, 2, 9)
 
 	// Update f1: leaf 2 has value 2 = max(2-bit) → becomes 3 (marker) and
 	// the increment moves to stage 2 node 1: 4 → 5.
 	s.Update([]byte("f1"), 1)
-	if got := s.StageValues(0, 0)[2]; got != 3 {
+	if got := s.trees[0].load(0, 2); got != 3 {
 		t.Errorf("leaf 2 after update = %d, want 3 (marker)", got)
 	}
-	if got := s.StageValues(0, 1)[1]; got != 5 {
+	if got := s.trees[0].load(1, 1); got != 5 {
 		t.Errorf("stage-2 node 1 after update = %d, want 5", got)
 	}
-	if got := s.StageValues(0, 2)[0]; got != 9 {
+	if got := s.trees[0].load(2, 0); got != 9 {
 		t.Errorf("stage-3 node 0 must be untouched, got %d", got)
 	}
 
@@ -251,9 +238,9 @@ func TestPaperFigure5Conversion(t *testing.T) {
 	// V=25/deg1 (paths through stage 3), V=0/deg1 (empty leaf 1), and
 	// V=9/deg2 (leaves 2,3 merged at stage-2 node 1).
 	s := newTest(t, Config{K: 2, Trees: 1, LeafWidth: 4, Widths: []int{2, 4, 8}})
-	s.SetStageValues(0, 0, []uint32{3, 0, 3, 3})
-	s.SetStageValues(0, 1, []uint32{15, 5})
-	s.SetStageValues(0, 2, []uint32{9})
+	setStage(t, s, 0, 0, 3, 0, 3, 3)
+	setStage(t, s, 0, 1, 15, 5)
+	setStage(t, s, 0, 2, 9)
 
 	vcs := s.VirtualCounters()[0]
 	if len(vcs) != 3 {
@@ -383,13 +370,6 @@ func TestReset(t *testing.T) {
 	}
 	if got := s.EmptyLeaves(); got != float64(s.LeafWidth()) {
 		t.Errorf("after reset empty leaves %f want %d", got, s.LeafWidth())
-	}
-}
-
-func TestSetStageValuesErrors(t *testing.T) {
-	s := defaultSmall(t)
-	if err := s.SetStageValues(0, 0, []uint32{1}); err == nil {
-		t.Error("expected length-mismatch error")
 	}
 }
 

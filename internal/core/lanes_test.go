@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"encoding/binary"
 	"testing"
 )
 
@@ -9,6 +9,31 @@ import (
 // exhaustive register comparisons.
 func laneConfig() Config {
 	return Config{K: 8, Trees: 2, Widths: []int{8, 16, 32}, LeafWidth: 512}
+}
+
+// setStage overwrites stage l of tree tr of s with vals, laid out at the
+// stage's lane width and written through SetStageBytes. A value that does
+// not fit the lane fails the test rather than being truncated.
+func setStage(t testing.TB, s *Sketch, tr, l int, vals ...uint32) {
+	t.Helper()
+	size := LaneBytes(s.StageWidth(l))
+	raw := make([]byte, 0, len(vals)*size)
+	for i, v := range vals {
+		if size < 4 && v>>(8*size) != 0 {
+			t.Fatalf("setStage: stage %d value %d at index %d exceeds its %d-byte lane", l, v, i, size)
+		}
+		switch size {
+		case 1:
+			raw = append(raw, uint8(v))
+		case 2:
+			raw = binary.LittleEndian.AppendUint16(raw, uint16(v))
+		default:
+			raw = binary.LittleEndian.AppendUint32(raw, v)
+		}
+	}
+	if err := s.SetStageBytes(tr, l, raw); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestResidentBytesTypedLanes pins the compaction arithmetic: with the
@@ -60,31 +85,6 @@ func TestSaturationBoundariesNativeWidth(t *testing.T) {
 	s.Update(key, 1)
 	if got, want := s.Estimate(key), uint64(254+65534+1); got != want {
 		t.Fatalf("estimate across uint16-lane boundary: %d, want %d", got, want)
-	}
-}
-
-// TestSetStageValuesLaneRange: values that cannot be represented at a
-// stage's native lane width must be rejected with the offending index, not
-// silently truncated.
-func TestSetStageValuesLaneRange(t *testing.T) {
-	s, err := New(Config{K: 2, Trees: 1, Widths: []int{8, 16, 32}, LeafWidth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetStageValues(0, 0, []uint32{0, 255, 0, 0}); err != nil {
-		t.Fatalf("in-range byte-lane values rejected: %v", err)
-	}
-	err = s.SetStageValues(0, 0, []uint32{0, 256, 0, 0})
-	if err == nil || !strings.Contains(err.Error(), "index 1") {
-		t.Fatalf("over-wide byte-lane value not rejected with its index: %v", err)
-	}
-	err = s.SetStageValues(0, 1, []uint32{70000, 0})
-	if err == nil || !strings.Contains(err.Error(), "index 0") {
-		t.Fatalf("over-wide uint16-lane value not rejected with its index: %v", err)
-	}
-	// The root lane is full-width: any uint32 value is representable.
-	if err := s.SetStageValues(0, 2, []uint32{1 << 31}); err != nil {
-		t.Fatalf("root-lane value rejected: %v", err)
 	}
 }
 

@@ -112,18 +112,18 @@ func TestFirstRegisterDiffPrescreen(t *testing.T) {
 		t.Fatalf("identically loaded sketches differ: %s", d)
 	}
 	for l := 0; l < a.Depth(); l++ {
-		vals := a.StageValues(1, l)
+		vals := difftest.StageValues(a, 1, l)
 		saved := vals[3]
 		bumped := append([]uint32(nil), vals...)
 		bumped[3] = saved + 1
-		if err := a.SetStageValues(1, l, bumped); err != nil {
+		if err := difftest.SetStageValues(a, 1, l, bumped); err != nil {
 			t.Fatalf("SetStageValues: %v", err)
 		}
 		if d := a.FirstRegisterDiff(b); d == "" {
 			t.Fatalf("stage %d perturbation not detected", l)
 		}
 		bumped[3] = saved
-		if err := a.SetStageValues(1, l, bumped); err != nil {
+		if err := difftest.SetStageValues(a, 1, l, bumped); err != nil {
 			t.Fatalf("SetStageValues restore: %v", err)
 		}
 	}
@@ -301,7 +301,7 @@ func TestMergePrescreenBoundaries(t *testing.T) {
 					if l < probe.Depth()-1 {
 						vals = append(vals, mark) // the root saturates at max and never holds the mark
 					}
-					n := len(probe.StageValues(0, l))
+					n := len(difftest.StageValues(probe, 0, l))
 					layouts := map[string][]int{"uniform": nil, "mid": {n / 2}, "last": {n - 1}}
 					for name, nodes := range layouts {
 						for _, x := range vals {
@@ -328,7 +328,7 @@ func TestMergePrescreenBoundaries(t *testing.T) {
 func checkBoundaryMerge(t *testing.T, cfg core.Config, l int, nodes []int, x, y uint32, carry bool, layout string) {
 	t.Helper()
 	a, b := mustNew(t, cfg), mustNew(t, cfg)
-	n, k := len(a.StageValues(0, l)), a.K()
+	n, k := len(difftest.StageValues(a, 0, l)), a.K()
 	if nodes == nil {
 		nodes = make([]int, n)
 		for i := range nodes {
@@ -344,7 +344,7 @@ func checkBoundaryMerge(t *testing.T, cfg core.Config, l int, nodes []int, x, y 
 			for _, i := range nodes {
 				vals[i] = s.v
 			}
-			if err := s.sk.SetStageValues(tr, l, vals); err != nil {
+			if err := difftest.SetStageValues(s.sk, tr, l, vals); err != nil {
 				t.Fatal(err)
 			}
 			if carry {
@@ -354,7 +354,7 @@ func checkBoundaryMerge(t *testing.T, cfg core.Config, l int, nodes []int, x, y 
 						child[c] = uint32(a.StageMax(l-1)) + 1
 					}
 				}
-				if err := s.sk.SetStageValues(tr, l-1, child); err != nil {
+				if err := difftest.SetStageValues(s.sk, tr, l-1, child); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -438,7 +438,7 @@ func TestMergeIntoEmptyEqualsCopy(t *testing.T) {
 }
 
 // TestMergePlaneEmptyLeaves pins the word-wide empty-leaf count behind
-// Cardinality to a per-register count over StageValues, for leaf stages
+// Cardinality to a per-register count over difftest.StageValues, for leaf stages
 // in each lane width — with sub-word tails — and densities from empty to
 // full, including values that set only a field's top bit or only its low
 // bits.
@@ -456,7 +456,7 @@ func TestMergePlaneEmptyLeaves(t *testing.T) {
 			mark := uint32(s.StageMax(0)) + 1
 			want := 0
 			for tr := 0; tr < s.NumTrees(); tr++ {
-				vals := make([]uint32, len(s.StageValues(tr, 0)))
+				vals := make([]uint32, len(difftest.StageValues(s, tr, 0)))
 				for i := range vals {
 					if rng.Float64() >= density {
 						continue
@@ -472,10 +472,10 @@ func TestMergePlaneEmptyLeaves(t *testing.T) {
 						vals[i] = 1 + uint32(rng.Int63n(int64(mark)))
 					}
 				}
-				if err := s.SetStageValues(tr, 0, vals); err != nil {
+				if err := difftest.SetStageValues(s, tr, 0, vals); err != nil {
 					t.Fatal(err)
 				}
-				for _, v := range s.StageValues(tr, 0) {
+				for _, v := range difftest.StageValues(s, tr, 0) {
 					if v == 0 {
 						want++
 					}

@@ -12,20 +12,6 @@ func mergeConfig() Config {
 	return Config{K: 2, Trees: 2, LeafWidth: 16, Widths: []int{3, 5, 8}}
 }
 
-func statesEqual(a, b *Sketch) (bool, int, int, int) {
-	for t := 0; t < a.NumTrees(); t++ {
-		for l := 0; l < a.Depth(); l++ {
-			av, bv := a.StageValues(t, l), b.StageValues(t, l)
-			for i := range av {
-				if av[i] != bv[i] {
-					return false, t, l, i
-				}
-			}
-		}
-	}
-	return true, 0, 0, 0
-}
-
 func TestMergeEqualsConcatenatedStream(t *testing.T) {
 	// The headline property: merge(sketch(A), sketch(B)) is bit-identical
 	// to sketch(A ++ B), for random streams that heavily overflow.
@@ -56,9 +42,8 @@ func TestMergeEqualsConcatenatedStream(t *testing.T) {
 		if err := a.Merge(b); err != nil {
 			t.Fatal(err)
 		}
-		if ok, tr, l, i := statesEqual(a, both); !ok {
-			t.Fatalf("trial %d: merged state differs at tree %d stage %d idx %d: %d vs %d",
-				trial, tr, l, i, a.StageValues(tr, l)[i], both.StageValues(tr, l)[i])
+		if d := a.FirstRegisterDiff(both); d != "" {
+			t.Fatalf("trial %d: merged state differs: %s", trial, d)
 		}
 	}
 }
@@ -88,8 +73,7 @@ func TestMergeQuick(t *testing.T) {
 		if err := a.Merge(b); err != nil {
 			return false
 		}
-		ok, _, _, _ := statesEqual(a, both)
-		return ok
+		return a.EqualRegisters(both)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -117,8 +101,8 @@ func TestMergeDefaultWidths(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if ok, tr, l, i := statesEqual(a, both); !ok {
-		t.Fatalf("merged state differs at tree %d stage %d idx %d", tr, l, i)
+	if d := a.FirstRegisterDiff(both); d != "" {
+		t.Fatalf("merged state differs: %s", d)
 	}
 	// Queries agree too.
 	for id := uint64(0); id < 30; id++ {

@@ -85,11 +85,11 @@ func TestDiffMatchesScalar(t *testing.T) {
 			for tr := 0; tr < cur.NumTrees(); tr++ {
 				for l := 0; l < cur.Depth(); l++ {
 					span := cur.StageMax(l) + 2 // values 0..mark
-					vals := slices.Clone(cur.StageValues(tr, l))
+					vals := StageValues(cur, tr, l)
 					for i, v := range vals {
 						vals[i] = uint32((uint64(v) + 1) % span)
 					}
-					if err := cur.SetStageValues(tr, l, vals); err != nil {
+					if err := SetStageValues(cur, tr, l, vals); err != nil {
 						panic(err)
 					}
 				}

@@ -3,8 +3,9 @@ package difftest
 import "github.com/fcmsketch/fcm/internal/core"
 
 // MergeScalar folds src into dst one register at a time: the paper's §5
-// exact merge, written against core's exported register view only
-// (Compatible, StageMax, StageValues, SetStageValues). It shares no code
+// exact merge, written against core's exported API only (Compatible,
+// StageMax, and the lane-width stage accessors behind this package's
+// StageValues and SetStageValues). It shares no code
 // with the word-wide kernel behind core.Sketch.Merge, so it serves as that
 // kernel's independent oracle: both must leave bit-identical registers.
 //
@@ -23,7 +24,7 @@ func MergeScalar(dst, src *core.Sketch) error {
 		for l := 0; l <= last; l++ {
 			max := dst.StageMax(l)
 			mark := uint32(max + 1)
-			a, b := dst.StageValues(t, l), src.StageValues(t, l)
+			a, b := StageValues(dst, t, l), StageValues(src, t, l)
 			out := make([]uint32, len(a))
 			var next []uint64
 			if l < last {
@@ -55,7 +56,7 @@ func MergeScalar(dst, src *core.Sketch) error {
 					out[i] = uint32(c)
 				}
 			}
-			if err := dst.SetStageValues(t, l, out); err != nil {
+			if err := SetStageValues(dst, t, l, out); err != nil {
 				return err
 			}
 			carry = next

@@ -20,7 +20,7 @@ func stageSketch(t *testing.T, flagBit bool, vals stages) *core.Sketch {
 		if v == nil {
 			continue
 		}
-		if err := s.SetStageValues(0, l, v); err != nil {
+		if err := SetStageValues(s, 0, l, v); err != nil {
 			t.Fatal(err)
 		}
 	}

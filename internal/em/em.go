@@ -158,7 +158,9 @@ func Run(cfg Config, trees [][]core.VirtualCounter) (*Result, error) {
 }
 
 // buildGroups collapses equal (tree, degree, value) counters and returns
-// the groups plus the maximum counter value.
+// the groups, in (tree, degree, value) order, plus the maximum counter
+// value. The fixed order keeps every floating-point sum over the groups,
+// and so the result, identical across runs.
 func buildGroups(trees [][]core.VirtualCounter) ([]group, uint64) {
 	type gkey struct {
 		tree, degree int
@@ -181,6 +183,16 @@ func buildGroups(trees [][]core.VirtualCounter) ([]group, uint64) {
 	for k, c := range counts {
 		groups = append(groups, group{tree: k.tree, degree: k.degree, value: k.value, count: c})
 	}
+	sort.Slice(groups, func(i, j int) bool {
+		a, b := &groups[i], &groups[j]
+		if a.tree != b.tree {
+			return a.tree < b.tree
+		}
+		if a.degree != b.degree {
+			return a.degree < b.degree
+		}
+		return a.value < b.value
+	})
 	return groups, zmax
 }
 
@@ -217,7 +229,8 @@ func (e *engine) init(trees [][]core.VirtualCounter) {
 	}
 	// Order groups by descending enumeration cost so the strided parallel
 	// schedule balances the heavy enumerations across workers. Cost is
-	// proportional to the partition count, ~v^(parts−1).
+	// proportional to the partition count, ~v^(parts−1). The sort is
+	// stable, so groups of equal cost keep buildGroups' fixed order.
 	cost := func(g *group) float64 {
 		v := float64(g.value)
 		if g.value > uint64(e.cfg.EnumCap) {
@@ -229,7 +242,7 @@ func (e *engine) init(trees [][]core.VirtualCounter) {
 		}
 		return math.Pow(v, parts-1)
 	}
-	sort.Slice(e.groups, func(i, j int) bool {
+	sort.SliceStable(e.groups, func(i, j int) bool {
 		return cost(&e.groups[i]) > cost(&e.groups[j])
 	})
 }
@@ -259,9 +272,11 @@ func (e *engine) iterate() {
 	} else {
 		// Groups are pre-sorted by descending enumeration cost (init), so
 		// a strided assignment balances the expensive few across workers.
-		var mu sync.Mutex
+		// The partials are summed in worker order, not completion order,
+		// so the result does not depend on scheduling.
+		partials := make([][]float64, e.workers)
 		var wg sync.WaitGroup
-		for w := 0; w < e.workers; w++ {
+		for w := range partials {
 			wg.Add(1)
 			go func(start int) {
 				defer wg.Done()
@@ -270,14 +285,15 @@ func (e *engine) iterate() {
 				for i := start; i < len(e.groups); i += e.workers {
 					e.processGroup(&e.groups[i], logLam, local, &sc)
 				}
-				mu.Lock()
-				for j, v := range local {
-					next[j] += v
-				}
-				mu.Unlock()
+				partials[start] = local
 			}(w)
 		}
 		wg.Wait()
+		for _, local := range partials {
+			for j, v := range local {
+				next[j] += v
+			}
+		}
 	}
 	// Appendix A: average the per-tree expectations over the d trees.
 	inv := 1 / float64(e.d)

@@ -220,6 +220,46 @@ func TestEMParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunBitwiseReproducible: EM on identical registers returns the same
+// bits on every run, serial or parallel. Group order and the order of the
+// per-worker partial sums are fixed, so neither map iteration nor
+// goroutine scheduling reaches the floating-point sums.
+func TestRunBitwiseReproducible(t *testing.T) {
+	s, err := core.New(core.Config{K: 8, Trees: 2, LeafWidth: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var key [4]byte
+	for f := 0; f < 400; f++ {
+		key[0], key[1] = byte(f), byte(f>>8)
+		s.Update(key[:], uint64(1+rng.Intn(40)))
+	}
+	vcs := s.VirtualCounters()
+	for _, workers := range []int{1, 2} {
+		cfg := Config{W1: s.LeafWidth(), Theta1: s.StageMax(0), Iterations: 4, Workers: workers}
+		first, err := Run(cfg, vcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 1; run < 20; run++ {
+			res, err := Run(cfg, vcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(res.N) != math.Float64bits(first.N) || len(res.Dist) != len(first.Dist) {
+				t.Fatalf("workers %d run %d: N %v (%d sizes), first run %v (%d sizes)",
+					workers, run, res.N, len(res.Dist), first.N, len(first.Dist))
+			}
+			for j := range res.Dist {
+				if math.Float64bits(res.Dist[j]) != math.Float64bits(first.Dist[j]) {
+					t.Fatalf("workers %d run %d: size %d is %v, first run %v", workers, run, j, res.Dist[j], first.Dist[j])
+				}
+			}
+		}
+	}
+}
+
 func TestOnIterationCallback(t *testing.T) {
 	trees := [][]core.VirtualCounter{{{Value: 5, Degree: 1}}}
 	var iters []int

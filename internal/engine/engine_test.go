@@ -36,22 +36,8 @@ func build(cfg core.Config, seed uint32) func() (*core.Sketch, error) {
 
 func registersEqual(t *testing.T, a, b *core.Sketch) {
 	t.Helper()
-	if a.NumTrees() != b.NumTrees() || a.Depth() != b.Depth() {
-		t.Fatalf("geometry differs: trees %d/%d depth %d/%d",
-			a.NumTrees(), b.NumTrees(), a.Depth(), b.Depth())
-	}
-	for tr := 0; tr < a.NumTrees(); tr++ {
-		for l := 0; l < a.Depth(); l++ {
-			av, bv := a.StageValues(tr, l), b.StageValues(tr, l)
-			if len(av) != len(bv) {
-				t.Fatalf("tree %d stage %d: %d vs %d nodes", tr, l, len(av), len(bv))
-			}
-			for i := range av {
-				if av[i] != bv[i] {
-					t.Fatalf("tree %d stage %d node %d: %d != %d", tr, l, i, av[i], bv[i])
-				}
-			}
-		}
+	if d := a.FirstRegisterDiff(b); d != "" {
+		t.Fatal(d)
 	}
 }
 

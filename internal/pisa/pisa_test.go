@@ -226,15 +226,8 @@ func TestSwitchFCMBitIdentical(t *testing.T) {
 			t.Fatalf("flow %d: hardware %d != software %d", i, sw.Estimate(key), soft.Estimate(key))
 		}
 	}
-	for tr := 0; tr < 2; tr++ {
-		for l := 0; l < 3; l++ {
-			hv, sv := sw.Sketch().StageValues(tr, l), soft.StageValues(tr, l)
-			for i := range hv {
-				if hv[i] != sv[i] {
-					t.Fatalf("registers differ at tree %d stage %d idx %d", tr, l, i)
-				}
-			}
-		}
+	if d := sw.Sketch().FirstRegisterDiff(soft); d != "" {
+		t.Fatalf("registers differ: %s", d)
 	}
 }
 

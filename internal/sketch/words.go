@@ -2,10 +2,9 @@ package sketch
 
 import "unsafe"
 
-// Raw byte views over typed counter storage, the word-wide fold plane's
-// second adapter boundary (lanes.go widens values one at a time; these
-// expose a lane's backing store so merges, equality prescreens and
-// snapshot diffs can process eight bytes per load). The views alias their
+// Raw byte views over typed counter storage: they expose a lane's
+// backing store so merges, equality prescreens, stage read-outs and
+// snapshot diffs can process eight bytes per load. The views alias their
 // argument — they are reinterpretations, not copies — and are in native
 // byte order: pair them with binary.NativeEndian loads/stores so a 64-bit
 // word holds the lane's counters at their in-memory field positions on

@@ -78,11 +78,10 @@ func (p *pinRefs) get(first, last uint64) (pinRef, error) {
 	return ref, nil
 }
 
-// emClose compares EM outputs of equal registers. EM sums its counter
-// groups in map order, so reruns on the same registers differ in the
-// last bits; a recycled or torn bucket moves the estimate far more.
-func emClose(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+// emEqual compares EM outputs of equal registers bit for bit: EM is
+// reproducible, so any difference means a recycled or torn bucket.
+func emEqual(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b)
 }
 
 // TestWindowPinsUnderRecycling races writers and Rotate against every
@@ -188,7 +187,7 @@ func TestWindowPinsUnderRecycling(t *testing.T) {
 		func(lb Lookback) error {
 			got, cov, err := r.FSDOverTime(lb, em)
 			if err == nil && !lb.IncludeLive {
-				if ref := check("fsd", lb, cov); ref != nil && !slices.EqualFunc(got, ref.fsd, emClose) {
+				if ref := check("fsd", lb, cov); ref != nil && !slices.EqualFunc(got, ref.fsd, emEqual) {
 					mismatch("fsd", lb, cov, got, ref.fsd)
 				}
 			}
@@ -197,7 +196,7 @@ func TestWindowPinsUnderRecycling(t *testing.T) {
 		func(lb Lookback) error {
 			got, cov, err := r.EntropyOverTime(lb, em)
 			if err == nil && !lb.IncludeLive {
-				if ref := check("entropy", lb, cov); ref != nil && !emClose(got, fcm.EntropyOf(ref.fsd)) {
+				if ref := check("entropy", lb, cov); ref != nil && !emEqual(got, fcm.EntropyOf(ref.fsd)) {
 					mismatch("entropy", lb, cov, got, fcm.EntropyOf(ref.fsd))
 				}
 			}

@@ -35,19 +35,8 @@ func zipfStream(seed int64, flows, packets int) (keys [][]byte, incs []uint64) {
 // requireSameRegisters fails unless a and b hold bit-identical counters.
 func requireSameRegisters(t *testing.T, a, b *Sketch) {
 	t.Helper()
-	ac, bc := a.Core(), b.Core()
-	if ac.NumTrees() != bc.NumTrees() || ac.Depth() != bc.Depth() {
-		t.Fatalf("geometry mismatch: %dx%d vs %dx%d", ac.NumTrees(), ac.Depth(), bc.NumTrees(), bc.Depth())
-	}
-	for tree := 0; tree < ac.NumTrees(); tree++ {
-		for l := 0; l < ac.Depth(); l++ {
-			av, bv := ac.StageValues(tree, l), bc.StageValues(tree, l)
-			for i := range av {
-				if av[i] != bv[i] {
-					t.Fatalf("tree %d stage %d node %d: %d vs %d", tree, l, i, av[i], bv[i])
-				}
-			}
-		}
+	if d := a.Core().FirstRegisterDiff(b.Core()); d != "" {
+		t.Fatal(d)
 	}
 }
 
