@@ -130,8 +130,10 @@ gate 'TestWindowPacketsConservedUnderRotate|TestFrameworkRotateUnderConcurrentUp
 
 # Hot-path gate, part 2: bench smoke. One iteration of every ingest
 # benchmark (CI boxes are too noisy for numbers; perfbench's ingest
-# workload is the ledger), so the benchmarks keep compiling and running.
+# workload is the ledger), so the benchmarks keep compiling and running,
+# and of the self-telemetry overhead pair BENCH_telemetry.json reports.
 smoke 'IngestFCM|UpdateBatchFCM|ReplayTraceFCM' .
+smoke 'InstrumentedUpdate' .
 
 # Fold-path gate, part 1: the word-wide (SWAR) merge plane must stay
 # bit-identical to the scalar reference walk (difftest.MergeScalar) — the
@@ -159,10 +161,11 @@ gate 'TestMergeAllocs|TestDeltaAppendEncodeMatchesEncode|TestTakeSnapshotIntoAll
   './internal/core/ ./internal/collect/' -count=1
 # Fold-path gate, part 3: bench smoke — one iteration of the fold
 # benchmarks, the word-wide merge, equality, fleet-fold and diff paths,
-# plus the paper-geometry merge and cardinality kernels beside the plain
-# word-add ceiling they are reported against, and the paper-geometry ring
-# rotation (shard swap, merge, in-place coarsening, recycling).
-smoke 'MergePair|EqualRegisters|MergePaper|CardinalityPaper|WordAddCeiling' ./internal/core/
+# plus the paper-geometry merge, cardinality and register-census kernels
+# beside the plain word-add ceiling they are reported against, and the
+# paper-geometry ring rotation (shard swap, merge, in-place coarsening,
+# recycling).
+smoke 'MergePair|EqualRegisters|MergePaper|CardinalityPaper|CensusPaper|WordAddCeiling' ./internal/core/
 smoke 'RingRotate' ./internal/window/
 smoke 'AbsorbFleet|DiffSnapshots|StateCRC' ./internal/collect/
 

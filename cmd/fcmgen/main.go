@@ -120,7 +120,7 @@ func predictAccuracy(tr *trace.Trace, memBytes int) error {
 
 	obs := insight.Observe(sk)
 	obs.ExactMaxDegree = sk.MaxDegree()
-	rep := insight.NewAnalyzer(insight.Config{}).Note(obs)
+	rep := insight.NewAnalyzer().Note(obs)
 	fmt.Printf("\npredicted accuracy at %d bytes (k=8, 2 trees):\n", memBytes)
 	insight.WriteText(os.Stdout, rep)
 	return nil

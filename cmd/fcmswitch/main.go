@@ -176,19 +176,12 @@ func main() {
 		var prober *insight.Prober
 		switch {
 		case eng != nil:
-			eng.Instrument(reg)
-			prober = eng.InstrumentInsight(reg, insight.Config{}, 0)
+			prober = eng.Instrument(reg)
 		case locked != nil:
-			snapshot := func() *core.Sketch {
+			prober = engine.InstrumentSketch(reg, sw.Sketch(), func() *core.Sketch {
 				sk, _ := locked.Snapshot()
 				return sk
-			}
-			engine.InstrumentSketch(reg, sw.Sketch(), snapshot)
-			an := insight.NewAnalyzer(insight.Config{})
-			prober = insight.NewProber(an, func() insight.Observation {
-				return insight.Observe(snapshot())
-			}, 0)
-			insight.Instrument(reg, sw.Sketch().Depth(), prober.Report)
+			})
 		}
 		if srv != nil {
 			srv.Instrument(reg, "")
@@ -208,7 +201,7 @@ func main() {
 		}, "/debug/traces", "/debug/insight")
 		mux.Handle("/debug/traces", recorder)
 		if prober != nil {
-			mux.Handle("/debug/insight", insight.Handler(prober.Report))
+			mux.Handle("/debug/insight", insight.Handler(prober))
 		}
 		addr, shutdownTel, err := telemetry.Serve(*telAddr, mux)
 		if err != nil {

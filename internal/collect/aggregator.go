@@ -46,12 +46,10 @@ type Aggregator struct {
 
 	// Accuracy introspection: one analyzer per member (fed on every
 	// absorbed snapshot, so each member's trend history is per-window)
-	// plus one for the merged region, re-observed behind a 1s TTL.
+	// plus a prober over the merged region.
 	insightMu     sync.Mutex
 	memberInsight map[string]*insight.Analyzer
-	regionInsight *insight.Analyzer
-	regionAt      time.Time
-	regionLast    *insight.Report
+	region        *insight.Prober
 }
 
 // AggregatorConfig configures an Aggregator.
@@ -104,8 +102,8 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		latest:        make(map[string]*core.Sketch, len(cfg.Members)),
 		log:           telemetry.OrNop(cfg.Logger),
 		memberInsight: make(map[string]*insight.Analyzer, len(cfg.Members)),
-		regionInsight: insight.NewAnalyzer(insight.Config{}),
 	}
+	a.region = insight.NewProber(a.observeRegion)
 	members := make([]PollerConfig, len(cfg.Members))
 	for i := range cfg.Members {
 		m := cfg.Members[i]
@@ -214,7 +212,7 @@ func (a *Aggregator) noteMemberInsight(addr string, sk *core.Sketch) {
 	a.insightMu.Lock()
 	an := a.memberInsight[addr]
 	if an == nil {
-		an = insight.NewAnalyzer(insight.Config{})
+		an = insight.NewAnalyzer()
 		a.memberInsight[addr] = an
 	}
 	a.insightMu.Unlock()
@@ -223,8 +221,10 @@ func (a *Aggregator) noteMemberInsight(addr string, sk *core.Sketch) {
 
 // InsightReport assembles the fleet accuracy rollup: every member's
 // latest per-window self-report plus the merged region's, the /debug/
-// insight payload of fcmagg. The region merge is rate-limited to once
-// per second; between observations the cached report is served.
+// insight payload of fcmagg. The region is merged and observed at most
+// once per prober TTL; between observations the cached report is served.
+// The report has no region before the first member snapshot or while
+// member geometries drift.
 func (a *Aggregator) InsightReport() insight.FleetReport {
 	fr := insight.FleetReport{Members: map[string]insight.Report{}}
 	a.insightMu.Lock()
@@ -233,22 +233,21 @@ func (a *Aggregator) InsightReport() insight.FleetReport {
 			fr.Members[addr] = rep
 		}
 	}
-	refresh := time.Since(a.regionAt) >= time.Second
-	if !refresh && a.regionLast != nil {
-		rep := *a.regionLast
+	a.insightMu.Unlock()
+	if rep, ok := a.region.Report(); ok {
 		fr.Region = &rep
 	}
-	a.insightMu.Unlock()
-	if refresh {
-		if sk, _ := a.Snapshot(); sk != nil {
-			rep := a.regionInsight.ObserveSketch(sk)
-			a.insightMu.Lock()
-			a.regionAt, a.regionLast = time.Now(), &rep
-			a.insightMu.Unlock()
-			fr.Region = &rep
-		}
-	}
 	return fr
+}
+
+// observeRegion observes the merged region, or reports false when there
+// is no region to merge.
+func (a *Aggregator) observeRegion() (insight.Observation, bool) {
+	sk, _ := a.Snapshot()
+	if sk == nil {
+		return insight.Observation{}, false
+	}
+	return insight.Observe(sk), true
 }
 
 // Snapshot implements Source: the exact merge of every member's latest

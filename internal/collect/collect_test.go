@@ -14,6 +14,7 @@ import (
 	"github.com/fcmsketch/fcm/internal/core"
 	"github.com/fcmsketch/fcm/internal/engine"
 	"github.com/fcmsketch/fcm/internal/hashing"
+	"github.com/fcmsketch/fcm/internal/insight"
 )
 
 func k(i uint64) []byte {
@@ -472,5 +473,63 @@ func TestDrainRoundExactlyOnce(t *testing.T) {
 	}
 	if plain.DrainRound() != nil {
 		t.Fatal("DrainRound returned a sketch without TrackRounds")
+	}
+}
+
+// TestAggregatorInsightReportObservesOnce: the region report sits behind
+// one prober. Before the first member snapshot there is no region; once
+// members report, concurrent reports inside one TTL merge and observe the
+// region once, so its trend history gains one observation.
+func TestAggregatorInsightReportObservesOnce(t *testing.T) {
+	agg, err := NewAggregator(AggregatorConfig{
+		Members:  []PollerConfig{{Addr: "a"}, {Addr: "b"}},
+		Interval: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr := agg.InsightReport(); fr.Region != nil {
+		t.Fatalf("region report %+v before any member snapshot", *fr.Region)
+	}
+	for i, addr := range []string{"a", "b"} {
+		// Paper-sized members make the region merge slow enough for the
+		// readers below to overlap it.
+		s, err := core.New(core.Config{K: 8, Trees: 2, MemoryBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Update(k(uint64(i)), 10)
+		if err := agg.storeMember(addr, TakeSnapshot(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const readers = 16
+	reports := make([]insight.FleetReport, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range reports {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			reports[i] = agg.InsightReport()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, fr := range reports {
+		if fr.Region == nil {
+			t.Fatalf("reader %d: no region report with both members in", i)
+		}
+		if fr.Region.Window != 1 || fr.Region.Norm1 != 20 {
+			t.Fatalf("reader %d: region window %d norm1 %v, want window 1 norm1 20", i, fr.Region.Window, fr.Region.Norm1)
+		}
+		if len(fr.Members) != 2 {
+			t.Fatalf("reader %d: %d member reports, want 2", i, len(fr.Members))
+		}
+	}
+	if got := agg.Stats().Merges; got != 1 {
+		t.Fatalf("%d concurrent reports merged the region %d times, want 1", readers, got)
 	}
 }

@@ -878,52 +878,6 @@ func (s *Sketch) SetStats(st *Stats) {
 // Stats returns the attached telemetry, or nil.
 func (s *Sketch) Stats() *Stats { return s.stats }
 
-// StageOccupancy returns, per stage, the fraction of non-zero nodes
-// averaged over the trees — the saturation signal for the 8/16/32-bit
-// levels (stage-1 occupancy is also what drives Linear Counting error).
-// It scans every register: call it on snapshots at scrape time, not on
-// the ingest path.
-func (s *Sketch) StageOccupancy() []float64 {
-	occ := make([]float64, len(s.widths))
-	for _, t := range s.trees {
-		for l := range t.views {
-			nz := 0
-			for i := 0; i < t.views[l].n; i++ {
-				if t.load(l, i) != 0 {
-					nz++
-				}
-			}
-			occ[l] += float64(nz) / float64(t.views[l].n)
-		}
-	}
-	for l := range occ {
-		occ[l] /= float64(len(s.trees))
-	}
-	return occ
-}
-
-// OverflowedNodes returns, per stage, the number of nodes sitting at the
-// overflow marker summed across trees (the root stage reports clamped
-// nodes). Like StageOccupancy, it scans registers — scrape time only.
-func (s *Sketch) OverflowedNodes() []int {
-	over := make([]int, len(s.widths))
-	last := len(s.widths) - 1
-	for _, t := range s.trees {
-		for l := range t.views {
-			bound := t.mark[l]
-			if l == last {
-				bound = t.max[l]
-			}
-			for i := 0; i < t.views[l].n; i++ {
-				if t.load(l, i) >= bound {
-					over[l]++
-				}
-			}
-		}
-	}
-	return over
-}
-
 // K returns the tree arity.
 func (s *Sketch) K() int { return s.k }
 
@@ -1029,22 +983,14 @@ func (s *Sketch) FlagBitIndicator() bool {
 func (s *Sketch) StageWidth(l int) int { return s.widths[l] }
 
 // TotalCount returns the sum of counts recorded in tree t (each overflowed
-// node contributes its capacity, terminals their value). It equals the
-// number of packets fed in, absent final-stage saturation, and is the
-// invariant the virtual-counter conversion must preserve.
+// node contributes its capacity, terminals their value): the sum of the
+// tree's census loads. It equals the number of packets fed in, absent
+// final-stage saturation, and is the invariant the virtual-counter
+// conversion must preserve.
 func (s *Sketch) TotalCount(t int) uint64 {
-	tr := s.trees[t]
-	last := len(tr.views) - 1
 	total := uint64(0)
-	for l := range tr.views {
-		for i := 0; i < tr.views[l].n; i++ {
-			v := tr.load(l, i)
-			if v == tr.mark[l] && l < last {
-				total += uint64(tr.max[l])
-			} else {
-				total += uint64(v)
-			}
-		}
+	for l := range s.widths {
+		total += s.trees[t].stageCensus(l).Load
 	}
 	return total
 }

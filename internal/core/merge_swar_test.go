@@ -247,6 +247,20 @@ func BenchmarkCardinalityPaper(b *testing.B) {
 	}
 }
 
+var censusSink [][]core.StageCensus
+
+// BenchmarkCensusPaper times the register census on one loaded
+// paper-geometry window: one pass over every stage lane of both trees.
+func BenchmarkCensusPaper(b *testing.B) {
+	x, _ := paperPair(b)
+	b.SetBytes(int64(x.ResidentBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		censusSink = x.Census()
+	}
+}
+
 // BenchmarkWordAddCeiling is the memory-speed reference for the fold
 // kernels: a plain 1 MiB []uint64 add, one load of each operand and one
 // store per word. Merge at the paper geometry is reported as a multiple of
@@ -384,8 +398,10 @@ func TestMergeIntoEmptyEqualsCopy(t *testing.T) {
 			t.Run(fmt.Sprintf("g%d/hot%d", gi, hot), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(gi*17 + hot)))
 				x, dirty := loaded(t, cfg, rng, hot), loaded(t, cfg, rng, 7)
-				if over := x.OverflowedNodes(); over[len(over)-1] > 0 {
-					saturated = true
+				for _, stages := range x.Census() {
+					if stages[len(stages)-1].Overflowed > 0 {
+						saturated = true
+					}
 				}
 				empty := mustNew(t, cfg)
 				if err := empty.Merge(x); err != nil {

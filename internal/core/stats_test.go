@@ -84,31 +84,36 @@ func TestSetStatsDepthMismatchPanics(t *testing.T) {
 	s.SetStats(&Stats{})
 }
 
-func TestOccupancyAndOverflowedNodes(t *testing.T) {
+// TestCensusOccupancyAndOverflowed pins the census on a one-tree {2,4,8}
+// sketch: nonzero and overflowed nodes, the leaf marker counted as its
+// capacity in the mass, and a clamped root.
+func TestCensusOccupancyAndOverflowed(t *testing.T) {
 	s, _ := statSketch(t)
-	occ := s.StageOccupancy()
-	for l, o := range occ {
-		if o != 0 {
-			t.Errorf("stage %d occupancy %v on empty sketch", l, o)
+	for l, c := range s.Census()[0] {
+		if c != (StageCensus{}) {
+			t.Errorf("stage %d census %+v on empty sketch", l, c)
 		}
 	}
-	// One overflowed flow: its leaf sits at the marker, stage 2 non-zero.
+	// One overflowed flow: its leaf sits at the marker (mass 2, the leaf
+	// capacity), its stage-1 parent holds the excess 3.
 	s.Update([]byte("flow-a"), 5)
-	occ = s.StageOccupancy()
-	if occ[0] != 1.0/8 {
-		t.Errorf("stage-0 occupancy %v, want 1/8", occ[0])
+	want := []StageCensus{
+		{Nonzero: 1, Overflowed: 1, Load: 2, Max: 3},
+		{Nonzero: 1, Load: 3, Max: 3},
+		{},
 	}
-	if occ[1] != 1.0/4 {
-		t.Errorf("stage-1 occupancy %v, want 1/4", occ[1])
+	for l, c := range s.Census()[0] {
+		if c != want[l] {
+			t.Errorf("stage %d census %+v, want %+v", l, c, want[l])
+		}
 	}
-	over := s.OverflowedNodes()
-	if over[0] != 1 || over[1] != 0 {
-		t.Errorf("overflowed %v, want [1 0 0]", over)
+	if got := s.TotalCount(0); got != 5 {
+		t.Errorf("TotalCount %d, want 5", got)
 	}
 	// Saturate the root: the root stage must report one clamped node.
 	s.Update([]byte("flow-a"), 10_000)
-	over = s.OverflowedNodes()
-	if over[2] != 1 {
-		t.Errorf("root overflowed %v, want 1", over[2])
+	root := s.Census()[0][2]
+	if root.Overflowed != 1 || root.Max != s.StageMax(2) {
+		t.Errorf("root census %+v, want one clamped node at %d", root, s.StageMax(2))
 	}
 }

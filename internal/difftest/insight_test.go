@@ -49,7 +49,7 @@ func TestInsightAgainstOracle(t *testing.T) {
 	}
 	sk.SetStats(core.NewStats(sk.Depth()))
 	const horizon = 8
-	an := insight.NewAnalyzer(insight.Config{ForecastHorizon: horizon})
+	an := insight.NewAnalyzer()
 
 	const (
 		background = 12 // light flows, one packet per window

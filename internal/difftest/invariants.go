@@ -278,8 +278,12 @@ func CheckRotateLinearity(g Geometry, w *Workload, ref *core.Sketch, windows, sh
 // which is the right trade for a harness that must never report false
 // divergence.
 func rootSaturated(s *core.Sketch) bool {
-	over := s.OverflowedNodes()
-	return over[len(over)-1] > 0
+	for _, stages := range s.Census() {
+		if stages[len(stages)-1].Overflowed > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // oracleOf replays w into the exact tracker.

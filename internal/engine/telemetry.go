@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"github.com/fcmsketch/fcm/internal/core"
 	"github.com/fcmsketch/fcm/internal/insight"
@@ -13,22 +11,25 @@ import (
 // Instrument attaches self-telemetry to the engine and registers its
 // series: per-shard ingest counters (the paper's data plane measuring
 // itself), sketch-level promotion/saturation/occupancy series aggregated
-// over the shards, and snapshot/merge/rotate latency histograms.
+// over the shards, the accuracy self-report gauges (insight.Instrument),
+// and snapshot/merge/rotate latency histograms. It returns the prober
+// every register-derived series reads, for the caller to mount as
+// /debug/insight.
 //
 // Hot-path contract: an instrumented UpdateShard adds exactly one
 // uncontended atomic add (the shard's own core.Stats); everything else —
-// occupancy scans, cardinality, memory — is computed at scrape time from
-// a cached merged snapshot. Call before ingest starts; attaching races
-// no locks but the first updates on a not-yet-attached shard would go
-// uncounted.
-func (e *Engine) Instrument(reg *telemetry.Registry) {
-	depth := 0
+// occupancy, cardinality, the accuracy report — comes from one merged
+// snapshot and one census per prober TTL, taken at scrape time. Call
+// before ingest starts; attaching races no locks but the first updates
+// on a not-yet-attached shard would go uncounted.
+func (e *Engine) Instrument(reg *telemetry.Registry) *insight.Prober {
+	var depth, mem, resident int // one replica's geometry
 	stats := make([]*core.Stats, len(e.shards))
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		if depth == 0 {
-			depth = sh.sk.Depth()
+		if i == 0 {
+			depth, mem, resident = sh.sk.Depth(), sh.sk.MemoryBytes(), sh.sk.ResidentBytes()
 		}
 		st := core.NewStats(depth)
 		sh.sk.SetStats(st)
@@ -58,79 +59,74 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 	e.rotateSeconds = reg.Histogram("fcm_engine_rotate_seconds",
 		"Latency of a window rotation (build fresh shard sketches, swap each in, merge the closed ones).", nil)
 
-	registerSketchSeries(reg, depth, stats, func() *core.Sketch {
-		sk, _ := e.Snapshot()
-		return sk
-	})
+	p := insight.NewProber(func() (insight.Observation, bool) { return e.ObserveInsight(), true })
+	registerSketchSeries(reg, depth, mem, resident, stats, p)
+	return p
 }
 
-// InstrumentSketch registers the same sketch-level series for a
-// single-writer sketch (the non-sharded fcmswitch programs): sk gets a
-// core.Stats attached, and snapshot provides consistent register copies
-// for the scrape-time scans (e.g. a closure over
-// collect.LockedSketch.Snapshot).
-func InstrumentSketch(reg *telemetry.Registry, sk *core.Sketch, snapshot func() *core.Sketch) {
+// InstrumentSketch registers the same sketch-level and accuracy series
+// for a single-writer sketch (the non-sharded fcmswitch programs): sk gets
+// a core.Stats attached, and snapshot provides consistent register copies
+// for the prober (e.g. a closure over collect.LockedSketch.Snapshot). It
+// returns the prober, as Instrument does.
+func InstrumentSketch(reg *telemetry.Registry, sk *core.Sketch, snapshot func() *core.Sketch) *insight.Prober {
 	st := core.NewStats(sk.Depth())
 	sk.SetStats(st)
-	registerSketchSeries(reg, sk.Depth(), []*core.Stats{st}, snapshot)
+	stats := []*core.Stats{st}
+	p := insight.NewProber(func() (insight.Observation, bool) {
+		snap := snapshot()
+		obs := insight.Observe(snap)
+		obs.Counts = countsOf(snap.Depth(), stats)
+		return obs, true
+	})
+	registerSketchSeries(reg, sk.Depth(), sk.MemoryBytes(), sk.ResidentBytes(), stats, p)
+	return p
 }
 
-// ObserveInsight scans a merged snapshot into an insight.Observation.
-// Snapshot clones drop the shards' Stats attachment, so the cumulative
-// hot-path counters are re-derived by summing across shards (zero when
-// the engine was never instrumented — the analyzer falls back to
-// register-derived signals). Walks every register: scrape-time or
-// per-window only.
+// ObserveInsight scans a merged snapshot into an insight.Observation and
+// hands the snapshot back to the spares. Snapshot clones drop the shards'
+// Stats attachment, so the cumulative hot-path counters are re-derived by
+// summing across shards (zero when the engine was never instrumented —
+// the analyzer falls back to register-derived signals). Walks every
+// register: scrape-time or per-window only.
 func (e *Engine) ObserveInsight() insight.Observation {
 	sk, _ := e.Snapshot()
+	defer e.Recycle(sk)
 	obs := insight.Observe(sk)
-	prom := make([]uint64, sk.Depth()-1)
-	have := false
+	var stats []*core.Stats
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		st := sh.sk.Stats()
+		if st := sh.sk.Stats(); st != nil {
+			stats = append(stats, st)
+		}
 		sh.mu.Unlock()
-		if st == nil {
-			continue
-		}
-		have = true
-		obs.Counts.Updates += st.Updates.Load()
-		obs.Counts.Saturations += st.Saturations.Load()
-		for l := range prom {
-			prom[l] += st.PromotionCount(l)
-		}
 	}
-	if have {
-		obs.Counts.Promotions = prom
+	if len(stats) > 0 {
+		obs.Counts = countsOf(sk.Depth(), stats)
 	}
 	return obs
 }
 
-// InsightProber wraps ObserveInsight in a TTL-cached accuracy analyzer —
-// the report source for the /debug/insight endpoint and the insight
-// gauges (ttl <= 0 takes the Prober default of 1s).
-func (e *Engine) InsightProber(cfg insight.Config, ttl time.Duration) *insight.Prober {
-	return insight.NewProber(insight.NewAnalyzer(cfg), e.ObserveInsight, ttl)
-}
-
-// InstrumentInsight registers the accuracy self-report gauges
-// (insight.Instrument) backed by a fresh prober, and returns that prober
-// so the caller can also mount it as /debug/insight.
-func (e *Engine) InstrumentInsight(reg *telemetry.Registry, cfg insight.Config, ttl time.Duration) *insight.Prober {
-	sh := &e.shards[0]
-	sh.mu.Lock()
-	depth := sh.sk.Depth()
-	sh.mu.Unlock()
-	p := e.InsightProber(cfg, ttl)
-	insight.Instrument(reg, depth, p.Report)
-	return p
+// countsOf sums the cumulative hot-path counters of stats.
+func countsOf(depth int, stats []*core.Stats) insight.Counts {
+	c := insight.Counts{Promotions: make([]uint64, depth-1)}
+	for _, st := range stats {
+		c.Updates += st.Updates.Load()
+		c.Saturations += st.Saturations.Load()
+		for l := range c.Promotions {
+			c.Promotions[l] += st.PromotionCount(l)
+		}
+	}
+	return c
 }
 
 // registerSketchSeries exports the FCM sketch's self-telemetry: update
-// volume, per-level overflow promotions, root saturations, and the
-// scrape-time occupancy/cardinality probe.
-func registerSketchSeries(reg *telemetry.Registry, depth int, stats []*core.Stats, snapshot func() *core.Sketch) {
+// volume, per-level overflow promotions and root saturations from the
+// hot-path counters; occupancy, overflowed nodes and cardinality from p's
+// report; the replica footprint from the geometry; and the accuracy
+// self-report gauges.
+func registerSketchSeries(reg *telemetry.Registry, depth, mem, resident int, stats []*core.Stats, p *insight.Prober) {
 	sum := func(read func(*core.Stats) uint64) func() float64 {
 		return func() float64 {
 			var total uint64
@@ -152,64 +148,27 @@ func registerSketchSeries(reg *telemetry.Registry, depth int, stats []*core.Stat
 		"Updates clamped at the root stage's counting capacity (hard overflow).",
 		sum(func(st *core.Stats) uint64 { return st.Saturations.Load() }))
 
-	probe := &sketchProbe{snapshot: snapshot, depth: depth}
+	report := func() insight.Report {
+		rep, _ := p.Report()
+		return rep
+	}
 	for l := 0; l < depth; l++ {
 		l := l
 		reg.GaugeFuncL("fcm_sketch_level_occupancy", fmt.Sprintf(`level="%d"`, l),
-			"Fraction of non-zero counters per stage, averaged over trees (from a cached merged snapshot).",
-			func() float64 { return probe.get().occ[l] })
+			"Fraction of non-zero counters per stage, averaged over trees (from the prober's cached census).",
+			func() float64 { return report().Stage(l).Occupancy })
 		reg.GaugeFuncL("fcm_sketch_level_overflowed", fmt.Sprintf(`level="%d"`, l),
 			"Counters sitting at the overflow marker per stage, summed over trees.",
-			func() float64 { return float64(probe.get().over[l]) })
+			func() float64 { return float64(report().Stage(l).Overflowed) })
 	}
 	reg.GaugeFunc("fcm_sketch_cardinality_estimate",
 		"Linear-Counting cardinality estimate of the current window.",
-		func() float64 { return probe.get().card })
+		func() float64 { return report().CardinalityEstimate })
 	reg.GaugeFunc("fcm_sketch_memory_bytes",
 		"Counter footprint of the logical sketch (one replica), as the paper accounts it: exact bit cost.",
-		func() float64 { return probe.get().mem })
+		func() float64 { return float64(mem) })
 	reg.GaugeFunc("fcm_sketch_resident_bytes",
 		"Bytes of counter storage actually allocated for one replica: typed lanes cost 1/2/4 bytes per node by stage width, not a uniform 4.",
-		func() float64 { return probe.get().resident })
-}
-
-// sketchProbe caches the expensive register scans behind a short TTL so
-// one scrape's many gauge reads trigger one snapshot, not a dozen, and
-// back-to-back scrapes during heavy ingest stay cheap.
-type sketchProbe struct {
-	snapshot func() *core.Sketch
-	depth    int
-
-	mu sync.Mutex
-	at time.Time
-	v  probeValues
-}
-
-type probeValues struct {
-	occ      []float64
-	over     []int
-	card     float64
-	mem      float64
-	resident float64
-}
-
-// probeTTL bounds how stale scrape-time register scans may be.
-const probeTTL = time.Second
-
-func (p *sketchProbe) get() probeValues {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.at.IsZero() && time.Since(p.at) < probeTTL {
-		return p.v
-	}
-	sk := p.snapshot()
-	p.v = probeValues{
-		occ:      sk.StageOccupancy(),
-		over:     sk.OverflowedNodes(),
-		card:     sk.Cardinality(),
-		mem:      float64(sk.MemoryBytes()),
-		resident: float64(sk.ResidentBytes()),
-	}
-	p.at = time.Now()
-	return p.v
+		func() float64 { return float64(resident) })
+	insight.Instrument(reg, depth, p)
 }

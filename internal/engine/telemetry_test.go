@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -65,10 +66,10 @@ func TestEngineInstrument(t *testing.T) {
 		}
 	}
 
-	// The occupancy probe caches within its TTL: the engine generation can
-	// move without every gauge read paying a snapshot+scan. We can't observe
-	// the cache directly, but the gauges must at least be self-consistent
-	// (occupancy in [0,1], rotated window ≈ empty before new traffic).
+	// The occupancy gauges read the prober's cached report (pinned by
+	// TestInstrumentScrapeTakesOneSnapshot); here they must at least be
+	// self-consistent (occupancy in [0,1], rotated window ≈ empty before
+	// new traffic).
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "fcm_sketch_level_occupancy") {
 			f := strings.Fields(line)
@@ -230,4 +231,72 @@ func (e *Engine) shardUpdates() uint64 {
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// paperEngine builds a 2-shard engine of paper-geometry sketches (1 MiB,
+// K=8, 2 trees, {8,16,32}) holding 64 Ki packets.
+func paperEngine(t *testing.T) *Engine {
+	t.Helper()
+	e, err := New(Config{Shards: 2, Build: build(core.Config{K: 8, Trees: 2, MemoryBytes: 1 << 20}, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 1<<16; i++ {
+		e.Update(key(i%20000), 1)
+	}
+	return e
+}
+
+// TestInstrumentScrapeTakesOneSnapshot: every register-derived series —
+// the fcm_sketch_* gauges and the fcm_insight_* gauges — reads one
+// prober, so a scrape takes exactly one engine snapshot.
+func TestInstrumentScrapeTakesOneSnapshot(t *testing.T) {
+	e := paperEngine(t)
+	reg := telemetry.NewRegistry()
+	e.Instrument(reg)
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`fcm_sketch_level_occupancy{level="0"}`,
+		"fcm_sketch_cardinality_estimate",
+		"fcm_insight_error_bound_packets",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("missing %q in exposition", want)
+		}
+	}
+	if got := e.snapSeconds.Count(); got != 1 {
+		t.Fatalf("one scrape took %d engine snapshots, want 1", got)
+	}
+}
+
+// TestObserveInsightAllocs: ObserveInsight hands its snapshot back to the
+// engine's spares, so a warm engine's observation allocates a census and
+// an Observation, not a sketch. sync.Pool keeps a per-P private entry, so
+// a goroutine that migrates between Ps can miss a spare now and then; the
+// average over 128 observations absorbs a few such rebuilds.
+func TestObserveInsightAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	e := paperEngine(t)
+	// Collect the setup's garbage so no collection is due while the
+	// observations are measured (two would empty the spares), then warm
+	// the spares.
+	runtime.GC()
+	e.ObserveInsight()
+	const rounds = 128
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		e.ObserveInsight()
+	}
+	runtime.ReadMemStats(&after)
+	perObs := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("%d B allocated per observation", perObs)
+	if perObs >= 64<<10 {
+		t.Fatalf("ObserveInsight allocates %d B per observation, want < 64 KiB", perObs)
+	}
 }

@@ -36,7 +36,7 @@ func TestRegistry(t *testing.T) {
 		t.Error("expected unknown-experiment error")
 	}
 	list := List()
-	if len(list) != 18 {
+	if len(list) != 17 {
 		t.Errorf("registry has %d experiments", len(list))
 	}
 	// Figures come before tables, sorted numerically.

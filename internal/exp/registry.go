@@ -17,24 +17,23 @@ type Experiment struct {
 
 // registry holds every experiment, keyed by ID.
 var registry = map[string]Experiment{
-	"fig6":      {"fig6", "Data-plane query accuracy vs k-ary trees (ARE/AAE/F1/cardinality)", RunFig6},
-	"fig7":      {"fig7", "Control-plane query accuracy vs k-ary trees (FSD WMRE, entropy RE)", RunFig7},
-	"fig8":      {"fig8", "Histogram of non-empty virtual counters per degree", RunFig8},
-	"fig9":      {"fig9", "EM runtime per iteration and convergence", RunFig9},
-	"fig10":     {"fig10", "Normalized flow-size errors on Zipf(α) traces", RunFig10},
-	"fig11":     {"fig11", "Normalized FSD WMRE on Zipf(α) traces", RunFig11},
-	"table3":    {"table3", "Accuracy vs number of trees", RunTable3},
-	"fig12":     {"fig12", "Six tasks across a memory sweep vs Elastic and UnivMon", RunFig12},
-	"fig13":     {"fig13", "Software vs Tofino-model accuracy", RunFig13},
-	"fig14":     {"fig14", "Hardware resources and accuracy vs CM(d)+TopK", RunFig14},
-	"table4":    {"table4", "Hardware resource consumption vs switch.p4", RunTable4},
-	"table5":    {"table5", "Resource comparison with existing Tofino solutions", RunTable5},
-	"appc":      {"appc", "TCAM cardinality table size and added error", RunAppC},
-	"thm51":     {"thm51", "Empirical validation of the Theorem 5.1 bound", RunThm51},
-	"ablation":  {"ablation", "Design ablations: overflow indicator, widths, conservative update", RunAblation},
-	"hc":        {"hc", "Heavy-change detection across windows (footnote 4)", RunHeavyChange},
-	"speed":     {"speed", "Single-core ingest throughput of every structure", RunSpeed},
-	"telemetry": {"telemetry", "Ingest throughput overhead of sketch self-telemetry (≤5% contract)", RunTelemetryOverhead},
+	"fig6":     {"fig6", "Data-plane query accuracy vs k-ary trees (ARE/AAE/F1/cardinality)", RunFig6},
+	"fig7":     {"fig7", "Control-plane query accuracy vs k-ary trees (FSD WMRE, entropy RE)", RunFig7},
+	"fig8":     {"fig8", "Histogram of non-empty virtual counters per degree", RunFig8},
+	"fig9":     {"fig9", "EM runtime per iteration and convergence", RunFig9},
+	"fig10":    {"fig10", "Normalized flow-size errors on Zipf(α) traces", RunFig10},
+	"fig11":    {"fig11", "Normalized FSD WMRE on Zipf(α) traces", RunFig11},
+	"table3":   {"table3", "Accuracy vs number of trees", RunTable3},
+	"fig12":    {"fig12", "Six tasks across a memory sweep vs Elastic and UnivMon", RunFig12},
+	"fig13":    {"fig13", "Software vs Tofino-model accuracy", RunFig13},
+	"fig14":    {"fig14", "Hardware resources and accuracy vs CM(d)+TopK", RunFig14},
+	"table4":   {"table4", "Hardware resource consumption vs switch.p4", RunTable4},
+	"table5":   {"table5", "Resource comparison with existing Tofino solutions", RunTable5},
+	"appc":     {"appc", "TCAM cardinality table size and added error", RunAppC},
+	"thm51":    {"thm51", "Empirical validation of the Theorem 5.1 bound", RunThm51},
+	"ablation": {"ablation", "Design ablations: overflow indicator, widths, conservative update", RunAblation},
+	"hc":       {"hc", "Heavy-change detection across windows (footnote 4)", RunHeavyChange},
+	"speed":    {"speed", "Single-core ingest throughput of every structure", RunSpeed},
 }
 
 // Lookup returns the experiment with the given ID.

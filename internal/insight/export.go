@@ -13,45 +13,61 @@ import (
 	"github.com/fcmsketch/fcm/internal/telemetry"
 )
 
-// Prober rate-limits the expensive register scan behind a report
-// source: Report re-observes at most once per TTL and serves the cached
-// report between scans — the same discipline the sketch gauges use, so
-// an aggressive scraper cannot turn introspection into ingest overhead.
+// proberTTL bounds how stale a Prober's report may be; in-package tests
+// stretch it.
+var proberTTL = time.Second
+
+// Prober is the one cache in front of a register scan: Report observes
+// the source at most once per second and serves the cached report between
+// observations, so every gauge and endpoint read of one scrape shares one
+// snapshot and one census, and an aggressive scraper cannot turn
+// introspection into ingest overhead. The observation and the analyzer
+// update run under one lock: concurrent readers of an expired cache wait
+// for one observation instead of each taking their own.
 type Prober struct {
 	an      *Analyzer
-	observe func() Observation
-	ttl     time.Duration
+	observe func() (Observation, bool)
 
 	mu   sync.Mutex
 	at   time.Time
 	last Report
+	ok   bool
 }
 
-// NewProber wraps an analyzer and an observation source with a TTL
-// (default 1s when ttl <= 0).
-func NewProber(an *Analyzer, observe func() Observation, ttl time.Duration) *Prober {
-	if ttl <= 0 {
-		ttl = time.Second
-	}
-	return &Prober{an: an, observe: observe, ttl: ttl}
+// NewProber wraps an observation source with a fresh analyzer. observe
+// reports false when there is nothing to observe (an aggregator before its
+// first member snapshot).
+func NewProber(observe func() (Observation, bool)) *Prober {
+	return &Prober{an: NewAnalyzer(), observe: observe}
 }
 
-// Report returns the current report, re-observing if the cache expired.
-func (p *Prober) Report() Report {
+// Report returns the current report, re-observing once the cached one is
+// a TTL old. ok is false, and the report zero, when the source has
+// nothing to observe; that outcome is not cached, so the next Report
+// tries again.
+func (p *Prober) Report() (rep Report, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if now := time.Now(); now.Sub(p.at) >= p.ttl {
-		p.at = now
-		p.last = p.an.Note(p.observe())
+	if now := time.Now(); !p.ok || now.Sub(p.at) >= proberTTL {
+		obs, ok := p.observe()
+		p.at, p.ok, p.last = now, ok, Report{}
+		if ok {
+			p.last = p.an.Note(obs)
+		}
 	}
-	return p.last
+	return p.last, p.ok
 }
 
-// Handler serves a report source as the /debug/insight endpoint: JSON by
-// default, the fcmctl rendering with ?format=text.
-func Handler(report func() Report) http.Handler {
+// Handler serves a prober's report as the /debug/insight endpoint: JSON
+// by default, the fcmctl rendering with ?format=text; 503 while there is
+// nothing to report.
+func Handler(p *Prober) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		rep := report()
+		rep, ok := p.Report()
+		if !ok {
+			http.Error(w, "insight: nothing observed yet", http.StatusServiceUnavailable)
+			return
+		}
 		if req.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			WriteText(w, rep)
@@ -78,12 +94,16 @@ func recScore(rec string) float64 {
 }
 
 // Instrument registers the report's headline numbers as gauges so the
-// accuracy self-report rides the ordinary scrape path. report is called
-// at scrape time — hand it a Prober's Report (or an Analyzer's cached
-// Last), never a raw register scan. depth fixes how many per-stage
-// series are registered (series sets are static in Prometheus; pass the
-// sketch's stage count).
-func Instrument(reg *telemetry.Registry, depth int, report func() Report) {
+// accuracy self-report rides the ordinary scrape path; every gauge reads
+// p, so one scrape costs at most one observation. The gauges read zero
+// while p has nothing to report. depth fixes how many per-stage series
+// are registered (series sets are static in Prometheus; pass the sketch's
+// stage count).
+func Instrument(reg *telemetry.Registry, depth int, p *Prober) {
+	report := func() Report {
+		rep, _ := p.Report()
+		return rep
+	}
 	g := func(name, help string, f func(Report) float64) {
 		reg.GaugeFunc(name, help, func() float64 { return f(report()) })
 	}
@@ -118,24 +138,18 @@ func Instrument(reg *telemetry.Registry, depth int, report func() Report) {
 		"Extrapolated windows until the first root register saturates (0 = saturated, -1 = no growth trend).",
 		func(r Report) float64 { return r.ForecastWindows })
 
-	stage := func(r Report, l int) StageReport {
-		if l < len(r.Stages) {
-			return r.Stages[l]
-		}
-		return StageReport{}
-	}
 	for l := 0; l < depth; l++ {
 		l := l
 		lbl := fmt.Sprintf(`level="%d"`, l)
 		reg.GaugeFuncL("fcm_insight_stage_error_bound_packets", lbl,
 			"Per-stage collision-error price: e/w_l times the count mass that reached stage l (packets).",
-			func() float64 { return stage(report(), l).ErrorBound })
+			func() float64 { return report().Stage(l).ErrorBound })
 		reg.GaugeFuncL("fcm_insight_stage_promotion_rate", lbl,
 			"Promotions out of this stage per window, over the trend history.",
-			func() float64 { return stage(report(), l).PromotionRate })
+			func() float64 { return report().Stage(l).PromotionRate })
 		reg.GaugeFuncL("fcm_insight_stage_recommendation", lbl,
 			"Geometry recommendation for this stage: 1 grow, 0 ok, -1 shrink.",
-			func() float64 { return recScore(stage(report(), l).Recommendation) })
+			func() float64 { return recScore(report().Stage(l).Recommendation) })
 	}
 }
 
@@ -232,7 +246,7 @@ func WriteFleetText(w io.Writer, fr FleetReport) {
 		flags := ""
 		if r.Saturated {
 			flags += "  SATURATED"
-		} else if r.ForecastWindows >= 0 && r.ForecastWindows <= 3 {
+		} else if r.ForecastWindows >= 0 && r.ForecastWindows <= forecastHorizon {
 			flags += fmt.Sprintf("  SATURATING(%.1fw)", r.ForecastWindows)
 		}
 		if !r.CardinalityValid {

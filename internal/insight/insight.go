@@ -21,10 +21,10 @@
 //     or imminent saturation, shrink when nearly idle — the sensor half
 //     of an auto-tuner control loop.
 //
-// The package is deliberately split from core: core scans registers
-// (Observe), insight interprets series of those scans (Analyzer). The
-// Analyzer never touches a sketch, so aggregators can run it on
-// remote-collected snapshots.
+// The package is deliberately split from core: core counts registers
+// (Census, behind Observe), insight interprets series of those counts
+// (Analyzer). The Analyzer never touches a sketch, so aggregators can run
+// it on remote-collected snapshots.
 package insight
 
 import (
@@ -109,28 +109,37 @@ type Observation struct {
 	ExactMaxDegree int `json:"exact_max_degree,omitempty"`
 }
 
-// Observe scans a sketch into an Observation. It walks every register —
-// scrape-time or per-window only. Attached core.Stats are carried along;
-// exact max degree is not computed (set ExactMaxDegree yourself if you
-// can afford the virtual-counter walk).
+// Observe scans a sketch into an Observation: one register census plus
+// the linear-counting estimate — scrape-time or per-window only. Attached
+// core.Stats are carried along; exact max degree is not computed (set
+// ExactMaxDegree yourself if you can afford the virtual-counter walk).
 func Observe(sk *core.Sketch) Observation {
 	geo := GeometryOf(sk)
-	load := sk.StageLoad()
-	norm1 := uint64(0)
-	for _, m := range load {
-		norm1 += m
-	}
 	obs := Observation{
-		At:            time.Now(),
-		Geometry:      geo,
-		Norm1:         float64(norm1) / float64(geo.Trees),
-		Occupancy:     sk.StageOccupancy(),
-		Overflowed:    sk.OverflowedNodes(),
-		StageLoad:     load,
-		MaxRoot:       sk.MaxStageValue(geo.Depth - 1),
-		Cardinality:   sk.Cardinality(),
-		EmptyFraction: sk.EmptyLeaves() / float64(geo.LeafWidth),
+		At:          time.Now(),
+		Geometry:    geo,
+		Occupancy:   make([]float64, geo.Depth),
+		Overflowed:  make([]int, geo.Depth),
+		StageLoad:   make([]uint64, geo.Depth),
+		Cardinality: sk.Cardinality(),
 	}
+	norm1, empty := uint64(0), 0
+	for _, stages := range sk.Census() {
+		for l, c := range stages {
+			obs.Occupancy[l] += float64(c.Nonzero) / float64(geo.StageNodes[l])
+			obs.Overflowed[l] += c.Overflowed
+			obs.StageLoad[l] += c.Load
+			norm1 += c.Load
+		}
+		empty += geo.LeafWidth - stages[0].Nonzero
+		obs.MaxRoot = max(obs.MaxRoot, stages[geo.Depth-1].Max)
+	}
+	trees := float64(geo.Trees)
+	for l := range obs.Occupancy {
+		obs.Occupancy[l] /= trees
+	}
+	obs.Norm1 = float64(norm1) / trees
+	obs.EmptyFraction = float64(empty) / trees / float64(geo.LeafWidth)
 	if st := sk.Stats(); st != nil {
 		obs.Counts.Updates = st.Updates.Load()
 		obs.Counts.Saturations = st.Saturations.Load()
@@ -206,61 +215,47 @@ type Report struct {
 	Stages []StageReport `json:"stages"`
 }
 
-// Config tunes an Analyzer. The zero value takes the defaults.
-type Config struct {
-	// History is how many observations the trend window holds (default 8).
-	History int
-	// CardinalityRelStdErrMax invalidates the LC estimate above this
-	// relative standard error (default 0.05).
-	CardinalityRelStdErrMax float64
-	// GrowOccupancy recommends growing a stage at or above this
-	// occupancy (default 0.85: collision pressure).
-	GrowOccupancy float64
-	// ShrinkOccupancy recommends shrinking a stage at or below this
-	// occupancy (default 0.10), provided nothing is promoting into it.
-	ShrinkOccupancy float64
-	// ForecastHorizon recommends growing the root once the saturation
-	// forecast is within this many windows (default 3).
-	ForecastHorizon float64
+// Stage returns stage l's report, or the zero StageReport when the report
+// has no such stage (a zero Report has none).
+func (r Report) Stage(l int) StageReport {
+	if l < len(r.Stages) {
+		return r.Stages[l]
+	}
+	return StageReport{}
 }
 
-func (c Config) withDefaults() Config {
-	if c.History <= 0 {
-		c.History = 8
-	}
-	if c.CardinalityRelStdErrMax <= 0 {
-		c.CardinalityRelStdErrMax = 0.05
-	}
-	if c.GrowOccupancy <= 0 {
-		c.GrowOccupancy = 0.85
-	}
-	if c.ShrinkOccupancy <= 0 {
-		c.ShrinkOccupancy = 0.10
-	}
-	if c.ForecastHorizon <= 0 {
-		c.ForecastHorizon = 3
-	}
-	return c
-}
+// The analyzer's thresholds.
+const (
+	// historyLen is how many observations the trend window holds.
+	historyLen = 8
+	// cardinalityRelStdErrMax invalidates the LC estimate above this
+	// relative standard error.
+	cardinalityRelStdErrMax = 0.05
+	// growOccupancy recommends growing a stage at or above this
+	// occupancy (collision pressure).
+	growOccupancy = 0.85
+	// shrinkOccupancy recommends shrinking a stage at or below this
+	// occupancy, provided nothing is promoting into it.
+	shrinkOccupancy = 0.10
+	// forecastHorizon recommends growing the root once the saturation
+	// forecast is within this many windows.
+	forecastHorizon = 3
+)
 
 // Analyzer folds a series of observations into reports. Safe for
 // concurrent use; one Analyzer watches one sketch (or one merged region).
 type Analyzer struct {
-	cfg Config
-
 	mu       sync.Mutex
 	geo      Geometry
 	haveGeo  bool
-	hist     []Observation // oldest first, ≤ cfg.History
+	hist     []Observation // oldest first, ≤ historyLen
 	seq      uint64
 	last     Report
 	haveLast bool
 }
 
-// NewAnalyzer builds an analyzer with cfg (zero value = defaults).
-func NewAnalyzer(cfg Config) *Analyzer {
-	return &Analyzer{cfg: cfg.withDefaults()}
-}
+// NewAnalyzer builds an analyzer with an empty history.
+func NewAnalyzer() *Analyzer { return &Analyzer{} }
 
 // ObserveSketch scans sk and folds the observation in — the one-call
 // path for callers that hold the sketch.
@@ -288,8 +283,8 @@ func (a *Analyzer) Note(obs Observation) Report {
 		obs.At = time.Now()
 	}
 	a.hist = append(a.hist, obs)
-	if len(a.hist) > a.cfg.History {
-		a.hist = a.hist[len(a.hist)-a.cfg.History:]
+	if len(a.hist) > historyLen {
+		a.hist = a.hist[len(a.hist)-historyLen:]
 	}
 	a.last = a.analyzeLocked()
 	a.haveLast = true
@@ -358,7 +353,7 @@ func (a *Analyzer) analyzeLocked() Report {
 	default:
 		alpha := cur.Cardinality / w1
 		rep.CardinalityRelStdErr = math.Sqrt(math.Exp(alpha)-alpha-1) / (alpha * math.Sqrt(w1))
-		rep.CardinalityValid = rep.CardinalityRelStdErr <= a.cfg.CardinalityRelStdErrMax
+		rep.CardinalityValid = rep.CardinalityRelStdErr <= cardinalityRelStdErrMax
 	}
 
 	// Saturation: current state + forecast by linear extrapolation of
@@ -440,11 +435,11 @@ func (a *Analyzer) stageReportsLocked(cur Observation, rep Report) []StageReport
 		promotingIn := l > 0 && promRate[l-1] > 0
 		switch {
 		case l == geo.Depth-1 && (rep.Saturated ||
-			(rep.ForecastWindows >= 0 && rep.ForecastWindows <= a.cfg.ForecastHorizon)):
+			(rep.ForecastWindows >= 0 && rep.ForecastWindows <= forecastHorizon)):
 			sr.Recommendation = RecGrow
-		case sr.Occupancy >= a.cfg.GrowOccupancy:
+		case sr.Occupancy >= growOccupancy:
 			sr.Recommendation = RecGrow
-		case sr.Occupancy <= a.cfg.ShrinkOccupancy && !promotingIn:
+		case sr.Occupancy <= shrinkOccupancy && !promotingIn:
 			sr.Recommendation = RecShrink
 		default:
 			sr.Recommendation = RecOK

@@ -55,9 +55,19 @@ func TestObserveMatchesSketch(t *testing.T) {
 	if obs.EmptyFraction <= 0 || obs.EmptyFraction >= 1 {
 		t.Fatalf("empty fraction = %v, want in (0,1)", obs.EmptyFraction)
 	}
-	load := sk.StageLoad()
+	load := make([]uint64, sk.Depth())
+	for _, stages := range sk.Census() {
+		for l, c := range stages {
+			load[l] += c.Load
+		}
+	}
 	if load[0] != 240 || load[1] != 0 || load[2] != 0 {
-		t.Fatalf("stage load = %v, want [240 0 0] (2 trees)", load)
+		t.Fatalf("census load = %v, want [240 0 0] (2 trees)", load)
+	}
+	for l := range load {
+		if obs.StageLoad[l] != load[l] {
+			t.Fatalf("observed stage load %v, census %v", obs.StageLoad, load)
+		}
 	}
 }
 
@@ -69,7 +79,7 @@ func TestErrorBoundMatchesTheorem51(t *testing.T) {
 	for i := uint64(0); i < 60; i++ {
 		sk.Update(key(i), 400) // 400 > leaf cap 254: every flow promotes
 	}
-	an := NewAnalyzer(Config{})
+	an := NewAnalyzer()
 	obs := Observe(sk)
 	obs.ExactMaxDegree = sk.MaxDegree()
 	rep := an.Note(obs)
@@ -95,7 +105,7 @@ func TestErrorBoundMatchesTheorem51(t *testing.T) {
 func TestMaxDegreeBoundWithoutExact(t *testing.T) {
 	sk := tiny(t)
 	sk.Update(key(1), 400) // promotes into stage 1 only
-	rep := NewAnalyzer(Config{}).ObserveSketch(sk)
+	rep := NewAnalyzer().ObserveSketch(sk)
 	if rep.MaxDegreeExact {
 		t.Fatal("degree marked exact without a virtual-counter walk")
 	}
@@ -110,15 +120,18 @@ func TestMaxDegreeBoundWithoutExact(t *testing.T) {
 // TestCardinalityValidity drives LC from valid to dead: a lightly loaded
 // sketch has a trustworthy estimate, a fully occupied stage 1 does not.
 func TestCardinalityValidity(t *testing.T) {
-	sk := tiny(t)
-	// 64 leaves give LC a floor around 9% rel-std-err even lightly
-	// loaded; the default 5% threshold is sized for production widths.
-	an := NewAnalyzer(Config{CardinalityRelStdErrMax: 0.2})
+	// LC's rel-std-err floor is about 1/√(2·w1): the 5% threshold needs
+	// w1 ≥ 200, so this test uses 1024 leaves rather than tiny's 64.
+	sk, err := core.New(core.Config{K: 8, Trees: 2, LeafWidth: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := NewAnalyzer()
 	rep := an.ObserveSketch(sk)
 	if !rep.CardinalityValid || rep.CardinalityEstimate != 0 {
 		t.Fatalf("empty sketch: valid=%v card=%v, want valid 0", rep.CardinalityValid, rep.CardinalityEstimate)
 	}
-	for i := uint64(0); i < 20; i++ {
+	for i := uint64(0); i < 100; i++ {
 		sk.Update(key(i), 1)
 	}
 	rep = an.ObserveSketch(sk)
@@ -150,7 +163,7 @@ func TestSaturationForecast(t *testing.T) {
 		t.Fatal(err)
 	}
 	sk.SetStats(core.NewStats(sk.Depth()))
-	an := NewAnalyzer(Config{History: 16})
+	an := NewAnalyzer()
 
 	// Per window, the one hot flow gains 20 packets; root cap is 2^8−2 =
 	// 254, so the root max grows ~20/window once the lower stages fill.
@@ -187,7 +200,7 @@ func TestSaturationForecast(t *testing.T) {
 
 // TestRecommendations pins the occupancy thresholds.
 func TestRecommendations(t *testing.T) {
-	an := NewAnalyzer(Config{})
+	an := NewAnalyzer()
 	geo := Geometry{K: 8, Trees: 1, Depth: 2, LeafWidth: 64,
 		StageNodes: []int{64, 8}, StageCaps: []uint64{254, 65534}}
 	obs := Observation{
@@ -219,7 +232,7 @@ func TestRecommendations(t *testing.T) {
 // TestGeometryChangeResetsHistory: a re-provisioned sketch must not
 // inherit the old trend.
 func TestGeometryChangeResetsHistory(t *testing.T) {
-	an := NewAnalyzer(Config{})
+	an := NewAnalyzer()
 	geoA := Geometry{K: 8, Trees: 1, Depth: 2, LeafWidth: 64,
 		StageNodes: []int{64, 8}, StageCaps: []uint64{254, 65534}}
 	obs := Observation{Geometry: geoA, Occupancy: []float64{0, 0},
@@ -248,10 +261,10 @@ func TestHandlerAndGauges(t *testing.T) {
 	for i := uint64(0); i < 30; i++ {
 		sk.Update(key(i), 5)
 	}
-	an := NewAnalyzer(Config{})
-	pr := NewProber(an, func() Observation { return Observe(sk) }, time.Hour)
+	stretchTTL(t)
+	pr := NewProber(func() (Observation, bool) { return Observe(sk), true })
 
-	srv := httptest.NewServer(Handler(pr.Report))
+	srv := httptest.NewServer(Handler(pr))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -275,7 +288,7 @@ func TestHandlerAndGauges(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	Instrument(reg, sk.Depth(), pr.Report)
+	Instrument(reg, sk.Depth(), pr)
 	rr := httptest.NewRecorder()
 	reg.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics?format=json", nil))
 	if rr.Code != 200 {
@@ -304,13 +317,45 @@ func TestProberTTL(t *testing.T) {
 	obs := Observation{Geometry: Geometry{K: 8, Trees: 1, Depth: 1, LeafWidth: 8,
 		StageNodes: []int{8}, StageCaps: []uint64{254}},
 		Occupancy: []float64{0}, Overflowed: []int{0}, StageLoad: []uint64{0}, EmptyFraction: 1}
-	pr := NewProber(NewAnalyzer(Config{}), func() Observation { calls++; return obs }, time.Hour)
+	stretchTTL(t)
+	pr := NewProber(func() (Observation, bool) { calls++; return obs, true })
 	pr.Report()
 	pr.Report()
-	pr.Report()
+	rep, ok := pr.Report()
 	if calls != 1 {
 		t.Fatalf("prober scanned %d times inside TTL, want 1", calls)
 	}
+	if !ok || rep.Window != 1 {
+		t.Fatalf("report window %d ok=%v, want window 1", rep.Window, ok)
+	}
+}
+
+// TestProberNothingObserved: a source with nothing to observe yields no
+// report — zero gauges and a 503 endpoint — and the prober asks again on
+// the next read, inside the TTL, until the source has an observation.
+func TestProberNothingObserved(t *testing.T) {
+	stretchTTL(t)
+	sk := tiny(t)
+	have := false
+	pr := NewProber(func() (Observation, bool) { return Observe(sk), have })
+	if rep, ok := pr.Report(); ok || rep.Stages != nil {
+		t.Fatalf("report %+v ok=%v from an empty source", rep, ok)
+	}
+	rr := httptest.NewRecorder()
+	Handler(pr).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/insight", nil))
+	if rr.Code != 503 {
+		t.Fatalf("empty source served %d, want 503", rr.Code)
+	}
+	have = true
+	if rep, ok := pr.Report(); !ok || len(rep.Stages) != sk.Depth() {
+		t.Fatalf("report %+v ok=%v once the source has an observation", rep, ok)
+	}
+}
+
+// stretchTTL makes every prober cache for an hour until the test ends.
+func stretchTTL(t *testing.T) {
+	proberTTL = time.Hour
+	t.Cleanup(func() { proberTTL = time.Second })
 }
 
 // TestFleetTextHighlights: member rollup flags saturating and LC-dead
