@@ -59,6 +59,18 @@ if go list -deps $prod | grep -qx "$mod/internal/difftest"; then
   exit 1
 fi
 
+# Import-direction gate: the root package is the public façade over the
+# internal layers, so no internal package may import it back. Only the
+# experiment harness (internal/exp) and the differential oracles
+# (internal/difftest) drive the public API from below.
+layers=$(go list ./internal/... | grep -vx -e "$mod/internal/exp" -e "$mod/internal/difftest")
+up=$(go list -f '{{.ImportPath}}{{range .Deps}} {{.}}{{end}}' $layers |
+  awk -v m="$mod" '{ for (i = 2; i <= NF; i++) if ($i == m) print $1 }')
+if [ -n "$up" ]; then
+  echo "ci.sh: internal packages import the root package $mod:" $up >&2
+  exit 1
+fi
+
 # Docs gate: the docs may not cite what does not exist. Every BENCH_*.json
 # named in README.md, DESIGN.md, EXPERIMENTS.md, this file, the verify
 # skill or a Go comment must be checked in, and every `fcmbench -run`

@@ -21,9 +21,7 @@ import (
 func TestOverTimeEstimateMatchesSwitch(t *testing.T) {
 	eng, err := engine.New(engine.Config{
 		Shards: 2,
-		Build: func() (*core.Sketch, error) {
-			return core.New(core.Config{K: 8, Trees: 2, MemoryBytes: 1 << 16, Hash: hashing.DataPlaneFamily(0)})
-		},
+		Sketch: core.Config{K: 8, Trees: 2, MemoryBytes: 1 << 16, Hash: hashing.DataPlaneFamily(0)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/fcmsketch/fcm"
 	"github.com/fcmsketch/fcm/internal/collect"
 	"github.com/fcmsketch/fcm/internal/em"
 	"github.com/fcmsketch/fcm/internal/insight"
@@ -215,14 +214,8 @@ func report(snap *collect.Snapshot, iters, workers, head int) {
 	}
 	fmt.Printf("cardinality (linear counting): %.0f\n", sk.Cardinality())
 
-	vcs := sk.VirtualCounters()
 	start := time.Now()
-	res, err := em.Run(em.Config{
-		W1:         snap.W1,
-		Theta1:     sk.StageMax(0),
-		Iterations: iters,
-		Workers:    workers,
-	}, vcs)
+	res, err := em.RunSketch(sk, &em.Options{Iterations: iters, Workers: workers})
 	if err != nil {
 		fatalf("EM: %v", err)
 	}
@@ -233,7 +226,7 @@ func report(snap *collect.Snapshot, iters, workers, head int) {
 	for size := 1; size <= head && size < len(res.Dist); size++ {
 		fmt.Printf("  size %3d: %10.1f flows\n", size, res.Dist[size])
 	}
-	h := fcm.EntropyOf(res.Dist)
+	h := em.Entropy(res.Dist)
 	if !math.IsNaN(h) {
 		fmt.Printf("entropy estimate: %.4f bits\n", h)
 	}

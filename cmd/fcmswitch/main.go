@@ -261,14 +261,12 @@ func shardedEngine(sw *pisa.Switch, shards int, seed uint32) (*engine.Engine, er
 	sk := sw.Sketch()
 	return engine.New(engine.Config{
 		Shards: shards,
-		Build: func() (*core.Sketch, error) {
-			return core.New(core.Config{
-				K:         sk.K(),
-				Trees:     sk.NumTrees(),
-				Widths:    sk.Widths(),
-				LeafWidth: sk.LeafWidth(),
-				Hash:      hashing.DataPlaneFamily(seed),
-			})
+		Sketch: core.Config{
+			K:         sk.K(),
+			Trees:     sk.NumTrees(),
+			Widths:    sk.Widths(),
+			LeafWidth: sk.LeafWidth(),
+			Hash:      hashing.DataPlaneFamily(seed),
 		},
 	})
 }

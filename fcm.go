@@ -38,67 +38,14 @@ import (
 
 	"github.com/fcmsketch/fcm/internal/core"
 	"github.com/fcmsketch/fcm/internal/em"
-	"github.com/fcmsketch/fcm/internal/hashing"
+	"github.com/fcmsketch/fcm/internal/engine"
 	"github.com/fcmsketch/fcm/internal/sketch"
 )
 
 // Config parameterizes an FCM-Sketch. The zero value of every field selects
-// the paper's defaults (§7.2): two 8-ary trees of 8/16/32-bit stages.
-type Config struct {
-	// MemoryBytes is the total counter budget. Exactly one of MemoryBytes
-	// and LeafWidth must be positive.
-	MemoryBytes int
-	// LeafWidth sets w1 (stage-1 nodes per tree) directly instead of
-	// solving it from MemoryBytes.
-	LeafWidth int
-	// K is the tree arity (default 8; the paper recommends 8 for plain
-	// FCM and 16 under a Top-K filter).
-	K int
-	// Trees is the number of independent trees (default 2).
-	Trees int
-	// Widths is the per-stage counter width in bits, leaves first
-	// (default 8,16,32).
-	Widths []int
-	// Seed derives the hash functions; sketches with equal seeds and
-	// geometry are mergeable snapshots of each other.
-	Seed uint32
-	// PerTreeHash forces one independent hash evaluation per tree instead
-	// of the default one-pass mode, which derives every tree's index from
-	// a single two-lane hash of the key. The modes place counters
-	// differently, so sketches built in different modes do not merge.
-	PerTreeHash bool
-}
-
-// withDefaults fills zero fields with the paper's defaults. Widths is
-// defensively copied so a caller mutating its slice after NewSketch cannot
-// corrupt the sketch geometry.
-func (c Config) withDefaults() Config {
-	if c.K == 0 {
-		c.K = 8
-	}
-	if c.Trees == 0 {
-		c.Trees = 2
-	}
-	if len(c.Widths) == 0 {
-		c.Widths = core.DefaultWidths()
-	} else {
-		c.Widths = append([]int(nil), c.Widths...)
-	}
-	return c
-}
-
-// coreConfig converts to the internal configuration.
-func (c Config) coreConfig() core.Config {
-	return core.Config{
-		K:           c.K,
-		Trees:       c.Trees,
-		Widths:      c.Widths,
-		MemoryBytes: c.MemoryBytes,
-		LeafWidth:   c.LeafWidth,
-		Hash:        hashing.DataPlaneFamily(c.Seed),
-		PerTreeHash: c.PerTreeHash,
-	}
-}
+// the paper's defaults (§7.2): two 8-ary trees of 8/16/32-bit stages. See
+// the field docs of engine.SketchConfig, which it aliases.
+type Config = engine.SketchConfig
 
 // Sketch is an FCM-Sketch: the data-plane structure of the paper. It is
 // not safe for concurrent use; multi-writer pipelines should use Sharded,
@@ -111,8 +58,8 @@ type Sketch struct {
 
 // NewSketch builds an FCM-Sketch.
 func NewSketch(cfg Config) (*Sketch, error) {
-	cfg = cfg.withDefaults()
-	s, err := core.New(cfg.coreConfig())
+	cfg = engine.WithDefaults(cfg)
+	s, err := core.New(engine.CoreConfig(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("fcm: %w", err)
 	}
@@ -220,33 +167,15 @@ func configsEqual(a, b Config) bool {
 }
 
 // EMOptions tunes the control-plane EM estimator. The zero value selects
-// the paper's configuration.
-type EMOptions struct {
-	// Iterations is the number of EM rounds (default 8; the paper's
-	// error stabilizes within 5).
-	Iterations int
-	// Workers is the parallelism: 0 = all cores (the paper's FCM(m)),
-	// 1 = single-threaded (FCM(s)).
-	Workers int
-	// OnIteration observes the intermediate distribution estimates.
-	OnIteration func(iter int, dist []float64)
-}
+// the paper's configuration. See the field docs of em.Options, which it
+// aliases.
+type EMOptions = em.Options
 
 // FlowSizeDistribution converts the sketch to virtual counters (§4.1) and
 // runs EM (§4.2) to estimate the flow-size distribution. dist[j] is the
 // estimated number of flows with exactly j packets.
 func (s *Sketch) FlowSizeDistribution(opt *EMOptions) ([]float64, error) {
-	var o EMOptions
-	if opt != nil {
-		o = *opt
-	}
-	res, err := em.Run(em.Config{
-		W1:          s.s.LeafWidth(),
-		Theta1:      s.s.StageMax(0),
-		Iterations:  o.Iterations,
-		Workers:     o.Workers,
-		OnIteration: o.OnIteration,
-	}, s.s.VirtualCounters())
+	res, err := em.RunSketch(s.s, opt)
 	if err != nil {
 		return nil, fmt.Errorf("fcm: %w", err)
 	}

@@ -8,7 +8,16 @@ import (
 	"testing"
 
 	"github.com/fcmsketch/fcm/internal/metrics"
+	"github.com/fcmsketch/fcm/internal/window"
 )
+
+// The benchmark harness (perfbench) configures window rings with the
+// public types: a ring's sketch geometry is a Config value and its EM
+// options are *EMOptions. These stop compiling if either is no longer
+// the type the ring takes.
+var _ = window.Config{Sketch: Config{MemoryBytes: 1 << 20}}
+
+var _ func(*window.Ring, window.Lookback, *EMOptions) ([]float64, window.Coverage, error) = (*window.Ring).FSDOverTime
 
 func k(i uint64) []byte {
 	var b [4]byte

@@ -2,9 +2,10 @@ package fcm
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
+
+	"github.com/fcmsketch/fcm/internal/em"
 )
 
 // Framework is the full FCM measurement framework of Fig. 1: an FCM-Sketch
@@ -119,24 +120,7 @@ func (f *Framework) Entropy(opt *EMOptions) (float64, error) {
 
 // EntropyOf computes flow entropy from a flow-size distribution, where
 // dist[k] is the number of flows of size k.
-func EntropyOf(dist []float64) float64 {
-	m := 0.0
-	for k := 1; k < len(dist); k++ {
-		m += float64(k) * dist[k]
-	}
-	if m == 0 {
-		return 0
-	}
-	h := 0.0
-	for k := 1; k < len(dist); k++ {
-		if dist[k] <= 0 {
-			continue
-		}
-		p := float64(k) / m
-		h -= dist[k] * p * math.Log2(p)
-	}
-	return h
-}
+func EntropyOf(dist []float64) float64 { return em.Entropy(dist) }
 
 // HeavyChange describes one detected heavy change (§4.4).
 type HeavyChange struct {

@@ -243,7 +243,7 @@ func (a *Aggregator) InsightReport() insight.FleetReport {
 // observeRegion observes the merged region, or reports false when there
 // is no region to merge.
 func (a *Aggregator) observeRegion() (insight.Observation, bool) {
-	sk, _ := a.Snapshot()
+	sk, _ := a.mergeLatest("insight")
 	if sk == nil {
 		return insight.Observation{}, false
 	}
@@ -255,8 +255,19 @@ func (a *Aggregator) observeRegion() (insight.Observation, bool) {
 // contributes a new snapshot — equal generations mean the same member
 // sketches, hence bit-identical merges. Returns nil before the first
 // member snapshot arrives (the server answers an error status and the
-// controller retries).
+// controller retries). Each region served counts as one merge.
 func (a *Aggregator) Snapshot() (*core.Sketch, uint64) {
+	merged, gen := a.mergeLatest("fold")
+	if merged != nil {
+		a.merges.Add(1)
+	}
+	return merged, gen
+}
+
+// mergeLatest is Snapshot without the merge count: the exact merge of every
+// member's latest sketch, folded under op's profile label, and its
+// generation, or nil before the first member snapshot.
+func (a *Aggregator) mergeLatest(op string) (*core.Sketch, uint64) {
 	a.mu.Lock()
 	gen := a.gen
 	refs := make([]*core.Sketch, 0, len(a.latest))
@@ -267,7 +278,7 @@ func (a *Aggregator) Snapshot() (*core.Sketch, uint64) {
 	// Merge outside the lock: member updates keep landing while we fold.
 	// Map order is arbitrary but irrelevant — FCM merge is commutative and
 	// associative, so any order yields the same registers.
-	merged, err := a.fold(refs, "fold")
+	merged, err := a.fold(refs, op)
 	if err != nil {
 		// Geometry drift between members (mid-reconfiguration): serve
 		// nothing rather than a partial region.
@@ -301,13 +312,16 @@ func (a *Aggregator) DrainRound() *core.Sketch {
 	if err != nil {
 		a.log.Warn("aggregator dropped round: member geometry drift", "err", err)
 	}
+	if merged != nil {
+		a.merges.Add(1)
+	}
 	return merged
 }
 
 // fold returns the exact merge of refs into a fresh sketch, leaving every
 // ref untouched, or nil when refs is empty or any merge fails. It runs
 // under pprof labels (op names the caller) so profiles attribute the
-// region-merge CPU, and counts each successful merge.
+// region-merge CPU.
 func (a *Aggregator) fold(refs []*core.Sketch, op string) (merged *core.Sketch, err error) {
 	if len(refs) == 0 {
 		return nil, nil
@@ -322,9 +336,6 @@ func (a *Aggregator) fold(refs []*core.Sketch, op string) (merged *core.Sketch, 
 				}
 			}
 		})
-	if merged != nil {
-		a.merges.Add(1)
-	}
 	return merged, err
 }
 

@@ -285,11 +285,9 @@ func TestServerConcurrentCollect(t *testing.T) {
 func TestServerShardedEngineSource(t *testing.T) {
 	eng, err := engine.New(engine.Config{
 		Shards: 4,
-		Build: func() (*core.Sketch, error) {
-			return core.New(core.Config{
-				K: 4, Trees: 2, LeafWidth: 256, Widths: []int{8, 16, 32},
-				Hash: hashing.NewBobFamily(42),
-			})
+		Sketch: core.Config{
+			K: 4, Trees: 2, LeafWidth: 256, Widths: []int{8, 16, 32},
+			Hash: hashing.NewBobFamily(42),
 		},
 	})
 	if err != nil {
@@ -479,7 +477,8 @@ func TestDrainRoundExactlyOnce(t *testing.T) {
 // TestAggregatorInsightReportObservesOnce: the region report sits behind
 // one prober. Before the first member snapshot there is no region; once
 // members report, concurrent reports inside one TTL merge and observe the
-// region once, so its trend history gains one observation.
+// region once, so its trend history gains one observation. That fold is
+// not a served export, so only the Snapshot after it counts as a merge.
 func TestAggregatorInsightReportObservesOnce(t *testing.T) {
 	agg, err := NewAggregator(AggregatorConfig{
 		Members:  []PollerConfig{{Addr: "a"}, {Addr: "b"}},
@@ -529,7 +528,15 @@ func TestAggregatorInsightReportObservesOnce(t *testing.T) {
 			t.Fatalf("reader %d: %d member reports, want 2", i, len(fr.Members))
 		}
 	}
+	// The insight probe's fold is not a served export: only Snapshot and
+	// DrainRound count toward fcm_aggregator_merges_total.
+	if got := agg.Stats().Merges; got != 0 {
+		t.Fatalf("%d insight reports counted %d served merges, want 0", readers, got)
+	}
+	if sk, _ := agg.Snapshot(); sk == nil {
+		t.Fatal("no region snapshot with both members in")
+	}
 	if got := agg.Stats().Merges; got != 1 {
-		t.Fatalf("%d concurrent reports merged the region %d times, want 1", readers, got)
+		t.Fatalf("one served Snapshot counted %d merges, want 1", got)
 	}
 }

@@ -18,11 +18,9 @@ import (
 // buildEngine is a generational leaf source for delta tests.
 func buildEngine(t testing.TB) *engine.Engine {
 	t.Helper()
-	eng, err := engine.New(engine.Config{Build: func() (*core.Sketch, error) {
-		return core.New(core.Config{
-			K: 4, Trees: 2, LeafWidth: 256, Widths: []int{8, 16, 32},
-			Hash: hashing.NewBobFamily(42),
-		})
+	eng, err := engine.New(engine.Config{Sketch: core.Config{
+		K: 4, Trees: 2, LeafWidth: 256, Widths: []int{8, 16, 32},
+		Hash: hashing.NewBobFamily(42),
 	}})
 	if err != nil {
 		t.Fatal(err)

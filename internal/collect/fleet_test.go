@@ -50,9 +50,7 @@ func TestFleetTwoLevelConvergence(t *testing.T) {
 	// so the fleet state is fixed and the flat reference is exact.
 	engines := make([]*engine.Engine, switches)
 	for i := range engines {
-		eng, err := engine.New(engine.Config{Build: func() (*core.Sketch, error) {
-			return core.New(geometry)
-		}})
+		eng, err := engine.New(engine.Config{Sketch: geometry})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -718,11 +718,14 @@ func (t *tree) queryAt3(idx int) uint64 {
 	return est + uint64(t.lane32[idx])
 }
 
-// Cardinality implements the Linear-Counting estimator of §3.3:
-// n̂ = −w1·ln(w0/w1) with w0 averaged over the trees' stage-1 arrays.
-func (s *Sketch) Cardinality() float64 {
-	w0 := s.EmptyLeaves()
-	w1 := float64(s.w1)
+// Cardinality implements the Linear-Counting estimator of §3.3 over the
+// trees' stage-1 arrays (LinearCount).
+func (s *Sketch) Cardinality() float64 { return LinearCount(s.w1, s.EmptyLeaves()) }
+
+// LinearCount is the Linear-Counting estimate n̂ = −w1·ln(w0/w1) of §3.3
+// for w1 leaves per tree, w0 of them empty (averaged over the trees).
+func LinearCount(leaves int, w0 float64) float64 {
+	w1 := float64(leaves)
 	if w0 <= 0 {
 		// Linear counting saturates when no leaf is empty; return its
 		// limit with a single empty slot, the standard LC fallback.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/fcmsketch/fcm/internal/collect"
-	"github.com/fcmsketch/fcm/internal/core"
 	"github.com/fcmsketch/fcm/internal/engine"
 )
 
@@ -31,9 +30,7 @@ func TestDeltaCollectionEquivalence(t *testing.T) {
 			t.Logf("workload seed %d (override with -seed)", seed)
 			w := RandomWorkload(DeriveSeed(seed, 1))
 
-			eng, err := engine.New(engine.Config{Build: func() (*core.Sketch, error) {
-				return core.New(g.CoreConfig())
-			}})
+			eng, err := engine.New(engine.Config{Sketch: g.CoreConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}

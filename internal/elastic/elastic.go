@@ -169,34 +169,25 @@ func (s *Sketch) Cardinality() float64 {
 // light part's first row (degree-1 counters) plus the heavy residents
 // counted exactly (the ElasticSketch FSD method).
 func (s *Sketch) EstimateDistribution(iterations, workers int) ([]float64, error) {
-	row := s.light.Row(0)
+	return Distribution(s.light, s.heavy, em.Config{Iterations: iterations, Workers: workers})
+}
+
+// Distribution is the ElasticSketch FSD estimator over a light part and
+// a heavy filter, shared with the CM(d)+TopK hardware emulation: EM over
+// light's first row as degree-1 counters (cfg.W1 is set to the row
+// length), plus heavy's residents counted exactly.
+func Distribution(light *cmsketch.Sketch, heavy *topk.Filter, cfg em.Config) ([]float64, error) {
+	row := light.Row(0)
 	vcs := make([]core.VirtualCounter, len(row))
 	for i, v := range row {
 		vcs[i] = core.VirtualCounter{Value: uint64(v), Degree: 1, Level: 1}
 	}
-	res, err := em.Run(em.Config{
-		W1:         len(row),
-		Iterations: iterations,
-		Workers:    workers,
-	}, [][]core.VirtualCounter{vcs})
+	cfg.W1 = len(row)
+	res, err := em.Run(cfg, [][]core.VirtualCounter{vcs})
 	if err != nil {
 		return nil, err
 	}
-	dist := res.Dist
-	s.heavy.Entries(func(key []byte, count uint64, flagged bool) {
-		total := count
-		if flagged {
-			total += s.light.Estimate(key)
-		}
-		if total == 0 {
-			return
-		}
-		for uint64(len(dist)) <= total {
-			dist = append(dist, 0)
-		}
-		dist[total]++
-	})
-	return dist, nil
+	return heavy.AddResidents(res.Dist, light.Estimate), nil
 }
 
 // MemoryBytes implements sketch.Sized.

@@ -174,12 +174,7 @@ func synthesize(t *testing.T, workers int) (*exact.Tracker, *Result) {
 		}
 		tracker.UpdateKey(keyOf(key), uint64(size))
 	}
-	res, err := Run(Config{
-		W1:         s.LeafWidth(),
-		Theta1:     s.StageMax(0),
-		Iterations: 6,
-		Workers:    workers,
-	}, s.VirtualCounters())
+	res, err := RunSketch(s, &Options{Iterations: 6, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +195,7 @@ func TestEMRecoverDistribution(t *testing.T) {
 		t.Errorf("N = %f, want ~3000", res.N)
 	}
 	// Estimated entropy close to true entropy.
-	he := exact.EntropyOfDistribution(res.Dist)
+	he := Entropy(res.Dist)
 	ht := tracker.Entropy()
 	if metrics.RE(ht, he) > 0.1 {
 		t.Errorf("entropy RE %f (est %f true %f)", metrics.RE(ht, he), he, ht)
@@ -319,5 +314,21 @@ func benchEM(b *testing.B, workers int) {
 			Iterations: 1, Workers: workers}, vcs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestEntropyMatchesTracker(t *testing.T) {
+	tr := exact.New()
+	counts := []uint64{1, 1, 2, 3, 5, 8, 13, 21}
+	for i, c := range counts {
+		tr.UpdateKey(keyOf([8]byte{byte(i)}), c)
+	}
+	got := Entropy(tr.Distribution())
+	want := tr.Entropy()
+	if math.Abs(got-want) > 1e-9 {
+		t.Errorf("distribution entropy %f, tracker entropy %f", got, want)
+	}
+	if Entropy(nil) != 0 {
+		t.Error("entropy of empty distribution should be 0")
 	}
 }

@@ -13,11 +13,11 @@ import (
 func TestUpdateShardBatchEquivalence(t *testing.T) {
 	for gi, geom := range geometries {
 		rng := rand.New(rand.NewSource(int64(gi)))
-		serial, err := New(Config{Shards: 2, Build: build(geom, 5)})
+		serial, err := New(Config{Shards: 2, Sketch: withSeed(geom, 5)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := New(Config{Shards: 2, Build: build(geom, 5)})
+		batched, err := New(Config{Shards: 2, Sketch: withSeed(geom, 5)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +50,11 @@ func TestUpdateShardBatchEquivalence(t *testing.T) {
 func TestBatcherEquivalence(t *testing.T) {
 	geom := geometries[0]
 	rng := rand.New(rand.NewSource(42))
-	plain, err := New(Config{Shards: 4, Build: build(geom, 3)})
+	plain, err := New(Config{Shards: 4, Sketch: withSeed(geom, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(Config{Shards: 4, Build: build(geom, 3)})
+	eng, err := New(Config{Shards: 4, Sketch: withSeed(geom, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestBatcherEquivalence(t *testing.T) {
 // caller reusing one buffer per packet (the pcap reader) still counts
 // distinct keys.
 func TestBatcherCopiesKeys(t *testing.T) {
-	eng, err := New(Config{Shards: 1, Build: build(geometries[0], 1)})
+	eng, err := New(Config{Shards: 1, Sketch: withSeed(geometries[0], 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(Config{Shards: 1, Build: build(geometries[0], 1)})
+	ref, err := New(Config{Shards: 1, Sketch: withSeed(geometries[0], 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestBatcherCopiesKeys(t *testing.T) {
 // full capacity), Add and Flush must not allocate — the engine half of the
 // zero-alloc replay acceptance criterion.
 func TestBatcherSteadyStateAllocs(t *testing.T) {
-	eng, err := New(Config{Shards: 2, Build: build(geometries[0], 1)})
+	eng, err := New(Config{Shards: 2, Sketch: withSeed(geometries[0], 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestBatcherSteadyStateAllocs(t *testing.T) {
 // TestUpdateShardBatchAllocs: the locked batch update itself is
 // allocation-free.
 func TestUpdateShardBatchAllocs(t *testing.T) {
-	eng, err := New(Config{Shards: 1, Build: build(geometries[0], 1)})
+	eng, err := New(Config{Shards: 1, Sketch: withSeed(geometries[0], 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ func TestUpdateShardBatchAllocs(t *testing.T) {
 func TestEngineUpdateBatchEquivalence(t *testing.T) {
 	for gi, geom := range geometries {
 		rng := rand.New(rand.NewSource(int64(gi)))
-		plain, err := New(Config{Shards: 3, Build: build(geom, 9)})
+		plain, err := New(Config{Shards: 3, Sketch: withSeed(geom, 9)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := New(Config{Shards: 3, Build: build(geom, 9)})
+		batched, err := New(Config{Shards: 3, Sketch: withSeed(geom, 9)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestEngineUpdateBatchEquivalence(t *testing.T) {
 // find a busy lock, so the round-robin start alone must spread them over
 // every shard — otherwise a single writer would never exercise the merge.
 func TestUpdateBatchRoundRobinSpread(t *testing.T) {
-	eng, err := New(Config{Shards: 3, Build: build(geometries[0], 1)})
+	eng, err := New(Config{Shards: 3, Sketch: withSeed(geometries[0], 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestUpdateBatchRoundRobinSpread(t *testing.T) {
 // TestEngineUpdateBatchAllocs: the first-free-shard batch update is
 // allocation-free.
 func TestEngineUpdateBatchAllocs(t *testing.T) {
-	eng, err := New(Config{Shards: 3, Build: build(geometries[0], 1)})
+	eng, err := New(Config{Shards: 3, Sketch: withSeed(geometries[0], 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package engine provides the sharded concurrent ingest engine: N
-// identically-configured FCM-Sketch shards fed by multiple writers, with
+// FCM-Sketch shards built from one core.Config, fed by multiple writers, with
 // exact merge (internal/core's Merge, §5 of the paper) into a consistent
 // read snapshot on demand. Because the merge is exact, the merged snapshot
 // is bit-identical to a single sketch that ingested the whole stream
@@ -38,6 +38,12 @@
 // of the engine's geometry, and put the per-shard sketches they merged
 // away back into it. Recycle lets an owner (the window ring) hand back
 // sketches it got from the engine once nothing references them.
+//
+// The engine builds every sketch itself, shards and spares alike, from the
+// one core.Config it was given, so all of them merge. SketchConfig is the
+// public sketch configuration (fcm.Config aliases it); WithDefaults and
+// CoreConfig turn it into that core.Config for the root package and the
+// window ring alike.
 package engine
 
 import (
@@ -55,12 +61,9 @@ import (
 type Config struct {
 	// Shards is the number of per-writer sketch replicas (default 1).
 	Shards int
-	// Build constructs one shard: once per shard in New, and whenever
-	// Rotate or Snapshot needs a sketch and the engine has no spare to
-	// reuse. It must return identically-configured sketches (same
-	// geometry AND same hash family) on every call, or merging is
-	// silently meaningless; geometry mismatches are caught.
-	Build func() (*core.Sketch, error)
+	// Sketch configures every shard, and every sketch Rotate or Snapshot
+	// builds when the engine has no spare to reuse.
+	Sketch core.Config
 	// ShardHash picks the shard for key-affinity updates; nil selects a
 	// BobHash decorrelated from the sketch's own hash functions.
 	ShardHash hashing.Hasher
@@ -79,7 +82,7 @@ type shard struct {
 // Engine is a sharded multi-writer FCM-Sketch.
 type Engine struct {
 	shards []shard
-	build  func() (*core.Sketch, error)
+	sketch core.Config
 	hasher hashing.Hasher
 	// next is the round-robin start of UpdateBatch's shard probe.
 	next atomic.Uint64
@@ -95,11 +98,8 @@ type Engine struct {
 	rotateSeconds *telemetry.Histogram
 }
 
-// New builds an engine with cfg.Shards replicas from cfg.Build.
+// New builds an engine with cfg.Shards replicas of cfg.Sketch.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Build == nil {
-		return nil, fmt.Errorf("engine: Build is required")
-	}
 	n := cfg.Shards
 	if n == 0 {
 		n = 1
@@ -113,9 +113,9 @@ func New(cfg Config) (*Engine, error) {
 		// shard choice is independent of counter placement.
 		h = hashing.NewBob(0x5eedca7e)
 	}
-	e := &Engine{shards: make([]shard, n), build: cfg.Build, hasher: h}
+	e := &Engine{shards: make([]shard, n), sketch: cfg.Sketch, hasher: h}
 	for i := range e.shards {
-		sk, err := cfg.Build()
+		sk, err := core.New(cfg.Sketch)
 		if err != nil {
 			return nil, fmt.Errorf("engine: building shard %d: %w", i, err)
 		}
@@ -355,7 +355,7 @@ func (e *Engine) snapshot() (sk *core.Sketch, gen, packets uint64) {
 		packets += sh.packets
 		sh.mu.Unlock()
 		if err != nil {
-			panic(fmt.Sprintf("engine: shard %d does not match Build's geometry: %v", i, err))
+			panic(fmt.Sprintf("engine: shard %d does not match the engine's geometry: %v", i, err))
 		}
 	}
 	return e.mergeClones(copies), gen, packets
@@ -372,8 +372,8 @@ func (e *Engine) mergeClones(clones []*core.Sketch) *core.Sketch {
 	merged := clones[0]
 	for _, c := range clones[1:] {
 		if err := merged.Merge(c); err != nil {
-			// Build returned inconsistent geometries — a constructor
-			// contract violation, not a runtime condition.
+			// Every sketch is built from one core.Config, so a
+			// mismatch is a bug, not a runtime condition.
 			panic(fmt.Sprintf("engine: shards not mergeable: %v", err))
 		}
 		e.Recycle(c)
@@ -400,12 +400,11 @@ func (e *Engine) spareOrBuild() *core.Sketch {
 	return e.mustBuild()
 }
 
-// mustBuild returns a fresh empty sketch from Config.Build.
+// mustBuild returns a fresh empty sketch of the engine's configuration.
 func (e *Engine) mustBuild() *core.Sketch {
-	sk, err := e.build()
+	sk, err := core.New(e.sketch)
 	if err != nil {
-		// Build succeeded for every shard in New; failing now breaks its
-		// contract, like the geometry check in mergeClones.
+		// The same configuration built every shard in New.
 		panic(fmt.Sprintf("engine: building a spare shard sketch: %v", err))
 	}
 	return sk
@@ -431,7 +430,7 @@ func (e *Engine) Compatible(o *core.Sketch) error {
 // Rotate closes the current window and returns the exact merge of its
 // shards and the packets it recorded; the caller owns the result. It
 // readies one empty sketch per shard outside the locks — a spare, cleared,
-// or a fresh Build when none is pooled — then swaps each in under its
+// or a freshly built one when none is pooled — then swaps each in under its
 // shard's lock: the closed window is the shards' own sketches, so a shard
 // is blocked for a pointer swap, not a register copy and clear. The
 // shard's telemetry moves to the new sketch and is detached from the

@@ -26,12 +26,10 @@ var geometries = []core.Config{
 	{K: 2, Trees: 1, LeafWidth: 64, Widths: []int{2, 4, 8}},
 }
 
-func build(cfg core.Config, seed uint32) func() (*core.Sketch, error) {
-	return func() (*core.Sketch, error) {
-		c := cfg
-		c.Hash = hashing.NewBobFamily(0xfc3141 ^ seed)
-		return core.New(c)
-	}
+// withSeed returns cfg with a hash family derived from seed.
+func withSeed(cfg core.Config, seed uint32) core.Config {
+	cfg.Hash = hashing.NewBobFamily(0xfc3141 ^ seed)
+	return cfg
 }
 
 func registersEqual(t *testing.T, a, b *core.Sketch) {
@@ -48,12 +46,12 @@ func TestShardedMergeEquivalence(t *testing.T) {
 	for gi, geom := range geometries {
 		for trial := 0; trial < 3; trial++ {
 			rng := rand.New(rand.NewSource(int64(gi*100 + trial)))
-			serial, err := build(geom, 7)()
+			serial, err := core.New(withSeed(geom, 7))
 			if err != nil {
 				t.Fatal(err)
 			}
 			shards := 1 + rng.Intn(8)
-			eng, err := New(Config{Shards: shards, Build: build(geom, 7)})
+			eng, err := New(Config{Shards: shards, Sketch: withSeed(geom, 7)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +84,7 @@ func TestConcurrentWritersWithSnapshots(t *testing.T) {
 	geom := geometries[0]
 	const writers = 6
 	const perWriter = 20_000
-	eng, err := New(Config{Shards: 4, Build: build(geom, 3)})
+	eng, err := New(Config{Shards: 4, Sketch: withSeed(geom, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +123,7 @@ func TestConcurrentWritersWithSnapshots(t *testing.T) {
 	<-done
 
 	// Replay the same deterministic streams serially and compare.
-	serial, err := build(geom, 3)()
+	serial, err := core.New(withSeed(geom, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestConcurrentWritersWithSnapshots(t *testing.T) {
 }
 
 func TestRotateReturnsClosedWindow(t *testing.T) {
-	eng, err := New(Config{Shards: 3, Build: build(geometries[0], 9)})
+	eng, err := New(Config{Shards: 3, Sketch: withSeed(geometries[0], 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,16 +165,16 @@ func TestRotateReturnsClosedWindow(t *testing.T) {
 // a caller-owned closed window stays untouched by later rotations.
 func TestRecycledSparesStartClean(t *testing.T) {
 	cfg := geometries[0]
-	eng, err := New(Config{Shards: 2, Build: build(cfg, 4)})
+	eng, err := New(Config{Shards: 2, Sketch: withSeed(cfg, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := build(cfg, 4)()
+	serial, err := core.New(withSeed(cfg, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dirty := func() *core.Sketch {
-		sk, err := build(cfg, 4)()
+		sk, err := core.New(withSeed(cfg, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +212,7 @@ func TestRecycledSparesStartClean(t *testing.T) {
 }
 
 func TestGenerationTracksUpdates(t *testing.T) {
-	eng, err := New(Config{Shards: 2, Build: build(geometries[0], 1)})
+	eng, err := New(Config{Shards: 2, Sketch: withSeed(geometries[0], 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,22 +228,14 @@ func TestGenerationTracksUpdates(t *testing.T) {
 }
 
 func TestEngineConfigErrors(t *testing.T) {
-	if _, err := New(Config{Shards: 2}); err == nil {
-		t.Error("expected error for missing Build")
-	}
-	if _, err := New(Config{Shards: -1, Build: build(geometries[0], 1)}); err == nil {
+	if _, err := New(Config{Shards: -1, Sketch: withSeed(geometries[0], 1)}); err == nil {
 		t.Error("expected error for negative shards")
 	}
-	bad := func() (*core.Sketch, error) {
-		return nil, errOops
-	}
-	if _, err := New(Config{Shards: 1, Build: bad}); err == nil {
-		t.Error("expected build error to propagate")
+	// An invalid sketch configuration (arity 1) fails New, not a later
+	// Rotate or Snapshot.
+	bad := withSeed(geometries[0], 1)
+	bad.K = 1
+	if _, err := New(Config{Shards: 2, Sketch: bad}); err == nil {
+		t.Error("expected an invalid sketch configuration to fail New")
 	}
 }
-
-var errOops = &buildError{}
-
-type buildError struct{}
-
-func (*buildError) Error() string { return "oops" }

@@ -13,7 +13,7 @@ import (
 // swallowing them, and that a refused merge leaves the shard's registers
 // untouched.
 func TestMergeShardRefusesMismatch(t *testing.T) {
-	e, err := New(Config{Shards: 2, Build: build(geometries[0], 1)})
+	e, err := New(Config{Shards: 2, Sketch: withSeed(geometries[0], 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

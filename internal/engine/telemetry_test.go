@@ -13,7 +13,7 @@ import (
 )
 
 func TestEngineInstrument(t *testing.T) {
-	e, err := New(Config{Shards: 4, Build: build(geometries[0], 0)})
+	e, err := New(Config{Shards: 4, Sketch: withSeed(geometries[0], 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestEngineInstrument(t *testing.T) {
 // over all shard replicas. For the paper geometry {8,16,32} at K=8 with
 // w1=512 and 2 trees, a replica is 2*(512*1 + 64*2 + 8*4) = 1344 bytes.
 func TestResidentBytesGauges(t *testing.T) {
-	e, err := New(Config{Shards: 4, Build: build(geometries[0], 0)})
+	e, err := New(Config{Shards: 4, Sketch: withSeed(geometries[0], 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestResidentBytesGauges(t *testing.T) {
 }
 
 func TestInstrumentSketch(t *testing.T) {
-	sk, err := build(geometries[2], 7)()
+	sk, err := core.New(withSeed(geometries[2], 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestInstrumentSketch(t *testing.T) {
 // racing the rotations must be counted exactly once in total.
 func TestInstrumentSurvivesRotate(t *testing.T) {
 	const shards = 3
-	e, err := New(Config{Shards: shards, Build: build(geometries[0], 0)})
+	e, err := New(Config{Shards: shards, Sketch: withSeed(geometries[0], 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func (e *Engine) shardUpdates() uint64 {
 // K=8, 2 trees, {8,16,32}) holding 64 Ki packets.
 func paperEngine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := New(Config{Shards: 2, Build: build(core.Config{K: 8, Trees: 2, MemoryBytes: 1 << 20}, 0)})
+	e, err := New(Config{Shards: 2, Sketch: withSeed(core.Config{K: 8, Trees: 2, MemoryBytes: 1 << 20}, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

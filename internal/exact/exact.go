@@ -85,28 +85,6 @@ func (t *Tracker) Entropy() float64 {
 	return h
 }
 
-// EntropyOfDistribution computes flow entropy from a flow-size distribution
-// (dist[s] = number of flows of size s), the form both the exact tracker and
-// the EM estimate can share: H = -Σ_s n_s·(s/m)·log2(s/m).
-func EntropyOfDistribution(dist []float64) float64 {
-	m := 0.0
-	for s := 1; s < len(dist); s++ {
-		m += float64(s) * dist[s]
-	}
-	if m == 0 {
-		return 0
-	}
-	h := 0.0
-	for s := 1; s < len(dist); s++ {
-		if dist[s] <= 0 {
-			continue
-		}
-		p := float64(s) / m
-		h -= dist[s] * p * math.Log2(p)
-	}
-	return h
-}
-
 // HeavyChanges compares two trackers (adjacent time windows) and returns
 // flows whose count changed by at least threshold in absolute value.
 func HeavyChanges(a, b *Tracker, threshold uint64) map[packet.Key]int64 {

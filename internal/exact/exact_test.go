@@ -97,22 +97,6 @@ func TestEntropySingleFlow(t *testing.T) {
 	}
 }
 
-func TestEntropyOfDistributionMatchesTracker(t *testing.T) {
-	tr := New()
-	counts := []uint64{1, 1, 2, 3, 5, 8, 13, 21}
-	for i, c := range counts {
-		tr.UpdateKey(key(byte(i)), c)
-	}
-	got := EntropyOfDistribution(tr.Distribution())
-	want := tr.Entropy()
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("distribution entropy %f, tracker entropy %f", got, want)
-	}
-	if EntropyOfDistribution(nil) != 0 {
-		t.Error("entropy of empty distribution should be 0")
-	}
-}
-
 func TestHeavyChanges(t *testing.T) {
 	a, b := New(), New()
 	a.UpdateKey(key(1), 100) // drops to 10: change -90

@@ -39,11 +39,10 @@ func RunAblation(o Options) ([]*Table, error) {
 	eval := func(s *core.Sketch) (are, aae, wmre float64, err error) {
 		ingest(tr, s)
 		are, aae = flowErrors(tr, s)
-		res, err := em.Run(em.Config{
-			W1: s.LeafWidth(), Theta1: s.StageMax(0),
+		res, err := em.RunSketchConfig(s, em.Config{
 			Iterations: o.EMIterations, Workers: o.Workers,
 			Metrics: o.EMMetrics,
-		}, s.VirtualCounters())
+		})
 		if err != nil {
 			return 0, 0, 0, err
 		}

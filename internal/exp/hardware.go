@@ -7,6 +7,7 @@ import (
 
 	"github.com/fcmsketch/fcm"
 	"github.com/fcmsketch/fcm/internal/core"
+	"github.com/fcmsketch/fcm/internal/elastic"
 	"github.com/fcmsketch/fcm/internal/em"
 	"github.com/fcmsketch/fcm/internal/metrics"
 	"github.com/fcmsketch/fcm/internal/pisa"
@@ -113,70 +114,30 @@ func RunFig13(o Options) ([]*Table, error) {
 // collected registers (plus exact filter residents when present).
 func distFromSwitch(sw *pisa.Switch, emo *fcm.EMOptions, m *em.Metrics) ([]float64, error) {
 	sk := sw.Sketch()
-	res, err := em.Run(em.Config{
-		W1:         sk.LeafWidth(),
-		Theta1:     sk.StageMax(0),
+	res, err := em.RunSketchConfig(sk, em.Config{
 		Iterations: emo.Iterations,
 		Workers:    emo.Workers,
 		Metrics:    m,
-	}, sk.VirtualCounters())
+	})
 	if err != nil {
 		return nil, err
 	}
 	dist := res.Dist
 	if f := sw.Filter(); f != nil {
-		f.Entries(func(key []byte, count uint64, flagged bool) {
-			total := count
-			if flagged {
-				total += sk.Estimate(key)
-			}
-			if total == 0 {
-				return
-			}
-			for uint64(len(dist)) <= total {
-				dist = append(dist, 0)
-			}
-			dist[total]++
-		})
+		dist = f.AddResidents(dist, sk.Estimate)
 	}
 	return dist, nil
 }
 
-// cmSwitchDistribution estimates the FSD of a CM(d)+TopK switch: degree-1
-// EM over the first light row plus exact filter residents.
+// cmSwitchDistribution estimates the FSD of a CM(d)+TopK switch the
+// ElasticSketch way: degree-1 EM over the first light row plus exact
+// filter residents.
 func cmSwitchDistribution(sw *pisa.Switch, o Options) ([]float64, error) {
-	cm := sw.CM()
-	row := cm.Row(0)
-	vcs := make([]core.VirtualCounter, len(row))
-	for i, v := range row {
-		vcs[i] = core.VirtualCounter{Value: uint64(v), Degree: 1, Level: 1}
-	}
-	res, err := em.Run(em.Config{
-		W1:         len(row),
+	return elastic.Distribution(sw.CM(), sw.Filter(), em.Config{
 		Iterations: o.EMIterations,
 		Workers:    o.Workers,
 		Metrics:    o.EMMetrics,
-	}, [][]core.VirtualCounter{vcs})
-	if err != nil {
-		return nil, err
-	}
-	dist := res.Dist
-	if f := sw.Filter(); f != nil {
-		f.Entries(func(key []byte, count uint64, flagged bool) {
-			total := count
-			if flagged {
-				total += cm.Estimate(key)
-			}
-			if total == 0 {
-				return
-			}
-			for uint64(len(dist)) <= total {
-				dist = append(dist, 0)
-			}
-			dist[total]++
-		})
-	}
-	return dist, nil
+	})
 }
 
 // RunFig14 reproduces Fig. 14: normalized hardware resources and accuracy

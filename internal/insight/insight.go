@@ -109,19 +109,19 @@ type Observation struct {
 	ExactMaxDegree int `json:"exact_max_degree,omitempty"`
 }
 
-// Observe scans a sketch into an Observation: one register census plus
-// the linear-counting estimate — scrape-time or per-window only. Attached
-// core.Stats are carried along; exact max degree is not computed (set
-// ExactMaxDegree yourself if you can afford the virtual-counter walk).
+// Observe scans a sketch into an Observation: one register census, which
+// also yields the linear-counting estimate — scrape-time or per-window
+// only. Attached core.Stats are carried along; exact max degree is not
+// computed (set ExactMaxDegree yourself if you can afford the
+// virtual-counter walk).
 func Observe(sk *core.Sketch) Observation {
 	geo := GeometryOf(sk)
 	obs := Observation{
-		At:          time.Now(),
-		Geometry:    geo,
-		Occupancy:   make([]float64, geo.Depth),
-		Overflowed:  make([]int, geo.Depth),
-		StageLoad:   make([]uint64, geo.Depth),
-		Cardinality: sk.Cardinality(),
+		At:         time.Now(),
+		Geometry:   geo,
+		Occupancy:  make([]float64, geo.Depth),
+		Overflowed: make([]int, geo.Depth),
+		StageLoad:  make([]uint64, geo.Depth),
 	}
 	norm1, empty := uint64(0), 0
 	for _, stages := range sk.Census() {
@@ -139,7 +139,9 @@ func Observe(sk *core.Sketch) Observation {
 		obs.Occupancy[l] /= trees
 	}
 	obs.Norm1 = float64(norm1) / trees
-	obs.EmptyFraction = float64(empty) / trees / float64(geo.LeafWidth)
+	w0 := float64(empty) / trees
+	obs.Cardinality = core.LinearCount(geo.LeafWidth, w0)
+	obs.EmptyFraction = w0 / float64(geo.LeafWidth)
 	if st := sk.Stats(); st != nil {
 		obs.Counts.Updates = st.Updates.Load()
 		obs.Counts.Saturations = st.Saturations.Load()

@@ -176,6 +176,26 @@ func (f *Filter) Entries(fn func(key []byte, count uint64, flagged bool)) {
 	}
 }
 
+// AddResidents adds every resident flow to the flow-size distribution
+// dist (dist[j] counts flows of size j), growing it as needed, and returns
+// it. A resident's size is its exact count, plus light(key) — the light
+// part's estimate — when its flag says earlier packets went there.
+func (f *Filter) AddResidents(dist []float64, light func(key []byte) uint64) []float64 {
+	f.Entries(func(key []byte, count uint64, flagged bool) {
+		if flagged {
+			count += light(key)
+		}
+		if count == 0 {
+			return
+		}
+		for uint64(len(dist)) <= count {
+			dist = append(dist, 0)
+		}
+		dist[count]++
+	})
+	return dist
+}
+
 // Len returns the number of resident flows.
 func (f *Filter) Len() int {
 	n := 0

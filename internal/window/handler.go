@@ -8,8 +8,8 @@ import (
 	"strconv"
 	"time"
 
-	fcm "github.com/fcmsketch/fcm"
 	"github.com/fcmsketch/fcm/internal/collect"
+	"github.com/fcmsketch/fcm/internal/em"
 )
 
 // QueryResponse is the JSON shape of GET /debug/overtime: the coverage
@@ -85,13 +85,14 @@ func Handler(r *Ring) http.Handler {
 				resp.Estimate = &est
 			}
 			if emIters > 0 {
-				dist, emErr := fsdOf(sk, &fcm.EMOptions{Iterations: emIters})
+				res, emErr := em.RunSketch(sk, &em.Options{Iterations: emIters})
 				if emErr != nil {
 					r.release(sk)
 					http.Error(w, emErr.Error(), http.StatusInternalServerError)
 					return
 				}
-				h := fcm.EntropyOf(dist)
+				dist := res.Dist
+				h := em.Entropy(dist)
 				resp.Entropy = &h
 				if len(dist) > 17 {
 					dist = dist[:17]

@@ -12,9 +12,10 @@ import (
 	"testing"
 	"time"
 
-	fcm "github.com/fcmsketch/fcm"
 	"github.com/fcmsketch/fcm/internal/collect"
 	"github.com/fcmsketch/fcm/internal/core"
+	"github.com/fcmsketch/fcm/internal/em"
+	"github.com/fcmsketch/fcm/internal/engine"
 	"github.com/fcmsketch/fcm/internal/trace"
 )
 
@@ -50,8 +51,8 @@ type pinRef struct {
 // pinRefs builds, and caches, the references of window ranges.
 type pinRefs struct {
 	mu   sync.Mutex
-	cfg  fcm.Config
-	em   *fcm.EMOptions
+	cfg  engine.SketchConfig
+	emo  *em.Options
 	refs map[[2]uint64]pinRef
 }
 
@@ -61,7 +62,7 @@ func (p *pinRefs) get(first, last uint64) (pinRef, error) {
 	if ref, ok := p.refs[[2]uint64{first, last}]; ok {
 		return ref, nil
 	}
-	s, err := fcm.NewSketch(p.cfg)
+	s, err := core.New(engine.CoreConfig(p.cfg))
 	if err != nil {
 		return pinRef{}, err
 	}
@@ -70,10 +71,11 @@ func (p *pinRefs) get(first, last uint64) (pinRef, error) {
 			s.Update(k, 1)
 		}
 	}
-	ref := pinRef{sk: s.Core()}
-	if ref.fsd, err = fsdOf(ref.sk, p.em); err != nil {
+	res, err := em.RunSketch(s, p.emo)
+	if err != nil {
 		return pinRef{}, err
 	}
+	ref := pinRef{sk: s, fsd: res.Dist}
 	p.refs[[2]uint64{first, last}] = ref
 	return ref, nil
 }
@@ -95,7 +97,7 @@ func emEqual(a, b float64) bool {
 // the writers and are only required to succeed.
 func TestWindowPinsUnderRecycling(t *testing.T) {
 	cfg := Config{
-		Sketch:     fcm.Config{LeafWidth: 512},
+		Sketch:     engine.SketchConfig{LeafWidth: 512},
 		Shards:     2,
 		MaxWindows: 6,
 		SpanCap:    1,
@@ -105,8 +107,8 @@ func TestWindowPinsUnderRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := &fcm.EMOptions{Iterations: 1, Workers: 1}
-	refs := &pinRefs{cfg: r.Config().Sketch, em: em, refs: make(map[[2]uint64]pinRef)}
+	emo := &em.Options{Iterations: 1, Workers: 1}
+	refs := &pinRefs{cfg: r.Config().Sketch, emo: emo, refs: make(map[[2]uint64]pinRef)}
 	// The ring rotates windows times, each rotation waiting for a fresh
 	// answer, so readers and rotations interleave however the scheduler
 	// favours either.
@@ -185,7 +187,7 @@ func TestWindowPinsUnderRecycling(t *testing.T) {
 			return err
 		},
 		func(lb Lookback) error {
-			got, cov, err := r.FSDOverTime(lb, em)
+			got, cov, err := r.FSDOverTime(lb, emo)
 			if err == nil && !lb.IncludeLive {
 				if ref := check("fsd", lb, cov); ref != nil && !slices.EqualFunc(got, ref.fsd, emEqual) {
 					mismatch("fsd", lb, cov, got, ref.fsd)
@@ -194,10 +196,10 @@ func TestWindowPinsUnderRecycling(t *testing.T) {
 			return err
 		},
 		func(lb Lookback) error {
-			got, cov, err := r.EntropyOverTime(lb, em)
+			got, cov, err := r.EntropyOverTime(lb, emo)
 			if err == nil && !lb.IncludeLive {
-				if ref := check("entropy", lb, cov); ref != nil && !emEqual(got, fcm.EntropyOf(ref.fsd)) {
-					mismatch("entropy", lb, cov, got, fcm.EntropyOf(ref.fsd))
+				if ref := check("entropy", lb, cov); ref != nil && !emEqual(got, em.Entropy(ref.fsd)) {
+					mismatch("entropy", lb, cov, got, em.Entropy(ref.fsd))
 				}
 			}
 			return err
@@ -299,15 +301,12 @@ func TestFiledWindowsStayCallers(t *testing.T) {
 	var filed, want []*core.Sketch
 	now := time.Unix(1_700_000_000, 0)
 	for g := uint64(1); g <= 24; g++ {
-		s, err := fcm.NewSketch(fcm.Config{LeafWidth: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newSketch(t, engine.SketchConfig{LeafWidth: 512})
 		for _, k := range pinWindow(g) {
 			s.Update(k, 1)
 		}
-		filed, want = append(filed, s.Core()), append(want, s.Core().Clone())
-		if err := r.FileWindow(s.Core(), now, now, uint64(len(pinWindow(g)))); err != nil {
+		filed, want = append(filed, s), append(want, s.Clone())
+		if err := r.FileWindow(s, now, now, uint64(len(pinWindow(g)))); err != nil {
 			t.Fatal(err)
 		}
 		for _, lb := range []Lookback{LastWindows(1), LastWindows(0)} {
@@ -333,20 +332,14 @@ func TestFiledWindowsStayCallers(t *testing.T) {
 // before the first bucket exists.
 func TestLiveRingFilesOnlyEngineGeometry(t *testing.T) {
 	r := testRing(t, 8, 2)
-	other, err := fcm.NewSketch(fcm.Config{LeafWidth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := newSketch(t, engine.SketchConfig{LeafWidth: 256})
 	now := time.Unix(1_700_000_000, 0)
-	if err := r.FileWindow(other.Core(), now, now, 0); err == nil || !strings.Contains(err.Error(), "geometry mismatch") {
+	if err := r.FileWindow(other, now, now, 0); err == nil || !strings.Contains(err.Error(), "geometry mismatch") {
 		t.Fatalf("live ring filed a window of another geometry: err %v", err)
 	}
-	same, err := fcm.NewSketch(r.Config().Sketch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	same := newSketch(t, r.Config().Sketch)
 	same.Update(key(3), 2)
-	if err := r.FileWindow(same.Core(), now, now, 2); err != nil {
+	if err := r.FileWindow(same, now, now, 2); err != nil {
 		t.Fatal(err)
 	}
 	if est, _, err := r.QueryOverTime(key(3), LastWindows(0).WithLive()); err != nil || est != 2 {
@@ -358,7 +351,7 @@ func TestLiveRingFilesOnlyEngineGeometry(t *testing.T) {
 // it with two window loads of shard sketches to merge in per window.
 func paperRing(tb testing.TB, maxWindows, windowPackets int) (*Ring, [][2]*core.Sketch) {
 	tb.Helper()
-	r, err := New(Config{Sketch: fcm.Config{MemoryBytes: 1 << 20}, Shards: 2, MaxWindows: maxWindows, Now: testClock()})
+	r, err := New(Config{Sketch: engine.SketchConfig{MemoryBytes: 1 << 20}, Shards: 2, MaxWindows: maxWindows, Now: testClock()})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -369,15 +362,12 @@ func paperRing(tb testing.TB, maxWindows, windowPackets int) (*Ring, [][2]*core.
 	loads := make([][2]*core.Sketch, 2)
 	for w := range loads {
 		for s := range loads[w] {
-			sk, err := fcm.NewSketch(r.Config().Sketch)
-			if err != nil {
-				tb.Fatal(err)
-			}
+			sk := newSketch(tb, r.Config().Sketch)
 			// Shard s of window w holds every other packet of the window.
 			for i := w*windowPackets + s; i < (w+1)*windowPackets; i += 2 {
 				sk.Update(tr.Keys[tr.Order[i]].Bytes(), 1)
 			}
-			loads[w][s] = sk.Core()
+			loads[w][s] = sk
 		}
 	}
 	return r, loads

@@ -5,6 +5,12 @@
 // entropy and flow-size distribution over an arbitrary lookback — without
 // stopping ingest.
 //
+// The ring is built on the layers below the public API: a live ring's
+// geometry is an engine.SketchConfig (the type fcm.Config aliases) and its
+// data plane an engine.Engine; its EM and entropy answers come from
+// em.RunSketch and em.Entropy. It does not import the root package, so
+// the root package can build on it.
+//
 // The design leans entirely on the property the paper proves in §5: FCM's
 // merge is exact, so the fold of any set of window sketches is register-
 // bit-identical to a single sketch that ingested those windows' packets
@@ -66,7 +72,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	fcm "github.com/fcmsketch/fcm"
 	"github.com/fcmsketch/fcm/internal/core"
 	"github.com/fcmsketch/fcm/internal/em"
 	"github.com/fcmsketch/fcm/internal/engine"
@@ -88,7 +93,7 @@ var ErrEmpty = errors.New("window: lookback covers no data")
 type Config struct {
 	// Sketch is the geometry of every window of a live ring. Collector
 	// rings ignore it and adopt the geometry of the first filed window.
-	Sketch fcm.Config
+	Sketch engine.SketchConfig
 	// Shards is the live engine's shard count (default 1).
 	Shards int
 	// BucketDuration is the nominal duration of one window. It stamps
@@ -245,12 +250,12 @@ type Ring struct {
 // cfg.Shards shards of cfg.Sketch geometry.
 func New(cfg Config) (*Ring, error) {
 	cfg = cfg.withDefaults()
-	live, err := fcm.NewSharded(cfg.Sketch, cfg.Shards)
+	cfg.Sketch = engine.WithDefaults(cfg.Sketch)
+	live, err := engine.New(engine.Config{Shards: cfg.Shards, Sketch: engine.CoreConfig(cfg.Sketch)})
 	if err != nil {
 		return nil, fmt.Errorf("window: %w", err)
 	}
-	cfg.Sketch = live.Config()
-	r := &Ring{cfg: cfg, live: live.Engine()}
+	r := &Ring{cfg: cfg, live: live}
 	r.liveStart = cfg.Now()
 	return r, nil
 }
@@ -698,48 +703,27 @@ func (r *Ring) HeavyHittersOverTime(candidates [][]byte, threshold uint64, lb Lo
 // FSDOverTime runs the control-plane EM estimator (§4.2) over the folded
 // lookback: dist[j] estimates the number of flows with exactly j packets
 // across the covered windows.
-func (r *Ring) FSDOverTime(lb Lookback, opt *fcm.EMOptions) ([]float64, Coverage, error) {
+func (r *Ring) FSDOverTime(lb Lookback, opt *em.Options) ([]float64, Coverage, error) {
 	sk, cov, err := r.fold(lb)
 	if err != nil {
 		return nil, cov, err
 	}
-	dist, runErr := fsdOf(sk, opt)
+	res, runErr := em.RunSketch(sk, opt)
 	r.release(sk)
 	if runErr != nil {
-		return nil, cov, runErr
+		return nil, cov, fmt.Errorf("window: %w", runErr)
 	}
-	return dist, cov, nil
-}
-
-// fsdOf runs the control-plane EM estimator over an already-folded sketch
-// — shared by FSDOverTime and the HTTP handler, which derives every field
-// of one response from a single fold.
-func fsdOf(sk *core.Sketch, opt *fcm.EMOptions) ([]float64, error) {
-	var o fcm.EMOptions
-	if opt != nil {
-		o = *opt
-	}
-	res, err := em.Run(em.Config{
-		W1:          sk.LeafWidth(),
-		Theta1:      sk.StageMax(0),
-		Iterations:  o.Iterations,
-		Workers:     o.Workers,
-		OnIteration: o.OnIteration,
-	}, sk.VirtualCounters())
-	if err != nil {
-		return nil, fmt.Errorf("window: %w", err)
-	}
-	return res.Dist, nil
+	return res.Dist, cov, nil
 }
 
 // EntropyOverTime estimates the flow entropy of the lookback from the EM
 // distribution: H = −Σ_k n_k·(k/m)·log2(k/m) (§4.4).
-func (r *Ring) EntropyOverTime(lb Lookback, opt *fcm.EMOptions) (float64, Coverage, error) {
+func (r *Ring) EntropyOverTime(lb Lookback, opt *em.Options) (float64, Coverage, error) {
 	dist, cov, err := r.FSDOverTime(lb, opt)
 	if err != nil {
 		return 0, cov, err
 	}
-	return fcm.EntropyOf(dist), cov, nil
+	return em.Entropy(dist), cov, nil
 }
 
 // Stats is a point-in-time summary of the ring for telemetry.

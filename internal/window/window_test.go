@@ -11,12 +11,23 @@ import (
 	"testing"
 	"time"
 
-	fcm "github.com/fcmsketch/fcm"
 	"github.com/fcmsketch/fcm/internal/collect"
 	"github.com/fcmsketch/fcm/internal/core"
+	"github.com/fcmsketch/fcm/internal/engine"
 	"github.com/fcmsketch/fcm/internal/hashing"
 	"github.com/fcmsketch/fcm/internal/telemetry"
 )
+
+// newSketch builds an empty sketch of cfg, defaults applied — the
+// sketch fcm.NewSketch(cfg) wraps.
+func newSketch(tb testing.TB, cfg engine.SketchConfig) *core.Sketch {
+	tb.Helper()
+	sk, err := core.New(engine.CoreConfig(engine.WithDefaults(cfg)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sk
+}
 
 // testClock returns a deterministic monotonic clock: every call advances
 // one second from a fixed epoch.
@@ -32,7 +43,7 @@ func testClock() func() time.Time {
 func testRing(t *testing.T, maxWindows, spanCap int) *Ring {
 	t.Helper()
 	r, err := New(Config{
-		Sketch:         fcm.Config{LeafWidth: 512},
+		Sketch:         engine.SketchConfig{LeafWidth: 512},
 		MaxWindows:     maxWindows,
 		SpanCap:        spanCap,
 		BucketDuration: time.Second,
@@ -74,7 +85,7 @@ func fillWindows(t *testing.T, r *Ring, n, perWindow int) {
 // Rotate. Half the packets arrive per key, half through UpdateBatch.
 func TestWindowPacketsExactPastRootSaturation(t *testing.T) {
 	r, err := New(Config{
-		Sketch: fcm.Config{LeafWidth: 64, Widths: []int{2, 3, 4}},
+		Sketch: engine.SketchConfig{LeafWidth: 64, Widths: []int{2, 3, 4}},
 		Shards: 2,
 		Now:    testClock(),
 	})
@@ -121,7 +132,7 @@ func TestWindowPacketsExactPastRootSaturation(t *testing.T) {
 // one window, so the filed buckets plus the live window hold them all.
 func TestWindowPacketsConservedUnderRotate(t *testing.T) {
 	r, err := New(Config{
-		Sketch:     fcm.Config{LeafWidth: 512},
+		Sketch:     engine.SketchConfig{LeafWidth: 512},
 		Shards:     3,
 		MaxWindows: 1 << 20, // retention never drops a window here
 		Now:        testClock(),
@@ -196,21 +207,15 @@ func TestWindowPacketsConservedUnderRotate(t *testing.T) {
 // naming the mismatched axis, and queries must keep answering.
 func TestCollectorRejectsGeometryDrift(t *testing.T) {
 	r := NewCollector(Config{BucketDuration: time.Second, Now: testClock()})
-	a, err := fcm.NewSketch(fcm.Config{LeafWidth: 512, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newSketch(t, engine.SketchConfig{LeafWidth: 512, Seed: 1})
 	a.Update(key(1), 1)
 	now := time.Unix(1_700_000_000, 0)
-	if err := r.FileWindow(a.Core(), now, now.Add(time.Second), 1); err != nil {
+	if err := r.FileWindow(a, now, now.Add(time.Second), 1); err != nil {
 		t.Fatal(err)
 	}
-	drift := func(cfg fcm.Config) *core.Sketch {
-		s, err := fcm.NewSketch(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Core()
+	drift := func(cfg engine.SketchConfig) *core.Sketch {
+		s := newSketch(t, cfg)
+		return s
 	}
 	flagBit, err := core.New(core.Config{
 		K: 8, Trees: 2, Widths: core.DefaultWidths(), LeafWidth: 512,
@@ -225,9 +230,9 @@ func TestCollectorRejectsGeometryDrift(t *testing.T) {
 		sk   *core.Sketch
 		want string
 	}{
-		{"geometry", drift(fcm.Config{LeafWidth: 256, Seed: 1}), "geometry mismatch"},
-		{"seed", drift(fcm.Config{LeafWidth: 512, Seed: 2}), "hash-seed mismatch"},
-		{"hash mode", drift(fcm.Config{LeafWidth: 512, Seed: 1, PerTreeHash: true}), "hash-mode mismatch"},
+		{"geometry", drift(engine.SketchConfig{LeafWidth: 256, Seed: 1}), "geometry mismatch"},
+		{"seed", drift(engine.SketchConfig{LeafWidth: 512, Seed: 2}), "hash-seed mismatch"},
+		{"hash mode", drift(engine.SketchConfig{LeafWidth: 512, Seed: 1, PerTreeHash: true}), "hash-mode mismatch"},
 		{"encoding", flagBit, "encoding mismatch"},
 	}
 	for _, tc := range cases {
@@ -257,20 +262,14 @@ func TestCollectorRejectsGeometryDrift(t *testing.T) {
 // drains.
 func TestScratchPoolDiscardsStaleGeometry(t *testing.T) {
 	r := NewCollector(Config{BucketDuration: time.Second, Now: testClock()})
-	a, err := fcm.NewSketch(fcm.Config{LeafWidth: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newSketch(t, engine.SketchConfig{LeafWidth: 512})
 	a.Update(key(7), 3)
 	now := time.Unix(1_700_000_000, 0)
-	if err := r.FileWindow(a.Core(), now, now.Add(time.Second), 3); err != nil {
+	if err := r.FileWindow(a, now, now.Add(time.Second), 3); err != nil {
 		t.Fatal(err)
 	}
-	stale, err := fcm.NewSketch(fcm.Config{LeafWidth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.scratch.Put(stale.Core())
+	stale := newSketch(t, engine.SketchConfig{LeafWidth: 256})
+	r.scratch.Put(stale)
 	for i := 0; i < 2; i++ { // second query exercises the repopulated pool
 		est, cov, err := r.QueryOverTime(key(7), LastWindows(0))
 		if err != nil {
@@ -514,7 +513,7 @@ func BenchmarkQueryOverTime(b *testing.B) {
 	for _, lb := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("lookback=%d", lb), func(b *testing.B) {
 			r, err := New(Config{
-				Sketch:         fcm.Config{LeafWidth: 512},
+				Sketch:         engine.SketchConfig{LeafWidth: 512},
 				MaxWindows:     64,
 				BucketDuration: time.Second,
 				Now:            testClock(),
@@ -546,7 +545,7 @@ func BenchmarkQueryOverTime(b *testing.B) {
 // cascades and retention on a bounded ring.
 func BenchmarkRotate(b *testing.B) {
 	r, err := New(Config{
-		Sketch:         fcm.Config{LeafWidth: 512},
+		Sketch:         engine.SketchConfig{LeafWidth: 512},
 		MaxWindows:     64,
 		BucketDuration: time.Second,
 		Now:            testClock(),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/fcmsketch/fcm/internal/core"
 	"github.com/fcmsketch/fcm/internal/engine"
 	"github.com/fcmsketch/fcm/internal/sketch"
 )
@@ -45,13 +44,8 @@ type Sharded struct {
 // shards — and snapshots — are mergeable with any single Sketch built
 // from the same cfg.
 func NewSharded(cfg Config, shards int) (*Sharded, error) {
-	cfg = cfg.withDefaults()
-	eng, err := engine.New(engine.Config{
-		Shards: shards,
-		Build: func() (*core.Sketch, error) {
-			return core.New(cfg.coreConfig())
-		},
-	})
+	cfg = engine.WithDefaults(cfg)
+	eng, err := engine.New(engine.Config{Shards: shards, Sketch: engine.CoreConfig(cfg)})
 	if err != nil {
 		return nil, fmt.Errorf("fcm: %w", err)
 	}

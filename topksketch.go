@@ -128,36 +128,11 @@ func (t *TopKSketch) Cardinality() float64 {
 // FlowSizeDistribution runs EM on the residual sketch and adds the filter
 // residents exactly — the FCM+TopK estimator evaluated in §7.
 func (t *TopKSketch) FlowSizeDistribution(opt *EMOptions) ([]float64, error) {
-	var o EMOptions
-	if opt != nil {
-		o = *opt
-	}
-	s := t.sketch.s
-	res, err := em.Run(em.Config{
-		W1:          s.LeafWidth(),
-		Theta1:      s.StageMax(0),
-		Iterations:  o.Iterations,
-		Workers:     o.Workers,
-		OnIteration: o.OnIteration,
-	}, s.VirtualCounters())
+	res, err := em.RunSketch(t.sketch.s, opt)
 	if err != nil {
 		return nil, fmt.Errorf("fcm: %w", err)
 	}
-	dist := res.Dist
-	t.filter.Entries(func(key []byte, count uint64, flagged bool) {
-		total := count
-		if flagged {
-			total += t.sketch.Estimate(key)
-		}
-		if total == 0 {
-			return
-		}
-		for uint64(len(dist)) <= total {
-			dist = append(dist, 0)
-		}
-		dist[total]++
-	})
-	return dist, nil
+	return t.filter.AddResidents(res.Dist, t.sketch.Estimate), nil
 }
 
 // MemoryBytes returns the combined footprint of filter and sketch.
