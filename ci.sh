@@ -116,6 +116,13 @@ gate 'Chaos|Blackhole|AcceptLoop|MaxConns|Idle|Skipped|Retries|StalledPeer|Stop'
 # and cap a warm ring's Rotate plus freshness fold below 64 KiB per window
 # (no register memory: dead shards and buckets are recycled).
 gate 'Allocs' './internal/engine/ ./internal/trace/ ./internal/window/' -count=1
+# The build counter's contract, uncached: a warm ring rotated every window
+# builds no sketch — with a per-window SnapshotOverTime caller and with a
+# reader pinning buckets across coarsening — a bucket retired while
+# pinned keeps its registers and is handed back exactly once by its last
+# unpin, and a steady poller of an engine-sourced server builds none.
+gate 'TestSteadyRotationBuildsNothing|TestPinnedBucketRecycledOnce|TestEngineServerReadsBuildNothing' \
+  './internal/window/ ./internal/collect/' -count=1
 
 # Batch-placement race gate: first-free-shard UpdateBatch writers (batch
 # sizes 1..1000) racing key-affinity writers and snapshots must still merge
@@ -151,8 +158,11 @@ smoke 'InstrumentedUpdate' .
 # bit-identical to the scalar reference walk (difftest.MergeScalar) — the
 # merge/diff suites (geometry sweep, equality prescreen) run under -race
 # and uncached, alongside the difftest SWAR-vs-scalar invariant via the
-# battery below.
+# battery below. The rotation's split merge is held to the same walk with
+# every sketch cut into 1, 2, 3 and 7 root ranges (its ranges share one
+# carry pair, so -race is the contract), and its split clear to Reset.
 gate 'MergeMatchesScalar|FirstRegisterDiffPrescreen|Merge' ./internal/core/ -race -count=1
+gate 'TestSplitMergeMatchesScalar|TestResetSplitClears' ./internal/core/ -race -count=1
 # The word-wide snapshot diff likewise against its scalar per-register
 # oracle (difftest.DiffScalar): every sweep geometry, including stages
 # whose byte length is not a multiple of 8, at dirty densities from none
@@ -175,8 +185,8 @@ gate 'TestMergeAllocs|TestDeltaAppendEncodeMatchesEncode|TestTakeSnapshotIntoAll
 # benchmarks, the word-wide merge, equality, fleet-fold and diff paths,
 # plus the paper-geometry merge, cardinality and register-census kernels
 # beside the plain word-add ceiling they are reported against, and the
-# paper-geometry ring rotation (shard swap, merge, in-place coarsening,
-# recycling).
+# paper-geometry ring rotation (split clears, shard swap, split merge,
+# in-place coarsening, recycling).
 smoke 'MergePair|EqualRegisters|MergePaper|CardinalityPaper|CensusPaper|WordAddCeiling' ./internal/core/
 smoke 'RingRotate' ./internal/window/
 smoke 'AbsorbFleet|DiffSnapshots|StateCRC' ./internal/collect/

@@ -64,6 +64,14 @@ type Source interface {
 	Reset()
 }
 
+// recycler is a Source that takes back the sketches Snapshot handed out.
+// The server's sessions keep their own byte copies, so each read hands
+// its sketch straight back; engine.Engine then reuses it as a later
+// snapshot's copy target, and a steady collection read builds no sketch.
+type recycler interface {
+	Recycle(sk *core.Sketch)
+}
+
 // ServerConfig bounds server-side resource use so a slow, stalled, or
 // malicious peer cannot pin a handler goroutine or exhaust descriptors.
 // Zero fields take the defaults below.

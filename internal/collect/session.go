@@ -172,6 +172,9 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 	}
 	sess.haveSent, sess.sent = false, nil
 	cur := TakeSnapshotInto(released, sk)
+	if rc, ok := s.src.(recycler); ok {
+		rc.Recycle(sk)
+	}
 	ssp.End()
 
 	dsp := tr.StartSpan("diff")

@@ -25,11 +25,39 @@ import "fmt"
 // no scratch. The
 // differential harness holds it bit-identical to an independent
 // register-at-a-time walk over the exported register view.
-func (s *Sketch) Merge(o *Sketch) error {
+func (s *Sketch) Merge(o *Sketch) error { return s.merge(o, whole) }
+
+// merge is Merge cut into parts(bytes) root ranges (see MergeSplit);
+// whole keeps the sketch in one piece.
+func (s *Sketch) merge(o *Sketch, parts func(int) int) error {
 	if err := s.Compatible(o); err != nil {
 		return err
 	}
 	carry := takeCarry()
+	roots := s.roots()
+	if p := s.mergeParts(roots, parts); p > 1 {
+		// Sized before the ranges start: add would otherwise allocate a
+		// buffer in whichever range promotes first.
+		for l := 0; l < len(s.widths)-1; l++ {
+			carry[l&1].grow(s.trees[0].stageLen(l + 1))
+		}
+		split(p, func(j int) {
+			r0, r1 := rootRange(roots, p, j)
+			s.mergeRoots(o, carry, roots, r0, r1)
+		})
+	} else {
+		s.mergeRoots(o, carry, roots, 0, roots)
+	}
+	// Not deferred: a pair a panicking merge left dirty must not be reused.
+	returnCarry(carry)
+	return nil
+}
+
+// mergeRoots folds the subtrees under root nodes [r0, r1) of every tree
+// of o into s, stage by stage from the leaves, through the carry pair
+// (alternated by level parity, so a stage never reads the buffer it
+// writes). roots is the root count of one tree.
+func (s *Sketch) mergeRoots(o *Sketch, carry *[2]carryBuf, roots, r0, r1 int) {
 	last := len(s.widths) - 1
 	for ti := range s.trees {
 		a, b := s.trees[ti], o.trees[ti]
@@ -42,9 +70,13 @@ func (s *Sketch) Merge(o *Sketch) error {
 			if l < last {
 				out = &carry[l&1]
 			}
-			produced := s.mergeStage(a, b, l, in, out)
+			scale := a.stageLen(l) / roots
+			lo, hi := r0*scale, r1*scale
+			produced := s.mergeStage(a, b, l, lo, hi, in, out)
 			if in != nil {
-				clear(in.bits[:(a.stageLen(l)+63)/64])
+				// mergeSpanScalar zeroed the values it consumed; clear
+				// the range's bitmap words.
+				clear(in.bits[lo/64 : (hi+63)/64])
 			}
 			in = nil
 			if produced {
@@ -52,9 +84,6 @@ func (s *Sketch) Merge(o *Sketch) error {
 			}
 		}
 	}
-	// Not deferred: a pair a panicking merge left dirty must not be reused.
-	returnCarry(carry)
-	return nil
 }
 
 // CopyFrom overwrites s's registers with o's. Merging into an empty

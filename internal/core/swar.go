@@ -68,10 +68,11 @@ func swarFold(a, b, hi, bias uint64) (sum uint64, ok bool) {
 // carryBuf holds the promotions one stage's merge sends to its parent:
 // val[p] is the excess for parent node p, and bit p of bits is set exactly
 // when val[p] is nonzero. Both are allocated on the first promotion and
-// sized for the largest parent stage, so a merge that never promotes
-// touches no carry memory. The consuming stage leaves the buffer clean:
-// mergeSpanScalar zeroes each entry it reads (every set bit sends its
-// word through the scalar walk), and Merge clears the bitmap afterwards.
+// sized for that parent stage (grown when a larger one needs more), so a
+// merge that never promotes touches no carry memory. The consuming stage
+// leaves the buffer clean: mergeSpanScalar zeroes each entry it reads
+// (every set bit sends its word through the scalar walk), and Merge
+// clears the bitmap afterwards.
 type carryBuf struct {
 	val  []uint64
 	bits []uint64
@@ -105,13 +106,18 @@ func returnCarry(c *[2]carryBuf) {
 	}
 }
 
-// add records n excess packets for parent node p; size is the node count
-// to allocate for when the buffer is smaller.
-func (c *carryBuf) add(p int, n uint64, size int) {
+// grow sizes the buffer for size parent nodes when it is smaller.
+func (c *carryBuf) grow(size int) {
 	if len(c.val) < size {
 		c.val = make([]uint64, size)
 		c.bits = make([]uint64, (size+63)/64)
 	}
+}
+
+// add records n excess packets for parent node p; size is the node count
+// to allocate for when the buffer is smaller.
+func (c *carryBuf) add(p int, n uint64, size int) {
+	c.grow(size)
 	c.val[p] += n
 	c.bits[p>>6] |= 1 << (p & 63)
 }
@@ -131,9 +137,11 @@ type stageFold struct {
 	in, out  *carryBuf
 }
 
-// mergeStage folds stage l of tree b into tree a and reports whether it
-// promoted any excess into out.
-func (s *Sketch) mergeStage(a, b *tree, l int, in, out *carryBuf) bool {
+// mergeStage folds nodes [lo, hi) of stage l of tree b into tree a and
+// reports whether it promoted any excess into out. lo must sit on a
+// blockBytes boundary and on a carry-bitmap word (a multiple of 64 nodes)
+// unless it is 0; hi must too unless it is the stage's end.
+func (s *Sketch) mergeStage(a, b *tree, l, lo, hi int, in, out *carryBuf) bool {
 	sa, sb := a.views[l], b.views[l]
 	f := stageFold{s: s, a: a, b: b, l: l, in: in, out: out}
 	var fieldBits uint
@@ -161,21 +169,25 @@ func (s *Sketch) mergeStage(a, b *tree, l int, in, out *carryBuf) bool {
 	// flag-bit encoding spends the top bit on the marker.
 	p := uint64(1) << (bits.Len64((max+2)/2) - 1)
 	f.screen = (field &^ (p - 1)) * rep
-	return f.run()
+	return f.run(lo, hi)
 }
 
-// run is the block loop described in the package comment.
-func (f *stageFold) run() bool {
+// run is the block loop described in the package comment, over the
+// stage's nodes [lo, hi).
+func (f *stageFold) run(lo, hi int) bool {
 	epw := f.epw
 	shift := uint(bits.TrailingZeros(uint(8 / epw))) // counter index = byte offset >> shift
-	ab, bb := f.ab, f.bb[:len(f.ab)]
+	lo, hi = lo<<shift, hi<<shift
+	ab, bb := f.ab[:hi], f.bb[:hi]
+	// The range's own bitmap words end pending: a split merge's other
+	// ranges clear theirs concurrently.
 	var pending []uint64
 	if f.in != nil {
-		pending = f.in.bits[:(len(ab)>>shift+63)/64]
+		pending = f.in.bits[:(hi>>shift+63)/64]
 	}
-	end := len(ab) &^ (blockBytes - 1)
+	end := lo + (hi-lo)&^(blockBytes-1)
 	produced := false
-	off, carry := 0, -1 // carry: counter index of the next pending carry, once looked up
+	off, carry := lo, -1 // carry: counter index of the next pending carry, once looked up
 	for off < end {
 		// Blocks ahead of the next pending carry take the call-free loop.
 		stop := end
@@ -196,12 +208,12 @@ func (f *stageFold) run() bool {
 		}
 		off += blockBytes
 	}
-	for ; off+8 <= len(ab); off += 8 {
+	for ; off+8 <= hi; off += 8 {
 		if f.word(off, carriedBits(pending, off, shift, 8) != 0) {
 			produced = true
 		}
 	}
-	if n := len(ab) >> shift; off < len(ab) && f.s.mergeSpanScalar(f.a, f.b, f.l, off>>shift, n, f.in, f.out) {
+	if off < hi && f.s.mergeSpanScalar(f.a, f.b, f.l, off>>shift, hi>>shift, f.in, f.out) {
 		produced = true
 	}
 	return produced
@@ -328,7 +340,7 @@ func (s *Sketch) mergeSpanScalar(a, b *tree, l, lo, hi int, in, out *carryBuf) b
 		if overflowed || c > max {
 			a.store(l, i, mark)
 			if c > max {
-				out.add(a.parent(i), c-max, a.stageLen(1))
+				out.add(a.parent(i), c-max, a.stageLen(l+1))
 				produced = true
 			}
 		} else {

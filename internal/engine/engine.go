@@ -90,6 +90,9 @@ type Engine struct {
 	// undefined and telemetry detached. A sync.Pool, so spares never
 	// outlive two garbage collections: an idle engine retains nothing.
 	spares sync.Pool
+	// builds counts the sketches built after New because no spare was
+	// pooled: zero per window once every sketch is handed back.
+	builds atomic.Uint64
 
 	// Latency histograms, nil until Instrument; read-plane only, so a nil
 	// check per Snapshot/Rotate is the whole uninstrumented cost.
@@ -358,20 +361,20 @@ func (e *Engine) snapshot() (sk *core.Sketch, gen, packets uint64) {
 			panic(fmt.Sprintf("engine: shard %d does not match the engine's geometry: %v", i, err))
 		}
 	}
-	return e.mergeClones(copies), gen, packets
+	return e.mergeClones(copies, (*core.Sketch).Merge), gen, packets
 }
 
 // mergeClones folds per-shard sketches the caller owns — Snapshot's
 // register copies, or the shard sketches Rotate swapped out — into the
-// first of them outside all shard locks, timing the exact-merge phase when
-// instrumented. The others are spent and go back to the spares.
-func (e *Engine) mergeClones(clones []*core.Sketch) *core.Sketch {
+// first of them with merge outside all shard locks, timing the exact-merge
+// phase when instrumented. The others are spent and go back to the spares.
+func (e *Engine) mergeClones(clones []*core.Sketch, merge func(dst, src *core.Sketch) error) *core.Sketch {
 	if e.mergeSeconds != nil {
 		defer e.mergeSeconds.ObserveSince(time.Now())
 	}
 	merged := clones[0]
 	for _, c := range clones[1:] {
-		if err := merged.Merge(c); err != nil {
+		if err := merge(merged, c); err != nil {
 			// Every sketch is built from one core.Config, so a
 			// mismatch is a bug, not a runtime condition.
 			panic(fmt.Sprintf("engine: shards not mergeable: %v", err))
@@ -400,15 +403,22 @@ func (e *Engine) spareOrBuild() *core.Sketch {
 	return e.mustBuild()
 }
 
-// mustBuild returns a fresh empty sketch of the engine's configuration.
+// mustBuild returns a fresh empty sketch of the engine's configuration,
+// counting the build.
 func (e *Engine) mustBuild() *core.Sketch {
 	sk, err := core.New(e.sketch)
 	if err != nil {
 		// The same configuration built every shard in New.
 		panic(fmt.Sprintf("engine: building a spare shard sketch: %v", err))
 	}
+	e.builds.Add(1)
 	return sk
 }
+
+// Builds returns how many sketches the engine has built since New because
+// no spare was pooled when Rotate or Snapshot needed one. A steady
+// rotation whose readers hand back every sketch they take builds none.
+func (e *Engine) Builds() uint64 { return e.builds.Load() }
 
 // Recycle hands sk back for reuse by a later Rotate or Snapshot. sk must
 // have come from this engine — a Spare, or a sketch Rotate or Snapshot
@@ -438,19 +448,27 @@ func (e *Engine) Compatible(o *core.Sketch) error {
 // spares. Updates concurrent with Rotate land in either the closed or the
 // new window (never both, never neither), and so do their packets: each
 // shard's count is read and zeroed under the lock that swaps its sketch.
+//
+// Rotate's clears and merge are register passes no answer waits behind,
+// so they split across cores by root ranges (core's ResetSplit and
+// MergeSplit); Snapshot's merge stays on its caller's goroutine.
 func (e *Engine) Rotate() (*core.Sketch, uint64) {
 	if e.rotateSeconds != nil {
 		defer e.rotateSeconds.ObserveSince(time.Now())
 	}
-	closed := make([]*core.Sketch, len(e.shards))
-	for i := range closed {
-		// A built sketch is already empty; clearing it would only fault
-		// its fresh pages in early.
-		if closed[i] = e.Spare(); closed[i] != nil {
-			closed[i].Reset()
-		} else {
-			closed[i] = e.mustBuild()
+	closed := make([]*core.Sketch, 0, len(e.shards))
+	for len(closed) < len(e.shards) {
+		sk := e.Spare()
+		if sk == nil {
+			break
 		}
+		closed = append(closed, sk)
+	}
+	// The spares are cleared in one split pass. A built sketch is already
+	// empty; clearing it would only fault its fresh pages in early.
+	core.ResetSplit(closed...)
+	for len(closed) < len(e.shards) {
+		closed = append(closed, e.mustBuild())
 	}
 	var packets uint64
 	for i := range e.shards {
@@ -465,7 +483,7 @@ func (e *Engine) Rotate() (*core.Sketch, uint64) {
 		sh.mu.Unlock()
 		closed[i].SetStats(nil)
 	}
-	return e.mergeClones(closed), packets
+	return e.mergeClones(closed, (*core.Sketch).MergeSplit), packets
 }
 
 // Reset clears every shard and its packet count.

@@ -52,6 +52,10 @@ func (e *Engine) Instrument(reg *telemetry.Registry) *insight.Prober {
 		"Combined bytes of counter storage actually allocated by all shard replicas (typed lanes).",
 		func() float64 { return float64(e.ResidentBytes()) })
 
+	reg.CounterFunc("fcm_engine_sketch_builds_total",
+		"Sketches the engine built because no spare was pooled (zero per window once readers hand every sketch back).",
+		func() float64 { return float64(e.Builds()) })
+
 	e.snapSeconds = reg.Histogram("fcm_engine_snapshot_seconds",
 		"Latency of a full engine snapshot (per-shard register copies plus exact merge).", nil)
 	e.mergeSeconds = reg.Histogram("fcm_engine_merge_seconds",

@@ -58,6 +58,7 @@ func TestEngineInstrument(t *testing.T) {
 		"fcm_sketch_resident_bytes",
 		"fcm_engine_resident_bytes",
 		"fcm_engine_rotate_seconds_count 1",
+		"fcm_engine_sketch_builds_total ",
 		"fcm_engine_snapshot_seconds_count 1",
 		"fcm_engine_merge_seconds_count 2",
 	} {

@@ -74,20 +74,20 @@ func Handler(r *Ring) http.Handler {
 		// races the request — and the O(log n) fold cost is paid once, not
 		// once per field.
 		resp := QueryResponse{Buckets: r.Buckets()}
-		sk, cov, err := r.fold(lb)
+		v, cov, err := r.read(lb)
 		resp.Coverage = cov
 		switch {
 		case err == nil:
-			resp.Cardinality = sk.Cardinality()
+			resp.Cardinality = v.sk.Cardinality()
 			if key != nil {
-				est := sk.Estimate(key)
+				est := v.sk.Estimate(key)
 				resp.Key = keyHex
 				resp.Estimate = &est
 			}
 			if emIters > 0 {
-				res, emErr := em.RunSketch(sk, &em.Options{Iterations: emIters})
+				res, emErr := em.RunSketch(v.sk, &em.Options{Iterations: emIters})
 				if emErr != nil {
-					r.release(sk)
+					r.done(v)
 					http.Error(w, emErr.Error(), http.StatusInternalServerError)
 					return
 				}
@@ -99,7 +99,7 @@ func Handler(r *Ring) http.Handler {
 				}
 				resp.FSDHead = dist
 			}
-			r.release(sk)
+			r.done(v)
 		case err == ErrEmpty:
 			// Coverage and ring occupancy still describe the (empty) ring.
 		default:
@@ -169,7 +169,7 @@ func (r *Ring) ExportFrames(lb Lookback) ([][]byte, error) {
 	r.mu.Lock()
 	covering := r.coveringLocked(lb)
 	r.mu.Unlock()
-	defer unpin(covering)
+	defer r.unpin(covering)
 	if len(covering) == 0 {
 		return nil, ErrEmpty
 	}

@@ -35,17 +35,24 @@
 //
 // Like a switch resetting its registers in place, the ring allocates no
 // register memory in steady state. A query pins every bucket it collected
-// (an atomic count taken under the ring lock) until its fold or export is
-// done with the sketch. When a bucket leaves the ring — as a coarsening
-// source or by retention — its sketch is recycled only if the ring built
-// it and no reader pins it at that moment; the check runs under the ring
-// lock, which every pin is taken under, so nothing can pin it afterwards.
-// A pinned bucket is left to the garbage collector. Coarsening merges in
-// place into the older source when the ring built it and it is unpinned;
-// otherwise into a recycled copy, cloning only when no spare is pooled.
+// (taken under the ring lock) until its fold, answer or export is done
+// with the sketch. A bucket's pins and a retired bit share one atomic
+// word. When a bucket the ring built leaves the ring — as a coarsening
+// source or by retention — the ring sets the bit; if no reader pins the
+// bucket, the ring recycles its sketch at once, and otherwise the last
+// reader's unpin does. Pins are only taken on buckets still in the ring,
+// so exactly one party sees the word fall to the bare bit and recycles.
+// Coarsening merges in place into the older source when the ring built it
+// and it is unpinned; otherwise into a recycled copy, cloning only when no
+// spare is pooled, and the pinned source is retired like any other.
 // Sketches filed through FileWindow stay the caller's: they are never
 // merged into or recycled. A live ring shares its spares with its engine,
 // so a dead bucket becomes the next rotation's fresh shard.
+//
+// Rotate is the ring's one register pass that no reader waits behind, so
+// its coarsening merges split across cores by root ranges
+// (core.Sketch.MergeSplit), as do the engine's clears and shard merge.
+// Query folds stay on the caller's goroutine: they run beside ingest.
 //
 // # Edge semantics (floor/ceil)
 //
@@ -62,7 +69,9 @@
 // Queries fold the covering buckets into a pooled scratch sketch outside
 // the ring lock, so rotation-vs-query races resolve to either the pre- or
 // the post-rotation view, never a torn one: a pinned bucket's registers
-// are never written.
+// are never written. A lookback that one closed bucket covers, without
+// the live window, needs no fold: the answer reads the pinned bucket in
+// place.
 package window
 
 import (
@@ -140,9 +149,12 @@ type bucket struct {
 	// coarsening target), which it may merge into and recycle; filed
 	// sketches stay the caller's.
 	owned bool
-	// pins counts readers holding sk. It rises only under the ring lock
-	// (coveringLocked) and falls when the reader is done with sk.
-	pins     atomic.Int32
+	// state counts the readers holding sk in its low bits, and carries
+	// retiredBit once an owned bucket has left the ring. Pins rise only
+	// under the ring lock, on buckets still in the ring (coveringLocked),
+	// and fall when a reader is done with sk; whoever moves state to
+	// exactly retiredBit recycles sk (retireLocked, unpin).
+	state    atomic.Uint32
 	level    int // coarsening level; a fresh window is level 0
 	span     int // original windows folded into this bucket
 	firstGen uint64
@@ -398,18 +410,20 @@ func (r *Ring) lowestOverfullLocked() (int, int) {
 // at the next coarsening level. Levels are non-increasing oldest→newest,
 // so the two oldest buckets of any level are always adjacent. The merge
 // target is a's own sketch when the ring owns it and no reader pins it,
-// else a copy of it in a spare (a clone when none is pooled). b is
-// retired; an a that could not be merged into is pinned or not the ring's,
-// so there is nothing to retire.
+// else a copy of it in a spare (a clone when none is pooled), and then a
+// is retired with b.
 func (r *Ring) mergeAdjacentLocked(i int) {
 	a, b := r.buckets[i], r.buckets[i+1]
-	sk := a.sk
-	if !r.reusableLocked(a) {
+	sk, copied := a.sk, !r.reusableLocked(a)
+	if copied {
 		sk = r.scratchFor(a.sk)
 	}
-	// Same geometry by construction; Merge cannot fail.
-	if err := sk.Merge(b.sk); err != nil {
+	// Same geometry by construction; the merge cannot fail.
+	if err := sk.MergeSplit(b.sk); err != nil {
 		panic("window: coarsening merge of same-geometry buckets failed: " + err.Error())
+	}
+	if copied {
+		r.retireLocked(a)
 	}
 	r.retireLocked(b)
 	merged := &bucket{
@@ -491,19 +505,23 @@ func (r *Ring) Buckets() []BucketInfo {
 	return out
 }
 
-// reusableLocked reports whether b's sketch may be written or recycled:
-// the ring built it and no reader holds it. Callers hold r.mu, under which
-// every pin is taken, so once b has left the bucket slice the answer can
-// no longer turn false.
+// retiredBit marks, in a bucket's state, an owned bucket that has left
+// the ring.
+const retiredBit = 1 << 31
+
+// reusableLocked reports whether b's sketch may be written in place: the
+// ring built it and no reader holds it. Callers hold r.mu, under which
+// every pin is taken, so the answer cannot turn false until they let go.
 func (r *Ring) reusableLocked(b *bucket) bool {
-	return b.owned && b.pins.Load() == 0
+	return b.owned && b.state.Load() == 0
 }
 
-// retireLocked recycles the sketch of a bucket that is leaving the ring,
-// when reusableLocked allows; otherwise the garbage collector reclaims it
-// once its reader or owner lets go. Callers hold r.mu.
+// retireLocked marks an owned bucket that is leaving the ring retired and
+// recycles its sketch when no reader pins it; otherwise the last reader's
+// unpin recycles it. A filed bucket's sketch stays the caller's. Callers
+// hold r.mu and retire each bucket once.
 func (r *Ring) retireLocked(b *bucket) {
-	if r.reusableLocked(b) {
+	if b.owned && b.state.Add(retiredBit) == retiredBit {
 		r.release(b.sk)
 	}
 }
@@ -531,29 +549,52 @@ func (r *Ring) coveringLocked(lb Lookback) []*bucket {
 	}
 	covering := append([]*bucket(nil), bs[i:]...)
 	for _, b := range covering {
-		b.pins.Add(1)
+		b.state.Add(1)
 	}
 	return covering
 }
 
-// unpin releases the pins coveringLocked took.
-func unpin(covering []*bucket) {
+// unpin releases the pins coveringLocked took, recycling the sketch of
+// every retired bucket whose last pin this was.
+func (r *Ring) unpin(covering []*bucket) {
 	for _, b := range covering {
-		b.pins.Add(-1)
+		if b.state.Add(^uint32(0)) == retiredBit {
+			r.release(b.sk)
+		}
 	}
 }
 
-// fold resolves the lookback, collects and pins the covering bucket
-// references and (if requested) a live snapshot under the ring lock, then
-// SWAR-folds them into a pooled scratch sketch outside it: the first
-// source is copied in (merging into an empty sketch is the identity) and
-// the rest are merged. With no covering bucket the live snapshot, already
-// the fold's own, is the result. The caller must hand the result back via
-// release. The two-phase shape is what makes rotate-during-query atomic:
-// the reference set is fixed in one critical section, and a pinned
-// bucket's registers are never written, so the fold sees exactly the pre-
-// or post-rotation ring — never a mix.
-func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
+// view is the sketch an answer reads a lookback's fold from: a pinned
+// bucket's own registers when the fold is that one closed bucket, else a
+// scratch sketch (a fold, or a live snapshot) the ring recycles once the
+// answer is done with it.
+type view struct {
+	sk     *core.Sketch
+	pinned []*bucket // the pins on sk's bucket; nil for scratch
+}
+
+// done hands v back once the answer has read it: unpins its bucket or
+// recycles its scratch.
+func (r *Ring) done(v view) {
+	if v.pinned != nil {
+		r.unpin(v.pinned)
+		return
+	}
+	r.release(v.sk)
+}
+
+// read resolves the lookback, collects and pins the covering bucket
+// references and (if requested) a live snapshot under the ring lock, and
+// returns a view of their fold, which the caller hands back via done. One
+// closed bucket without the live window is read in place; otherwise the
+// buckets are SWAR-folded outside the lock into a pooled scratch sketch:
+// the first source is copied in (merging into an empty sketch is the
+// identity) and the rest are merged. With no covering bucket the live
+// snapshot, already the answer's own, is the view. The two-phase shape is
+// what makes rotate-during-query atomic: the reference set is fixed in one
+// critical section, and a pinned bucket's registers are never written, so
+// the answer sees exactly the pre- or post-rotation ring — never a mix.
+func (r *Ring) read(lb Lookback) (view, Coverage, error) {
 	r.mu.Lock()
 	covering := r.coveringLocked(lb)
 	cov := Coverage{Buckets: len(covering)}
@@ -579,14 +620,16 @@ func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
 		cov.To = r.cfg.Now()
 	}
 	r.mu.Unlock()
-	defer unpin(covering)
 
-	if len(covering) == 0 {
-		if liveCore == nil {
-			return nil, cov, ErrEmpty
-		}
-		return liveCore, cov, nil
+	switch {
+	case len(covering) == 0 && liveCore == nil:
+		return view{}, cov, ErrEmpty
+	case len(covering) == 0:
+		return view{sk: liveCore}, cov, nil
+	case len(covering) == 1 && liveCore == nil:
+		return view{sk: covering[0].sk, pinned: covering}, cov, nil
 	}
+	defer r.unpin(covering)
 	if liveCore != nil {
 		// Spent once merged into the fold below.
 		defer r.release(liveCore)
@@ -595,16 +638,16 @@ func (r *Ring) fold(lb Lookback) (*core.Sketch, Coverage, error) {
 	for _, b := range covering[1:] {
 		if err := sk.Merge(b.sk); err != nil {
 			r.release(sk)
-			return nil, cov, fmt.Errorf("window: folding bucket [%d,%d]: %w", b.firstGen, b.lastGen, err)
+			return view{}, cov, fmt.Errorf("window: folding bucket [%d,%d]: %w", b.firstGen, b.lastGen, err)
 		}
 	}
 	if liveCore != nil {
 		if err := sk.Merge(liveCore); err != nil {
 			r.release(sk)
-			return nil, cov, fmt.Errorf("window: folding live window: %w", err)
+			return view{}, cov, fmt.Errorf("window: folding live window: %w", err)
 		}
 	}
-	return sk, cov, nil
+	return view{sk: sk}, cov, nil
 }
 
 // scratchFor returns a sketch the caller owns holding a copy of src's
@@ -652,20 +695,28 @@ func (r *Ring) release(sk *core.Sketch) {
 
 // SnapshotOverTime returns a caller-owned sketch holding the exact fold
 // of the lookback's covering windows — the primitive every other
-// over-time query is defined in terms of. The ring never reuses it.
+// over-time query is defined in terms of. The result is a fresh clone of
+// the fold, never one of the ring's spares, so a caller that keeps it, or
+// leaves it to the garbage collector, costs the ring nothing.
 func (r *Ring) SnapshotOverTime(lb Lookback) (*core.Sketch, Coverage, error) {
-	return r.fold(lb)
+	v, cov, err := r.read(lb)
+	if err != nil {
+		return nil, cov, err
+	}
+	sk := v.sk.Clone()
+	r.done(v)
+	return sk, cov, nil
 }
 
 // QueryOverTime answers the per-flow count query over the lookback. Like
 // the single-window estimate it is one-sided over the covered stream.
 func (r *Ring) QueryOverTime(key []byte, lb Lookback) (uint64, Coverage, error) {
-	sk, cov, err := r.fold(lb)
+	v, cov, err := r.read(lb)
 	if err != nil {
 		return 0, cov, err
 	}
-	est := sk.Estimate(key)
-	r.release(sk)
+	est := v.sk.Estimate(key)
+	r.done(v)
 	return est, cov, nil
 }
 
@@ -673,12 +724,12 @@ func (r *Ring) QueryOverTime(key []byte, lb Lookback) (uint64, Coverage, error) 
 // Linear Counting on the folded sketch (§3.3): distinct across windows,
 // not a per-window sum, because the fold is the union stream's sketch.
 func (r *Ring) CardinalityOverTime(lb Lookback) (float64, Coverage, error) {
-	sk, cov, err := r.fold(lb)
+	v, cov, err := r.read(lb)
 	if err != nil {
 		return 0, cov, err
 	}
-	card := sk.Cardinality()
-	r.release(sk)
+	card := v.sk.Cardinality()
+	r.done(v)
 	return card, cov, nil
 }
 
@@ -686,17 +737,17 @@ func (r *Ring) CardinalityOverTime(lb Lookback) (float64, Coverage, error) {
 // those whose folded estimates reach threshold. Like the single-window
 // query, candidates come from the application.
 func (r *Ring) HeavyHittersOverTime(candidates [][]byte, threshold uint64, lb Lookback) (map[string]uint64, Coverage, error) {
-	sk, cov, err := r.fold(lb)
+	v, cov, err := r.read(lb)
 	if err != nil {
 		return nil, cov, err
 	}
 	hh := make(map[string]uint64)
 	for _, k := range candidates {
-		if est := sk.Estimate(k); est >= threshold {
+		if est := v.sk.Estimate(k); est >= threshold {
 			hh[string(k)] = est
 		}
 	}
-	r.release(sk)
+	r.done(v)
 	return hh, cov, nil
 }
 
@@ -704,12 +755,12 @@ func (r *Ring) HeavyHittersOverTime(candidates [][]byte, threshold uint64, lb Lo
 // lookback: dist[j] estimates the number of flows with exactly j packets
 // across the covered windows.
 func (r *Ring) FSDOverTime(lb Lookback, opt *em.Options) ([]float64, Coverage, error) {
-	sk, cov, err := r.fold(lb)
+	v, cov, err := r.read(lb)
 	if err != nil {
 		return nil, cov, err
 	}
-	res, runErr := em.RunSketch(sk, opt)
-	r.release(sk)
+	res, runErr := em.RunSketch(v.sk, opt)
+	r.done(v)
 	if runErr != nil {
 		return nil, cov, fmt.Errorf("window: %w", runErr)
 	}
