@@ -169,27 +169,32 @@ gate 'TestSplitMergeMatchesScalar|TestResetSplitClears' ./internal/core/ -race -
 # to all, with ApplyDelta reproducing the diffed state and its state CRC.
 gate 'TestDiffMatchesScalar' ./internal/difftest/ -race -count=1
 # The collection read's cores and copies: the diff cut into ranges at 1, 2,
-# 3 and 7 parts per stage against the same oracle, the client's in-place
-# delta apply through a bad block and a bad state CRC, and the server's
-# recycled session snapshots under two racing connections on one session.
-# Repeated under -race so rare interleavings of the shared session get a
-# chance.
-gate 'TestSplitDiffMatchesScalar|TestDeltaApplyInPlaceFailures|TestDeltaSessionRecycling' \
+# 3 and 7 parts per stage against the same oracle, the FCMD v5 kernel and
+# its in-place apply through every field mask of every counter size, the
+# served diff's bounded value slots and the full frame a range that
+# outgrows them sends, the client's in-place delta apply through a bad
+# block and a bad state CRC, and the server's cycled session sketches
+# under two racing connections on one session. Repeated under -race so
+# rare interleavings of the shared session get a chance.
+gate 'TestSplitDiffMatchesScalar|TestDiffKernelEveryMask|TestBoundedDiffSlots|TestDenseReadFallsBackToFull|TestDeltaApplyInPlaceFailures|TestDeltaSessionRecycling' \
   ./internal/collect/ -race -count=10
 # Fold-path gate, part 2: the zero-allocation contracts of the fold plane,
-# uncached — Merge's carry scratch, the append-style frame encoders, and
-# the per-poll snapshot read-out into a reused snapshot.
-gate 'TestMergeAllocs|TestDeltaAppendEncodeMatchesEncode|TestTakeSnapshotIntoAllocs' \
+# uncached — Merge's carry scratch, the append-style frame encoders, the
+# per-poll snapshot read-out into a reused snapshot, and a steady delta
+# read over loopback, which allocates the caller's snapshot and a small
+# constant, server and client together.
+gate 'TestMergeAllocs|TestDeltaAppendEncodeMatchesEncode|TestTakeSnapshotIntoAllocs|TestReadSketchAllocs' \
   './internal/core/ ./internal/collect/' -count=1
 # Fold-path gate, part 3: bench smoke — one iteration of the fold
 # benchmarks, the word-wide merge, equality, fleet-fold and diff paths,
 # plus the paper-geometry merge, cardinality and register-census kernels
 # beside the plain word-add ceiling they are reported against, and the
 # paper-geometry ring rotation (split clears, shard swap, split merge,
-# in-place coarsening, recycling).
+# in-place coarsening, recycling), and one collection read end to end over
+# loopback.
 smoke 'MergePair|EqualRegisters|MergePaper|CardinalityPaper|CensusPaper|WordAddCeiling' ./internal/core/
 smoke 'RingRotate' ./internal/window/
-smoke 'AbsorbFleet|DiffSnapshots|StateCRC' ./internal/collect/
+smoke 'AbsorbFleet|DiffSnapshots|ReadSketch|StateCRC' ./internal/collect/
 
 # Lane-layout gate: the compact typed counter slabs (uint8/uint16/uint32
 # lanes), under -race and uncached. Covers the in-package lane suite

@@ -146,6 +146,13 @@ type Client struct {
 	baselineGen  uint64
 	haveBaseline bool
 
+	// recv is the receive buffer a response is read into and a delta
+	// applied from; it is kept across reads after a delta is applied, so a
+	// steady read allocates only the caller's copy and its request, and
+	// dropped after a full frame or a failed read, so a client never pins
+	// a full-snapshot-sized buffer beside its baseline.
+	recv []byte
+
 	log *slog.Logger
 }
 
@@ -230,12 +237,18 @@ func (c *Client) ReadSketchContext(ctx context.Context) (*Snapshot, error) {
 	var snap *Snapshot
 	err := c.call(ctx, func() []byte {
 		c.mu.Lock()
-		req := encodeReadDelta(c.cfg.SessionID, c.haveBaseline, c.baselineGen)
+		req := appendReadDelta(frameStart(nil), c.cfg.SessionID, c.haveBaseline, c.baselineGen)
 		c.mu.Unlock()
 		return req
-	}, true, func(payload []byte) error {
+	}, true, func(payload []byte) (err error) {
+		var h frameHeader
+		defer func() {
+			if err != nil || h.full {
+				c.recv = nil
+			}
+		}()
 		dsp := tracing.FromContext(ctx).StartSpan("decode")
-		frame, err := DecodeDeltaFrame(payload)
+		h, body, err := parseFrame(payload)
 		if err != nil {
 			dsp.Fail(err)
 			dsp.End()
@@ -245,7 +258,7 @@ func (c *Client) ReadSketchContext(ctx context.Context) (*Snapshot, error) {
 		dsp.End()
 		asp := tracing.FromContext(ctx).StartSpan("delta.apply")
 		defer asp.End()
-		s, err := c.applyDeltaFrame(frame)
+		s, err := c.applyFrame(h, body)
 		if err != nil {
 			// The error text names the fallback reason (generation
 			// mismatch, bad block, state-CRC disagreement); the span keeps
@@ -255,7 +268,7 @@ func (c *Client) ReadSketchContext(ctx context.Context) (*Snapshot, error) {
 			asp.Fail(err)
 			return err
 		}
-		if frame.Full {
+		if h.full {
 			asp.Annotate("kind", "full")
 		} else {
 			asp.Annotate("kind", "delta")
@@ -269,47 +282,56 @@ func (c *Client) ReadSketchContext(ctx context.Context) (*Snapshot, error) {
 	return snap, nil
 }
 
-// applyDeltaFrame folds one decoded delta frame into the baseline, in
-// place, and returns a copy of the complete snapshot it represents (the
-// caller's to keep: it shares nothing with the baseline). Any inconsistency —
-// a delta against a generation we do not hold, a block outside the
-// geometry, a post-apply state CRC that disagrees with the server's —
-// invalidates the baseline and errors, so the retry (or next poll)
-// requests a full snapshot. Wrong merges are structurally impossible: the
-// state CRC covers every register of the reconstructed snapshot.
-func (c *Client) applyDeltaFrame(frame *DeltaFrame) (*Snapshot, error) {
+// applyFrame folds one verified frame's body into the baseline, in place,
+// and returns a copy of the complete snapshot it represents (the caller's
+// to keep: it shares nothing with the baseline). A full body is decoded
+// straight into the baseline's buffers. Any inconsistency — a delta
+// against a generation we do not hold, a block outside the geometry, a
+// post-apply state CRC that disagrees with the server's — invalidates the
+// baseline and errors, so the retry (or next poll) requests a full
+// snapshot. Wrong merges are structurally impossible: the state CRC
+// covers every register of the reconstructed snapshot.
+func (c *Client) applyFrame(h frameHeader, body []byte) (*Snapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if frame.Full {
+	base, had, haveGen := c.baseline, c.haveBaseline, c.baselineGen
+	// Whatever follows overwrites the baseline; it is reinstated only
+	// once the new state is verified.
+	c.baseline, c.haveBaseline = nil, false
+	if h.full {
+		if base == nil {
+			base = &Snapshot{}
+		}
+		if err := base.setFullBody(body); err != nil {
+			return nil, err
+		}
+		if got := base.StateCRC(); got != h.stateCRC {
+			return nil, fmt.Errorf("collect: full frame state CRC 0x%08x does not match payload 0x%08x", h.stateCRC, got)
+		}
 		c.fullSnapshots++
-		c.baseline = frame.Snap.Clone()
-		c.baselineGen = frame.NewGen
-		c.haveBaseline = true
-		return frame.Snap, nil
+		c.baseline, c.baselineGen, c.haveBaseline = base, h.newGen, true
+		return base.Clone(), nil
 	}
-	if !c.haveBaseline || frame.BaseGen != c.baselineGen {
+	if !had || h.baseGen != haveGen {
 		c.deltaFallbacks++
-		haveGen, had := c.baselineGen, c.haveBaseline
-		c.baseline, c.haveBaseline = nil, false
 		return nil, fmt.Errorf("collect: delta against generation %d, baseline is %d (have=%v)",
-			frame.BaseGen, haveGen, had)
+			h.baseGen, haveGen, had)
 	}
-	// The blocks scatter into the baseline itself; a bad block or a state
-	// CRC mismatch discards it, so a partial apply is never built on.
-	if err := c.baseline.applyBlocks(frame.Blocks); err != nil {
+	// The blocks scatter into the baseline itself, straight from the
+	// receive buffer; a bad block or a state CRC mismatch leaves it
+	// discarded, so a partial apply is never built on.
+	if err := base.applyBody(body); err != nil {
 		c.deltaFallbacks++
-		c.baseline, c.haveBaseline = nil, false
 		return nil, err
 	}
-	if got := c.baseline.StateCRC(); got != frame.StateCRC {
+	if got := base.StateCRC(); got != h.stateCRC {
 		c.deltaFallbacks++
-		c.baseline, c.haveBaseline = nil, false
 		return nil, fmt.Errorf("collect: state CRC after delta 0x%08x, server pinned 0x%08x",
-			got, frame.StateCRC)
+			got, h.stateCRC)
 	}
 	c.deltasApplied++
-	c.baselineGen = frame.NewGen
-	return c.baseline.Clone(), nil
+	c.baseline, c.baselineGen, c.haveBaseline = base, h.newGen, true
+	return base.Clone(), nil
 }
 
 // ResetSketch clears the data plane's registers (window rotation). It is
@@ -320,16 +342,16 @@ func (c *Client) ResetSketch() error {
 
 // ResetSketchContext is ResetSketch bounded by ctx.
 func (c *Client) ResetSketchContext(ctx context.Context) error {
-	return c.call(ctx, func() []byte { return []byte{OpResetSketch} }, false, nil)
+	return c.call(ctx, func() []byte { return append(frameStart(nil), OpResetSketch) }, false, nil)
 }
 
 // call runs one request with the retry policy, rebuilding the request
-// bytes per attempt (reads mutate their own baseline state on failure, so
-// the retry must re-ask from current state). decode, when non-nil,
-// validates the response payload; a decode failure counts as an attempt
-// failure — the connection that produced it is dropped (its fault
-// may be persistent, e.g. a corrupting link) and idempotent requests
-// retry. On exhaustion the error joins every attempt's failure, so a
+// frame (see frameStart) per attempt (reads mutate their own baseline
+// state on failure, so the retry must re-ask from current state). decode,
+// when non-nil, validates the response payload; a decode failure counts
+// as an attempt failure — the connection that produced it is dropped (its
+// fault may be persistent, e.g. a corrupting link) and idempotent
+// requests retry. On exhaustion the error joins every attempt's failure, so a
 // flapping link, a CRC rejection, and a timeout in the same read are all
 // diagnosable from the one message.
 func (c *Client) call(ctx context.Context, buildReq func() []byte, idempotent bool, decode func([]byte) error) error {
@@ -455,7 +477,8 @@ func (c *Client) dropCurrent() {
 }
 
 // attempt performs one framed request/response exchange under per-op
-// deadlines, interruptible by ctx.
+// deadlines, interruptible by ctx. req is a frame begun with frameStart;
+// the response is read into the receive buffer.
 func (c *Client) attempt(ctx context.Context, req []byte) ([]byte, error) {
 	conn, err := c.ensureConn(ctx)
 	if err != nil {
@@ -475,16 +498,17 @@ func (c *Client) attempt(ctx context.Context, req []byte) ([]byte, error) {
 		}()
 	}
 	conn.SetWriteDeadline(c.opDeadline(ctx)) //nolint:errcheck // enforced by the write
-	if err := writeFrame(conn, req); err != nil {
+	if err := sendFrame(conn, req); err != nil {
 		c.dropConn(conn)
 		return nil, c.ctxErr(ctx, fmt.Errorf("collect: sending request: %w", err))
 	}
 	conn.SetReadDeadline(c.opDeadline(ctx)) //nolint:errcheck
-	resp, err := readFrame(conn)
+	resp, err := readFrameInto(conn, c.recv)
 	if err != nil {
 		c.dropConn(conn)
 		return nil, c.ctxErr(ctx, fmt.Errorf("collect: reading response: %w", err))
 	}
+	c.recv = resp
 	payload, err := parseResponse(resp)
 	if err != nil {
 		// Either a server rejection (the server closes its side after

@@ -140,22 +140,23 @@ func TakeSnapshotInto(snap *Snapshot, s *core.Sketch) *Snapshot {
 	if snap == nil {
 		snap = &Snapshot{}
 	}
-	snap.K = s.K()
-	snap.Trees = s.NumTrees()
-	snap.W1 = s.LeafWidth()
-	snap.FlagBit = s.FlagBitIndicator()
-	depth := s.Depth()
-	snap.Widths = snap.Widths[:0]
-	for l := 0; l < depth; l++ {
-		snap.Widths = append(snap.Widths, s.StageWidth(l))
-	}
+	geometryOf(snap, s)
 	snap.Regs = slices.Grow(snap.Regs[:0], s.ResidentBytes())
 	for t := 0; t < snap.Trees; t++ {
-		for l := 0; l < depth; l++ {
+		for l := range snap.Widths {
 			snap.Regs = s.AppendStageBytes(snap.Regs, t, l)
 		}
 	}
 	return snap
+}
+
+// geometryOf sets g's geometry fields to sk's, reusing g's widths.
+func geometryOf(g *Snapshot, sk *core.Sketch) {
+	g.K, g.Trees, g.W1, g.FlagBit = sk.K(), sk.NumTrees(), sk.LeafWidth(), sk.FlagBitIndicator()
+	g.Widths = g.Widths[:0]
+	for l := 0; l < sk.Depth(); l++ {
+		g.Widths = append(g.Widths, sk.StageWidth(l))
+	}
 }
 
 // Restore rebuilds a queryable sketch from the snapshot, in the counter

@@ -1,10 +1,14 @@
 package collect
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -84,21 +88,52 @@ func TestDiffEmptyAndGeometry(t *testing.T) {
 
 func TestApplyDeltaRejectsOutOfRange(t *testing.T) {
 	base := TakeSnapshot(filledSketch(t))
+	// root builds a block for the root stage of tree 0 (16 four-byte
+	// counters, eight words): one map word, one mask and the value 9.
+	root := func(counters int, mapWord uint64, mask byte) DeltaBlock {
+		body := binary.LittleEndian.AppendUint64([]byte{1}, mapWord)
+		body = append(body, mask, 9, 0, 0, 0)
+		return DeltaBlock{Stage: 2, Size: 4, Counters: counters, Body: body}
+	}
+	if _, err := ApplyDelta(base, []DeltaBlock{root(16, 1, 1)}); err != nil {
+		t.Fatalf("well-formed block: %v", err)
+	}
+	with := func(b DeltaBlock, edit func(*DeltaBlock)) DeltaBlock {
+		edit(&b)
+		return b
+	}
 	for _, tc := range []struct {
 		name  string
 		block DeltaBlock
 	}{
-		{"tree", DeltaBlock{Tree: 99, Indexes: []uint32{0}, Values: []byte{1}}},
-		{"stage", DeltaBlock{Stage: 99, Indexes: []uint32{0}, Values: []byte{1}}},
-		{"index", DeltaBlock{Indexes: []uint32{1 << 30}, Values: []byte{1}}},
-		{"length", DeltaBlock{Indexes: []uint32{0, 1}, Values: []byte{1}}},
-		// Stage 1 of filledSketch is 16 bits wide: one-byte values were
-		// diffed against another geometry.
-		{"width", DeltaBlock{Stage: 1, Indexes: []uint32{0}, Values: []byte{1}}},
+		{"tree", with(root(16, 1, 1), func(b *DeltaBlock) { b.Tree = 99 })},
+		{"stage", with(root(16, 1, 1), func(b *DeltaBlock) { b.Stage = 99 })},
+		// A block diffed against a stage of another length or width.
+		{"counters", root(32, 1, 1)},
+		{"width", with(root(16, 1, 1), func(b *DeltaBlock) { b.Size = 2 })},
+		{"word past the stage", root(16, 1<<8, 1)},
+		{"field past the word", root(16, 1, 0b100)},
+		{"empty mask", root(16, 1, 0)},
+		{"zero map word", root(16, 0, 1)},
+		{"truncated", with(root(16, 1, 1), func(b *DeltaBlock) { b.Body = b.Body[:len(b.Body)-1] })},
+		{"trailing", with(root(16, 1, 1), func(b *DeltaBlock) { b.Body = append(b.Body, 0) })},
 	} {
 		if _, err := ApplyDelta(base, []DeltaBlock{tc.block}); err == nil {
-			t.Errorf("%s: out-of-range block applied without error", tc.name)
+			t.Errorf("%s: bad block applied without error", tc.name)
 		}
+	}
+	// A stage of four one-byte counters ends inside its only word: a mask
+	// may mark counters 0-3 and nothing after them.
+	golden := TakeSnapshot(goldenSketch(t))
+	leaf := func(mask byte) DeltaBlock {
+		body := binary.LittleEndian.AppendUint64([]byte{1}, 1)
+		return DeltaBlock{Size: 1, Counters: 4, Body: append(body, mask, 1)}
+	}
+	if _, err := ApplyDelta(golden, []DeltaBlock{leaf(0b1000)}); err != nil {
+		t.Fatalf("last counter of a partial word: %v", err)
+	}
+	if _, err := ApplyDelta(golden, []DeltaBlock{leaf(0b10000)}); err == nil {
+		t.Error("a mask past a partial word's last counter applied without error")
 	}
 }
 
@@ -153,15 +188,12 @@ func TestDeltaFrameSizeComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(data), deltaBlocksEncodedSize(blocks); got != want {
-		t.Fatalf("deltaBlocksEncodedSize predicted %d, encoded %d", want, got)
-	}
-	fullBytes, err := cur.Encode()
+	fullBytes, err := (&DeltaFrame{Full: true, NewGen: 2, StateCRC: cur.StateCRC(), Snap: cur}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(fullBytes), cur.encodedSize(); got != want {
-		t.Fatalf("encodedSize predicted %d, encoded %d", want, got)
+	if got, want := len(fullBytes), fullFrameLen(cur, len(cur.Regs)); got != want {
+		t.Fatalf("fullFrameLen predicted %d, encoded %d", want, got)
 	}
 	if len(data) >= len(fullBytes) {
 		t.Fatalf("one-update delta (%dB) not smaller than full snapshot (%dB)", len(data), len(fullBytes))
@@ -274,7 +306,7 @@ func rawDeltaExchange(t *testing.T, addr string) func(hasBaseline bool, ackedGen
 
 	return func(hasBaseline bool, ackedGen uint64) *DeltaFrame {
 		t.Helper()
-		if err := writeFrame(conn, encodeReadDelta(7, hasBaseline, ackedGen)); err != nil {
+		if err := writeFrame(conn, appendReadDelta(nil, 7, hasBaseline, ackedGen)); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := readFrame(conn)
@@ -732,4 +764,143 @@ func TestGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Release()
+}
+
+// TestDiffKernelEveryMask drives the diff kernel and the in-place apply
+// through every field mask of every counter size: a stage whose words
+// change exactly the fields of mask 0, 1, 2, … in turn, over three groups
+// and more (so both the word-at-a-time and the counter-at-a-time apply
+// see each mask), ending in a partial word, cut into 1, 2 and 3 ranges. The body must carry each nonzero mask and
+// the changed values in field order, list exactly the changed counters,
+// and apply over the base to the current stage.
+func TestDiffKernelEveryMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x6d61736b))
+	for _, size := range []int{1, 2, 4} {
+		fields := 8 / size
+		masks := 1 << fields
+		// At least two passes over the masks and three groups of words,
+		// then a partial last word.
+		n := max(2, 3*64/masks)*masks*8 + size
+		a := make([]byte, n)
+		rng.Read(a)
+		b := bytes.Clone(a)
+		type change struct {
+			i int
+			v uint32
+		}
+		var changes []change
+		for w := 0; w*8 < n; w++ {
+			m := w % masks
+			for f := 0; f < fields && w*8+f*size < n; f++ {
+				if m>>f&1 == 0 {
+					continue
+				}
+				at := w*8 + f*size
+				for {
+					for j := 0; j < size; j++ {
+						b[at+j] = a[at+j] ^ byte(rng.Intn(256))
+					}
+					if !bytes.Equal(a[at:at+size], b[at:at+size]) {
+						break
+					}
+				}
+				var v uint32
+				for j := size - 1; j >= 0; j-- {
+					v = v<<8 | uint32(b[at+j])
+				}
+				changes = append(changes, change{at / size, v})
+			}
+		}
+		if n%8 != 0 {
+			// The partial word holds one counter: let it change too.
+			b[n-size] ^= 1
+			var v uint32
+			for j := size - 1; j >= 0; j-- {
+				v = v<<8 | uint32(b[n-size+j])
+			}
+			changes = append(changes, change{(n - size) / size, v})
+		}
+		for _, parts := range []int{1, 2, 3} {
+			restore := SetDiffParts(parts)
+			var d bodyDiff
+			var blocks []DeltaBlock
+			_, nb, _ := d.appendDiff(nil, []stagePair{{size: size, a: a, b: b}}, &blocks, false, nil)
+			restore()
+			if nb != 1 || len(blocks) != 1 {
+				t.Fatalf("size %d, %d parts: %d blocks", size, parts, nb)
+			}
+			blk := blocks[0]
+			var got []change
+			if err := blk.Each(func(i int, v uint32) { got = append(got, change{i, v}) }); err != nil {
+				t.Fatalf("size %d, %d parts: %v", size, parts, err)
+			}
+			if !slices.Equal(got, changes) {
+				t.Fatalf("size %d, %d parts: the block lists %d changes, %d made", size, parts, len(got), len(changes))
+			}
+			lay, err := blk.layout()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < lay.vals-lay.masks; k++ {
+				if m := int(blk.Body[lay.masks+k]); m == 0 || m >= masks {
+					t.Fatalf("size %d: mask %d is 0x%02x", size, k, m)
+				}
+			}
+			stage := bytes.Clone(a)
+			if err := blk.walk(lay, stage, nil); err != nil {
+				t.Fatalf("size %d, %d parts: %v", size, parts, err)
+			}
+			if !bytes.Equal(stage, b) {
+				t.Fatalf("size %d, %d parts: applying the block does not rebuild the stage", size, parts)
+			}
+		}
+	}
+}
+
+// TestBoundedDiffSlots pins the served diff's bounded value slots. While
+// a range's changed values stay well under half its bytes, the bounded
+// body is the unbounded one, byte for byte, in a smaller buffer; past
+// half, the diff fails and hands dst back as it was. A stage of one group
+// has room for every value even when bounded.
+func TestBoundedDiffSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x626f756e))
+	const n = 8 * groupBytes
+	for _, size := range []int{1, 2, 4} {
+		for _, tc := range []struct {
+			frac float64
+			ok   bool
+		}{{0.25, true}, {0.7, false}} {
+			a := make([]byte, n)
+			rng.Read(a)
+			b := bytes.Clone(a)
+			for i := 0; i < n; i += size {
+				if rng.Float64() < tc.frac {
+					b[i] ^= 1
+				}
+			}
+			for _, parts := range []int{1, 2} {
+				restore := SetDiffParts(parts)
+				var d bodyDiff
+				pairs := []stagePair{{size: size, a: a, b: b}}
+				want, _, _ := d.appendDiff([]byte("head"), pairs, nil, false, nil)
+				got, _, ok := d.appendDiff([]byte("head"), pairs, nil, true, nil)
+				restore()
+				switch {
+				case ok != tc.ok:
+					t.Fatalf("size %d, %.2f changed, %d parts: bounded diff ok=%v, want %v", size, tc.frac, parts, ok, tc.ok)
+				case ok && !bytes.Equal(got, want):
+					t.Fatalf("size %d, %.2f changed, %d parts: bounded body differs from the unbounded one", size, tc.frac, parts)
+				case ok && cap(got) >= cap(want):
+					t.Fatalf("size %d, %d parts: bounded slots take %dB, unbounded %d", size, parts, cap(got), cap(want))
+				case !ok && string(got) != "head":
+					t.Fatalf("size %d, %d parts: a failed diff left %q", size, parts, got)
+				}
+			}
+		}
+	}
+	a, b := make([]byte, groupBytes), bytes.Repeat([]byte{1}, groupBytes)
+	var d bodyDiff
+	if _, nb, ok := d.appendDiff(nil, []stagePair{{size: 1, a: a, b: b}}, nil, true, nil); !ok || nb != 1 {
+		t.Fatalf("one changed group, bounded: ok=%v, %d blocks", ok, nb)
+	}
 }

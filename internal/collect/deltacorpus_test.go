@@ -17,8 +17,10 @@ var updateDeltaCorpus = flag.Bool("update-delta-corpus", false,
 // deltaFrameSeeds is the deterministic seed set for FuzzDeltaFrame: the
 // three pinned golden vectors plus one representative of each fault class
 // the protocol must degrade through — truncation, bit flips in the header
-// and body, a lying body length, an absurd block count, a version from the
-// future, a retired version with valid checksums, and the empty input.
+// and body (the block's value width, its map word and its mask, the full
+// body's flags), a lying body length, an absurd block count, a version
+// from the future, retired versions with valid checksums, and the empty
+// input.
 func deltaFrameSeeds() [][]byte {
 	mustHex := func(s string) []byte {
 		b, err := hex.DecodeString(s)
@@ -36,23 +38,32 @@ func deltaFrameSeeds() [][]byte {
 		out[i] ^= mask
 		return out
 	}
+	// The golden delta's one block: its header, then summary, map word,
+	// mask and value.
+	block := deltaHeaderLen + 4
+	mapWord := block + deltaBlockHeaderLen + 1
+	mask := mapWord + 8
 
 	return [][]byte{
 		empty,
 		delta,
 		full,
-		nil,                                 // empty input
-		delta[:deltaHeaderLen],              // header only, no body or trailer
-		delta[:len(delta)-1],                // trailer truncated
-		mustHex(retiredDeltaV3Hex),          // version 3 with valid checksums
-		flip(empty, 4, 0x01),                // version byte: 4 -> 5 (future)
-		flip(delta, 5, 0x01),                // flags: delta claims to be full
-		flip(delta, deltaHeaderLen, 0x80),   // block count goes enormous
-		flip(delta, deltaHeaderLen+6, 0x03), // block value width: 1 -> 2
-		flip(delta, 24, 0x01),               // stateCRC corrupted
-		flip(delta, 28, 0x01),               // bodyLen lies by one
-		flip(full, deltaHeaderLen+4, 0x01),  // embedded snapshot version: 3 -> 2
-		flip(full, len(full)-2, 0xff),       // frame trailer corrupted
+		nil,                                // empty input
+		delta[:deltaHeaderLen],             // header only, no body or trailer
+		delta[:len(delta)-1],               // trailer truncated
+		mustHex(retiredDeltaV3Hex),         // version 3 with valid checksums
+		mustHex(retiredDeltaV4Hex),         // version 4 with valid checksums
+		mustHex(retiredDeltaV4FullHex),     // version 4 full frame, nested snapshot
+		flip(empty, 4, 0x03),               // version byte: 5 -> 6 (future)
+		flip(delta, 5, 0x01),               // flags: delta claims to be full
+		flip(delta, deltaHeaderLen, 0x80),  // block count goes enormous
+		flip(delta, block+2, 0x03),         // block value width: 1 -> 2
+		flip(delta, mapWord, 0x02),         // map word marks a second word
+		flip(delta, mask, 0x08),            // mask marks a counter past the stage
+		flip(delta, 24, 0x01),              // stateCRC corrupted
+		flip(delta, 28, 0x01),              // bodyLen lies by one
+		flip(full, deltaHeaderLen+2, 0x02), // full body flags: unknown bit
+		flip(full, len(full)-2, 0xff),      // frame trailer corrupted
 	}
 }
 

@@ -95,38 +95,42 @@ func benchSnapshots(b *testing.B) (base, cur *Snapshot) {
 // seconds to generate, so the pair is built once per test binary.
 func paperSnapshots(b *testing.B) (base, cur *Snapshot) {
 	b.Helper()
-	snaps, err := paperSnapshotPair()
+	sks, err := paperSketchPair()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return snaps[0], snaps[1]
+	return TakeSnapshot(sks[0]), TakeSnapshot(sks[1])
 }
 
-var paperSnapshotPair = sync.OnceValues(func() ([2]*Snapshot, error) {
+// paperConfig is the default 1 MiB sketch geometry.
+var paperConfig = core.Config{K: 8, Trees: 2, MemoryBytes: 1 << 20, Widths: core.DefaultWidths(),
+	Hash: hashing.DataPlaneFamily(0)}
+
+// paperSketchPair holds the two windows paperSnapshots snapshots.
+var paperSketchPair = sync.OnceValues(func() ([2]*core.Sketch, error) {
 	const window = 1 << 18
-	var snaps [2]*Snapshot
+	var sks [2]*core.Sketch
 	tr, err := trace.CAIDALike(8*window, 1)
 	if err != nil {
-		return snaps, err
+		return sks, err
 	}
-	for i := range snaps {
-		sk, err := core.New(core.Config{K: 8, Trees: 2, MemoryBytes: 1 << 20, Widths: core.DefaultWidths(),
-			Hash: hashing.DataPlaneFamily(0)})
+	for i := range sks {
+		sk, err := core.New(paperConfig)
 		if err != nil {
-			return snaps, err
+			return sks, err
 		}
 		for _, id := range tr.Order[2*i*window : (2*i+1)*window] {
 			sk.Update(tr.Keys[id].Bytes(), 1)
 		}
-		snaps[i] = TakeSnapshot(sk)
+		sks[i] = sk
 	}
-	return snaps, nil
+	return sks, nil
 })
 
 // BenchmarkDiffSnapshots times the per-poll diff: "small" is a 10 KiB
 // sketch with about 0.5% of its leaves moved, "paper" the default 1 MiB
-// geometry across two reset windows. changed/op is the number of
-// counters the diff reports.
+// geometry across two reset windows. bodyB/op is the encoded size of the
+// blocks the diff reports.
 func BenchmarkDiffSnapshots(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -134,7 +138,7 @@ func BenchmarkDiffSnapshots(b *testing.B) {
 	}{{"small", benchSnapshots}, {"paper", paperSnapshots}} {
 		b.Run(c.name, func(b *testing.B) {
 			base, cur := c.make(b)
-			changed := 0
+			body := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -142,12 +146,12 @@ func BenchmarkDiffSnapshots(b *testing.B) {
 				if !ok {
 					b.Fatal("geometry mismatch")
 				}
-				changed = 0
+				body = 0
 				for _, blk := range blocks {
-					changed += len(blk.Indexes)
+					body += len(blk.Body)
 				}
 			}
-			b.ReportMetric(float64(changed), "changed/op")
+			b.ReportMetric(float64(body), "bodyB/op")
 		})
 	}
 }

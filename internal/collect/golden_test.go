@@ -101,19 +101,21 @@ func TestGoldenSnapshotV3RejectsEveryBitFlip(t *testing.T) {
 
 // TestGoldenWireExchange pins the full TCP exchange of a first read: the
 // 19-byte no-baseline OpReadDelta request frame and the exact response
-// frame (length prefix, status byte, FCMD version-4 full frame) a server
-// must produce for the golden sketch. The full frame's body is the FCMS
-// version-3 golden snapshot verbatim.
+// frame (length prefix, status byte, FCMD version-5 full frame) a server
+// must produce for the golden sketch. The full frame's body is the golden
+// geometry and then the golden snapshot's registers verbatim.
 func TestGoldenWireExchange(t *testing.T) {
 	// Length 19, OpReadDelta, session ID 0x0102030405060708, no baseline,
 	// acked generation 0, trailing zero byte.
 	request, _ := hex.DecodeString("00000013" + "03" + "0102030405060708" + "00" + "0000000000000000" + "00")
-	// Magic "FCMD", version 4, flags full, pad, baseGen 0, newGen 0 (the
+	// Magic "FCMD", version 5, flags full, pad, baseGen 0, newGen 0 (the
 	// locked source's writes bypassed it), state CRC of the golden
-	// registers, body length 28.
-	header, _ := hex.DecodeString("46434d440401000000000000000000000000000000000000" + "32bd3486" + "0000001c")
-	payload, _ := hex.DecodeString(goldenSnapshotV3Hex)
-	trailer, _ := hex.DecodeString("a66dd6a6")
+	// registers, body length 20.
+	header, _ := hex.DecodeString("46434d440501000000000000000000000000000000000000" + "32bd3486" + "00000014")
+	// Trees 1, stages 2, flags 0, pad, k 2, w1 4, widths {2,4}, then the
+	// registers of goldenSnapshotV3Hex.
+	payload, _ := hex.DecodeString("01020000" + "00000002" + "00000004" + "0204" + "030303020b02")
+	trailer, _ := hex.DecodeString("a2d82de8")
 	frameLen := len(header) + len(payload) + len(trailer)
 	wantResp := make([]byte, 0, 5+frameLen)
 	wantResp = binary.BigEndian.AppendUint32(wantResp, uint32(1+frameLen))

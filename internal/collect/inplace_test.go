@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/fcmsketch/fcm/internal/core"
 )
 
 // rewritingProxy relays collection frames between clients and addr. A
@@ -102,9 +104,9 @@ func rewriteResponse(resp []byte, fn func(*DeltaFrame) error) ([]byte, error) {
 }
 
 // TestDeltaApplyInPlaceFailures drives the client's in-place apply through
-// both ways a delta that decodes cleanly can still be wrong: an
-// out-of-range index in its last block (the blocks before it are already
-// scattered into the baseline) and a wrong pinned state CRC. Each must drop
+// both ways a delta that decodes cleanly can still be wrong: a last block
+// diffed against a stage of another length (the blocks before it are
+// already scattered into the baseline) and a wrong pinned state CRC. Each must drop
 // the baseline, and the next read must be a full snapshot bit-identical to
 // the server's registers. It also pins that a snapshot ReadSketch returns
 // shares nothing with the baseline: scribbling over it leaves the next
@@ -185,12 +187,11 @@ func TestDeltaApplyInPlaceFailures(t *testing.T) {
 	churn()
 	read("delta after scribbling", false)
 
-	corrupted("out-of-range index in the last block", func(f *DeltaFrame) error {
+	corrupted("last block for a stage of another length", func(f *DeltaFrame) error {
 		if f.Full || len(f.Blocks) < 2 {
 			return fmt.Errorf("want a delta of at least two blocks, got full=%v with %d", f.Full, len(f.Blocks))
 		}
-		last := &f.Blocks[len(f.Blocks)-1]
-		last.Indexes[len(last.Indexes)-1] = 1 << 30
+		f.Blocks[len(f.Blocks)-1].Counters += 8
 		return nil
 	})
 	churn()
@@ -210,9 +211,9 @@ func TestDeltaApplyInPlaceFailures(t *testing.T) {
 // TestDeltaSessionRecycling races two connections that share one session
 // ID, one of which loses every third response and retransmits its ack.
 // Every response must decode and rebuild the server's registers exactly,
-// and the session's recycled snapshot buffers must never be its acked or
-// sent snapshot: at every quiescent point the two are distinct buffers,
-// and no request allocates a third.
+// and the sketch a request releases and copies into must never be the
+// session's acked or sent state: at every quiescent point the two are
+// distinct sketches, and no request brings in a third.
 func TestDeltaSessionRecycling(t *testing.T) {
 	const sessionID, rounds = 11, 300
 	eng := buildEngine(t)
@@ -244,7 +245,7 @@ func TestDeltaSessionRecycling(t *testing.T) {
 	tmpl := TakeSnapshot(snapshotOf(eng)) // the geometry deltas apply in
 	var deltas atomic.Int64
 	exchange := func(p *peer, r int, want []byte) error {
-		if err := writeFrame(p.conn, encodeReadDelta(sessionID, p.hasBase, p.gen)); err != nil {
+		if err := writeFrame(p.conn, appendReadDelta(nil, sessionID, p.hasBase, p.gen)); err != nil {
 			return err
 		}
 		resp, err := readFrame(p.conn)
@@ -290,7 +291,7 @@ func TestDeltaSessionRecycling(t *testing.T) {
 	}
 
 	sess := srv.sessions.lookup(sessionID)
-	buffers := map[*byte]bool{}
+	sketches := map[*core.Sketch]bool{}
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < 10; i++ {
 			eng.Update(k(uint64(r*1000+i)), 1)
@@ -323,17 +324,17 @@ func TestDeltaSessionRecycling(t *testing.T) {
 		sess.mu.Lock()
 		acked, sent := sess.acked, sess.sent
 		sess.mu.Unlock()
-		for _, s := range []*Snapshot{acked, sent} {
-			if s != nil {
-				buffers[&s.Regs[0]] = true
+		for _, h := range []*heldState{acked, sent} {
+			if h != nil {
+				sketches[h.sk] = true
 			}
 		}
-		if acked != nil && sent != nil && &acked.Regs[0] == &sent.Regs[0] {
-			t.Fatalf("round %d: the session's acked and sent snapshots share one buffer", r)
+		if acked != nil && sent != nil && acked.sk == sent.sk {
+			t.Fatalf("round %d: the session's acked and sent states share one sketch", r)
 		}
 	}
-	if len(buffers) > 2 {
-		t.Fatalf("the session held %d register buffers over %d rounds, want at most 2", len(buffers), rounds)
+	if len(sketches) > 2 {
+		t.Fatalf("the session held %d sketches over %d rounds, want at most 2", len(sketches), rounds)
 	}
 	if deltas.Load() == 0 {
 		t.Fatal("no response was a delta: the race never reached the recycling diff path")

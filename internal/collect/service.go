@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,12 +65,23 @@ type Source interface {
 	Reset()
 }
 
-// recycler is a Source that takes back the sketches Snapshot handed out.
-// The server's sessions keep their own byte copies, so each read hands
-// its sketch straight back; engine.Engine then reuses it as a later
-// snapshot's copy target, and a steady collection read builds no sketch.
-type recycler interface {
-	Recycle(sk *core.Sketch)
+// intoSource is a Source that copies its registers into a sketch an
+// earlier snapshot of it returned. The server's sessions hold the sketches
+// their reads returned and diff them in place; each read hands the one its
+// session releases back as the copy target, so a steady collection read
+// copies the registers once and builds no sketch. engine.Engine and
+// LockedSketch implement it.
+type intoSource interface {
+	SnapshotInto(dst *core.Sketch) (*core.Sketch, uint64)
+}
+
+// snapshotInto takes a snapshot of the source, into dst (nil or a sketch
+// an earlier snapshot returned) when the source can copy into one.
+func (s *Server) snapshotInto(dst *core.Sketch) (*core.Sketch, uint64) {
+	if is, ok := s.src.(intoSource); ok {
+		return is.SnapshotInto(dst)
+	}
+	return s.src.Snapshot()
 }
 
 // ServerConfig bounds server-side resource use so a slow, stalled, or
@@ -290,10 +302,18 @@ func (l *LockedSketch) Update(key []byte, inc uint64) {
 
 // Snapshot implements Source: the lock is held only for the copy.
 func (l *LockedSketch) Snapshot() (*core.Sketch, uint64) {
+	return l.SnapshotInto(nil)
+}
+
+// SnapshotInto is Snapshot copying into dst, a sketch an earlier snapshot
+// returned (nil clones a new one); it returns dst.
+func (l *LockedSketch) SnapshotInto(dst *core.Sketch) (*core.Sketch, uint64) {
 	l.mu.Lock()
-	c, gen := l.sk.Clone(), l.gen
-	l.mu.Unlock()
-	return c, gen
+	defer l.mu.Unlock()
+	if dst == nil || dst.CopyFrom(l.sk) != nil {
+		dst = l.sk.Clone()
+	}
+	return dst, l.gen
 }
 
 // Reset implements Source.
@@ -404,12 +424,14 @@ func (s *Server) acceptLoop() {
 }
 
 // connScratch is the per-connection reuse arena for the serve path: the
-// response buffer every read encodes into. It lives for the connection,
-// so a steady poller costs no response-buffer allocations after its first
-// request. Snapshots are not scratch — sessions retain them as baselines
-// across polls.
+// response buffer a delta read encodes into and the diff's bookkeeping.
+// It lives for the connection, so a steady poller costs no buffer
+// allocations after its first delta. Register states are not scratch —
+// sessions retain them as baselines across polls.
 type connScratch struct {
-	resp []byte
+	resp  []byte
+	diff  bodyDiff
+	pairs []stagePair
 }
 
 // serve handles one connection until EOF, error, or deadline.
@@ -440,7 +462,7 @@ func (s *Server) serve(conn net.Conn) {
 			tr := s.cfg.Tracer.StartTrace("serve.reset")
 			tr.Root().Annotate("peer", conn.RemoteAddr().String())
 			s.src.Reset()
-			err := s.writeFrameDeadline(conn, []byte{statusOK})
+			err := s.sendFrameDeadline(conn, append(frameStart(nil), statusOK))
 			if err != nil {
 				tr.Root().Fail(err)
 			}
@@ -457,16 +479,17 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
-// writeFrameDeadline writes one frame under the server's write deadline.
-func (s *Server) writeFrameDeadline(conn net.Conn, payload []byte) error {
+// sendFrameDeadline sends a frame built behind a reserved prefix (see
+// sendFrame) under the server's write deadline.
+func (s *Server) sendFrameDeadline(conn net.Conn, frame []byte) error {
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck // enforced by the write
-	return writeFrame(conn, payload)
+	return sendFrame(conn, frame)
 }
 
 func (s *Server) writeError(conn net.Conn, msg string) error {
 	s.reqErrors.Add(1)
 	s.log.Warn("request rejected", "peer", conn.RemoteAddr().String(), "reason", msg)
-	return s.writeFrameDeadline(conn, append([]byte{statusErr}, msg...))
+	return s.sendFrameDeadline(conn, append(append(frameStart(nil), statusErr), msg...))
 }
 
 // readFrameServer reads one frame with two deadlines: idle while waiting
@@ -478,49 +501,55 @@ func readFrameServer(conn net.Conn, idle, read time.Duration) ([]byte, error) {
 		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(read)) //nolint:errcheck
-	return readFrameBody(conn, binary.BigEndian.Uint32(hdr[:]))
+	return readFrameBody(conn, binary.BigEndian.Uint32(hdr[:]), nil)
 }
 
-// writeFrame sends one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// frameStart begins a frame in buf: a 4-byte length prefix for sendFrame
+// to patch, then the payload is appended behind it.
+func frameStart(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// sendFrame patches the length prefix of a frame begun with frameStart
+// and sends the frame in one Write: with TCP_NODELAY, a separate prefix
+// write would cost its own syscall and segment.
+func sendFrame(w io.Writer, frame []byte) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame receives one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrameInto receives one length-prefixed frame into buf's storage
+// when it has the capacity.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	return readFrameBody(r, binary.BigEndian.Uint32(hdr[:]))
+	return readFrameBody(r, binary.BigEndian.Uint32(hdr[:]), buf)
 }
 
-// readFrameBody reads an n-byte frame payload in bounded chunks, so an
-// oversized length prefix costs memory proportional to the bytes that
-// actually arrive, not to the number the peer claims.
-func readFrameBody(r io.Reader, n uint32) ([]byte, error) {
+// readFrameBody reads an n-byte frame payload into buf's storage when it
+// has the capacity, and otherwise in bounded chunks, so an oversized
+// length prefix costs memory proportional to the bytes that actually
+// arrive, not to the number the peer claims.
+func readFrameBody(r io.Reader, n uint32, buf []byte) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("collect: frame of %dB exceeds limit", n)
 	}
 	want := int(n)
-	chunk := want
-	if chunk > frameChunk {
-		chunk = frameChunk
-	}
-	payload := make([]byte, 0, chunk)
-	for len(payload) < want {
-		m := want - len(payload)
-		if m > frameChunk {
-			m = frameChunk
+	if cap(buf) >= want {
+		payload := buf[:want]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return nil, err
 		}
+		return payload, nil
+	}
+	// Too small a buf is dropped, not grown: append's growth would leave
+	// a quarter more than the frame in a buffer the client keeps.
+	var payload []byte
+	for len(payload) < want {
+		m := min(want-len(payload), frameChunk)
 		off := len(payload)
-		payload = append(payload, make([]byte, m)...)
+		payload = slices.Grow(payload, m)[:off+m]
 		if _, err := io.ReadFull(r, payload[off:]); err != nil {
 			return nil, err
 		}

@@ -3,9 +3,13 @@ package collect
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net"
+	"slices"
+	"strconv"
 	"sync"
 
+	"github.com/fcmsketch/fcm/internal/core"
 	"github.com/fcmsketch/fcm/internal/telemetry/tracing"
 )
 
@@ -17,28 +21,69 @@ import (
 // snapshot the moment any assumption slips.
 
 // session is one client's delta baseline bookkeeping. The server keeps two
-// snapshots per session: the acked one (the newest state the client has
-// confirmed holding, by echoing its generation) and the sent candidate
+// register states per session: the acked one (the newest state the client
+// has confirmed holding, by echoing its generation) and the sent candidate
 // (the last response, not yet confirmed — the frame or the next request
 // may still be lost in flight). Deltas are only ever diffed against the
-// acked snapshot, so a lost response costs one retransmitted delta, never
-// a wrong merge.
+// acked state, so a lost response costs one retransmitted delta, never a
+// wrong merge.
 type session struct {
-	mu sync.Mutex
+	mu    sync.Mutex
+	acked *heldState // nil until the client acks a response
+	sent  *heldState // nil before the first response
+}
 
-	haveAcked bool
-	ackedGen  uint64
-	acked     *Snapshot
-	ackedCRC  uint32
+// heldState is a register state a session holds: a sketch the source
+// returned, its geometry, its stages in wire order and its state CRC. On
+// a little-endian host the stages view the sketch's lanes in place
+// (core's StageView), so holding a state copies nothing; on a big-endian
+// host they are a copy in buf.
+type heldState struct {
+	sk     *core.Sketch
+	geo    Snapshot // geometry only: Regs stays nil
+	stages [][]byte // tree-major
+	buf    []byte
+	regs   int // register bytes over all stages
+	gen    uint64
+	crc    uint32
+}
 
-	haveSent bool
-	sentGen  uint64
-	sent     *Snapshot
-	sentCRC  uint32
+// hold makes h the state of sk, which the source returned at generation
+// gen.
+func (h *heldState) hold(sk *core.Sketch, gen uint64) {
+	h.sk, h.gen = sk, gen
+	geometryOf(&h.geo, sk)
+	h.stages, h.buf, h.regs = h.stages[:0], h.buf[:0], 0
+	for t := 0; t < h.geo.Trees; t++ {
+		for l := range h.geo.Widths {
+			v := sk.StageView(t, l)
+			if v == nil {
+				// Sized once, so no append below moves the stages
+				// already taken.
+				if n := sk.ResidentBytes(); cap(h.buf) < n {
+					h.buf = make([]byte, 0, n)
+				}
+				at := len(h.buf)
+				h.buf = sk.AppendStageBytes(h.buf, t, l)
+				v = h.buf[at:]
+			}
+			h.stages = append(h.stages, v)
+			h.regs += len(v)
+		}
+	}
+}
+
+// stateCRC is Snapshot.StateCRC of the held state.
+func (h *heldState) stateCRC() uint32 {
+	crc := h.geo.geometryCRC()
+	for _, st := range h.stages {
+		crc = crc32.Update(crc, castagnoli, st)
+	}
+	return crc
 }
 
 // sessionStore maps session IDs to baselines with a bounded footprint:
-// each session pins up to two snapshots, so the store LRU-evicts beyond
+// each session pins up to two sketches, so the store LRU-evicts beyond
 // MaxSessions. An evicted client is not broken — its next request misses
 // the store, takes the gen_mismatch fallback, and receives a full
 // snapshot that seeds a fresh baseline.
@@ -107,31 +152,31 @@ var fallbackReasons = [fbCount]string{"no_baseline", "gen_mismatch", "geometry",
 // hasBaseline(1), ackedGen(8), then one zero byte.
 const readDeltaReqLen = 19
 
-// encodeReadDelta builds an OpReadDelta request.
-func encodeReadDelta(sessionID uint64, hasBaseline bool, ackedGen uint64) []byte {
-	req := make([]byte, readDeltaReqLen)
-	req[0] = OpReadDelta
-	binary.BigEndian.PutUint64(req[1:], sessionID)
+// appendReadDelta appends an OpReadDelta request to dst.
+func appendReadDelta(dst []byte, sessionID uint64, hasBaseline bool, ackedGen uint64) []byte {
+	has := uint8(0)
 	if hasBaseline {
-		req[9] = 1
+		has = 1
 	}
-	binary.BigEndian.PutUint64(req[10:], ackedGen)
-	return req
+	dst = append(dst, OpReadDelta)
+	dst = binary.BigEndian.AppendUint64(dst, sessionID)
+	dst = append(dst, has)
+	dst = binary.BigEndian.AppendUint64(dst, ackedGen)
+	return append(dst, 0)
 }
 
 // serveDelta handles one OpReadDelta request. A non-nil return means the
 // connection is done (protocol violation or write failure) and must be
 // closed — the server closes the connection after any error status.
-// tr (nil-safe) records the snapshot, diff, and write phases, and names
-// the fallback reason when the response degraded to a full snapshot.
+// tr (nil-safe) records the snapshot, diff, encode and write phases, and
+// names the fallback reason when the response degraded to a full snapshot.
 //
-// The source's sketch and generation come first, outside any lock. Equal
+// Everything up to the encoded response runs under the session's lock:
+// the source copies its registers into the sketch the session releases,
+// and the diff reads the acked and the new state in place while it writes
+// the frame body into the connection's response buffer. Equal
 // generations imply bit-identical registers within one server lifetime,
-// which is what enables the empty-delta fast path. Everything after that
-// runs under the session's lock, encode included: the snapshot a request
-// takes is written into the buffers of the one its session releases, and
-// a concurrent request on the same session may release this request's
-// snapshot as soon as the lock drops.
+// which is what enables the empty-delta fast path.
 func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *connScratch) error {
 	if len(req) != readDeltaReqLen {
 		msg := fmt.Sprintf("delta request of %dB, want %d", len(req), readDeltaReqLen)
@@ -142,14 +187,6 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 	hasBaseline := req[9] == 1
 	ackedGen := binary.BigEndian.Uint64(req[10:])
 
-	ssp := tr.StartSpan("snapshot")
-	sk, curGen := s.src.Snapshot()
-	if sk == nil {
-		ssp.End()
-		s.writeError(conn, "no sketch available yet") //nolint:errcheck // teardown follows
-		return fmt.Errorf("collect: source has no sketch yet")
-	}
-
 	sess := s.sessions.lookup(sessionID)
 	sess.mu.Lock()
 	// Ack promotion: the client echoing the generation of our unconfirmed
@@ -158,87 +195,95 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 	// generation means our last response was lost; the acked baseline
 	// stands and the delta below is a retransmission against it.
 	//
-	// Either way the request releases one snapshot — the old acked one on
-	// promotion, otherwise the sent candidate cur supersedes — and cur is
-	// taken into its buffers, so a session pins at most two snapshots and
-	// a steady one allocates none.
-	var released *Snapshot
-	if hasBaseline && sess.haveSent && sess.sentGen == ackedGen {
-		released = sess.acked
-		sess.haveAcked = true
-		sess.ackedGen, sess.acked, sess.ackedCRC = sess.sentGen, sess.sent, sess.sentCRC
-	} else {
-		released = sess.sent
+	// Either way the request releases one state — the old acked one on
+	// promotion, otherwise the sent candidate this request supersedes —
+	// and the source copies the new registers into its sketch, so a
+	// session holds at most two sketches and a steady one builds none.
+	released := sess.sent
+	if hasBaseline && sess.sent != nil && sess.sent.gen == ackedGen {
+		released, sess.acked = sess.acked, sess.sent
 	}
-	sess.haveSent, sess.sent = false, nil
-	cur := TakeSnapshotInto(released, sk)
-	if rc, ok := s.src.(recycler); ok {
-		rc.Recycle(sk)
+	sess.sent = nil
+	ssp := tr.StartSpan("snapshot")
+	cur := released
+	if cur == nil {
+		cur = &heldState{}
 	}
+	sk, curGen := s.snapshotInto(cur.sk)
+	if sk == nil {
+		sess.mu.Unlock()
+		ssp.End()
+		s.writeError(conn, "no sketch available yet") //nolint:errcheck // teardown follows
+		return fmt.Errorf("collect: source has no sketch yet")
+	}
+	cur.hold(sk, curGen)
 	ssp.End()
 
 	dsp := tr.StartSpan("diff")
-	frame := &DeltaFrame{NewGen: curGen}
-	fallback := -1
+	// The response goes out in one write: its frame prefix, patched by
+	// sendFrame, and the status byte lead the encoded frame.
+	buf := append(frameStart(scr.resp), statusOK)
+	start := len(buf)
+	acked, fallback, blocks := sess.acked, -1, 0
 	switch {
 	case !hasBaseline:
 		fallback = fbNoBaseline
-	case !sess.haveAcked || sess.ackedGen != ackedGen:
+	case acked == nil || acked.gen != ackedGen:
 		fallback = fbGenMismatch
-	case !sess.acked.SameGeometry(cur):
+	case !acked.geo.sameLayout(&cur.geo):
 		fallback = fbGeometry
 	case curGen == ackedGen:
 		// Nothing changed since the acked baseline (generation equality is
 		// register equality within a server lifetime): the empty delta.
-		frame.BaseGen = ackedGen
-		frame.StateCRC = sess.ackedCRC
+		cur.crc = acked.crc
+		buf = appendFrameHeader(buf, false, ackedGen, curGen, cur.crc)
+		buf = binary.BigEndian.AppendUint32(buf, 0)
 	default:
-		blocks, ok := DiffSnapshots(sess.acked, cur)
-		switch {
-		case !ok:
-			fallback = fbGeometry
-		case deltaBlocksEncodedSize(blocks) >= deltaHeaderLen+cur.encodedSize()+deltaTrailerLen:
+		// Bounded slots keep the response buffer under a full frame; a
+		// range dense enough to outgrow its slot sends the full frame.
+		// The new state's CRC, which either response pins, runs beside
+		// the diff's ranges.
+		buf = appendFrameHeader(buf, false, ackedGen, curGen, 0)
+		var ok bool
+		buf, blocks, ok = scr.diff.appendDiff(buf, scr.stagePairs(acked, cur), nil, true, func() { cur.crc = cur.stateCRC() })
+		clear(scr.pairs)
+		if !ok || len(buf)-start+deltaTrailerLen >= fullFrameLen(&cur.geo, cur.regs) {
 			fallback = fbDeltaLarger
-		default:
-			frame.BaseGen = ackedGen
-			frame.StateCRC = cur.StateCRC()
-			frame.Blocks = blocks
+		} else {
+			binary.BigEndian.PutUint32(buf[start+24:], cur.crc)
 		}
 	}
 	if fallback >= 0 {
 		dsp.Annotate("fallback", fallbackReasons[fallback])
 	}
 	dsp.End()
+	esp := tr.StartSpan("encode")
 	if fallback >= 0 {
 		s.fallbacks[fallback].Add(1)
-		frame.Full = true
-		frame.BaseGen = 0
-		frame.StateCRC = cur.StateCRC()
-		frame.Snap = cur
+		if fallback != fbDeltaLarger {
+			cur.crc = cur.stateCRC()
+		}
+		buf = slices.Grow(buf[:start], fullFrameLen(&cur.geo, cur.regs))
+		buf = appendFrameHeader(buf, true, 0, curGen, cur.crc)
+		buf = appendFullBody(buf, &cur.geo, cur.stages)
 	}
+	buf = finishFrame(buf, start)
 	// Record the candidate: if the client comes back echoing curGen, this
 	// response arrived and cur becomes its acked baseline.
-	sess.haveSent = true
-	sess.sentGen, sess.sent, sess.sentCRC = curGen, cur, frame.StateCRC
-
-	esp := tr.StartSpan("encode")
-	// The frame encodes into the connection's reusable response buffer
-	// (the session retains cur itself, but never the encoded bytes).
-	scr.resp = append(scr.resp[:0], statusOK)
-	resp, err := frame.AppendEncode(scr.resp)
+	sess.sent = cur
 	sess.mu.Unlock()
-	if err != nil {
-		esp.Fail(err)
-		esp.End()
-		s.writeError(conn, err.Error()) //nolint:errcheck // teardown follows
-		return err
-	}
-	scr.resp = resp
-	dataLen := len(resp) - 1
-	esp.Annotate("bytes", fmt.Sprint(dataLen))
+	dataLen := len(buf) - start
+	esp.Annotate("bytes", strconv.Itoa(dataLen))
 	esp.End()
 	wsp := tr.StartSpan("write")
-	err = s.writeFrameDeadline(conn, resp)
+	err := s.sendFrameDeadline(conn, buf)
+	// The connection keeps a delta's buffer for its next read, not a full
+	// frame's: that one is the size of the registers, and full frames are
+	// the first read and the fallbacks.
+	scr.resp = buf
+	if fallback >= 0 {
+		scr.resp = nil
+	}
 	if err != nil {
 		wsp.Fail(err)
 	}
@@ -247,17 +292,30 @@ func (s *Server) serveDelta(conn net.Conn, req []byte, tr *tracing.Trace, scr *c
 		return err
 	}
 	s.deltaReads.Add(1)
-	if frame.Full {
+	if fallback >= 0 {
 		s.fullWireBytes.Add(uint64(dataLen))
-		s.log.Debug("full snapshot served (v3)",
+		s.log.Debug("full snapshot served",
 			"peer", conn.RemoteAddr().String(), "session", sessionID,
 			"reason", fallbackReasons[fallback], "bytes", dataLen, "gen", curGen)
 	} else {
 		s.deltaWireBytes.Add(uint64(dataLen))
 		s.log.Debug("delta served",
 			"peer", conn.RemoteAddr().String(), "session", sessionID,
-			"blocks", len(frame.Blocks), "bytes", dataLen,
-			"base_gen", frame.BaseGen, "gen", curGen)
+			"blocks", blocks, "bytes", dataLen,
+			"base_gen", ackedGen, "gen", curGen)
 	}
 	return nil
+}
+
+// stagePairs pairs the stages of a session's acked state and the new
+// one, in the connection's reused slice.
+func (scr *connScratch) stagePairs(base, cur *heldState) []stagePair {
+	depth := len(cur.geo.Widths)
+	scr.pairs = scr.pairs[:0]
+	for i, st := range cur.stages {
+		l := i % depth
+		scr.pairs = append(scr.pairs, stagePair{tree: i / depth, stage: l,
+			size: core.LaneBytes(cur.geo.Widths[l]), a: base.stages[i], b: st})
+	}
+	return scr.pairs
 }

@@ -13,11 +13,14 @@ import (
 )
 
 // TestSplitDiffMatchesScalar holds DiffSnapshots, with every stage cut
-// into 1, 2, 3 and 7 ranges, to the scalar oracle difftest.DiffScalar. The
-// geometries put range cuts inside stages of a few words, include stages
-// shorter than one word and stages whose byte length is not a multiple
-// of 8, and two one-tree layouts; at every cut the blocks must also equal
-// the uncut diff's, buffers exactly sized, and apply back to cur.
+// into 1, 2, 3 and 7 ranges, to the scalar oracle difftest.DiffScalar. A
+// range covers whole presence-map words (512 register bytes), so the cuts
+// land inside the stages of a kilobyte and more, and the last range of a
+// stage ends in a partial map word or register word; the geometries also
+// include stages shorter than one word and stages whose byte length is
+// not a multiple of 8, and two one-tree layouts. At every cut the blocks
+// must list the oracle's changes, equal the uncut diff's byte for byte,
+// be exactly sized, and apply back to cur.
 func TestSplitDiffMatchesScalar(t *testing.T) {
 	geometries := []core.Config{
 		{K: 8, Trees: 2, LeafWidth: 4096, Widths: []int{8, 16, 32}},
@@ -26,6 +29,7 @@ func TestSplitDiffMatchesScalar(t *testing.T) {
 		{K: 2, Trees: 3, LeafWidth: 44, Widths: []int{4, 9, 20}},
 		{K: 2, Trees: 1, LeafWidth: 12, Widths: []int{7, 12, 20}, FlagBitIndicator: true},
 		{K: 2, Trees: 2, LeafWidth: 16, Widths: []int{3, 5, 8}},
+		{K: 2, Trees: 2, LeafWidth: 1500, Widths: []int{4, 9, 20}},
 	}
 	densities := []struct {
 		name string
@@ -95,17 +99,13 @@ func checkSplitDiff(t *testing.T, base, cur *core.Sketch) {
 		}
 		var got []difftest.RegisterChange
 		for _, b := range blocks {
-			if len(b.Indexes) == 0 || cap(b.Indexes) != len(b.Indexes) || cap(b.Values) != len(b.Values) ||
-				len(b.Values)%len(b.Indexes) != 0 {
-				t.Fatalf("%d parts: tree %d stage %d block: %d/%d indexes, %d/%d value bytes",
-					parts, b.Tree, b.Stage, len(b.Indexes), cap(b.Indexes), len(b.Values), cap(b.Values))
+			if cap(b.Body) != len(b.Body) {
+				t.Fatalf("%d parts: tree %d stage %d block: %d/%d body bytes", parts, b.Tree, b.Stage, len(b.Body), cap(b.Body))
 			}
-			w := len(b.Values) / len(b.Indexes)
-			for i, idx := range b.Indexes {
-				var v [4]byte
-				copy(v[:], b.Values[w*i:w*(i+1)])
-				got = append(got, difftest.RegisterChange{Tree: b.Tree, Stage: b.Stage, Index: int(idx),
-					Value: binary.LittleEndian.Uint32(v[:])})
+			if err := b.Each(func(i int, v uint32) {
+				got = append(got, difftest.RegisterChange{Tree: b.Tree, Stage: b.Stage, Index: i, Value: v})
+			}); err != nil {
+				t.Fatalf("%d parts: tree %d stage %d block: %v", parts, b.Tree, b.Stage, err)
 			}
 		}
 		if !slices.Equal(got, want) {
@@ -119,7 +119,8 @@ func checkSplitDiff(t *testing.T, base, cur *core.Sketch) {
 		if parts == 1 {
 			uncut = blocks
 		} else if !slices.EqualFunc(blocks, uncut, func(a, b collect.DeltaBlock) bool {
-			return a.Tree == b.Tree && a.Stage == b.Stage && slices.Equal(a.Indexes, b.Indexes) && slices.Equal(a.Values, b.Values)
+			return a.Tree == b.Tree && a.Stage == b.Stage && a.Size == b.Size && a.Counters == b.Counters &&
+				slices.Equal(a.Body, b.Body)
 		}) {
 			t.Fatalf("%d parts: blocks differ from the uncut diff's", parts)
 		}

@@ -931,6 +931,27 @@ func (s *Sketch) AppendStageBytes(dst []byte, t, l int) []byte {
 	return dst
 }
 
+// StageView returns stage l of tree t laid out as AppendStageBytes
+// writes it, aliasing the sketch's lane instead of copying it, or nil on a
+// big-endian host, whose lanes are not in that order. The view reflects
+// every later write to the sketch: the caller must not write through it,
+// and reads it only while nothing writes the sketch.
+func (s *Sketch) StageView(t, l int) []byte {
+	if !nativeLittleEndian {
+		return nil
+	}
+	tr := s.trees[t]
+	sv := tr.views[l]
+	switch sv.kind {
+	case laneU8:
+		return tr.lane8[sv.base : sv.base+sv.n : sv.base+sv.n]
+	case laneU16:
+		return sketch.BytesU16(tr.lane16[sv.base : sv.base+sv.n])
+	default:
+		return sketch.BytesU32(tr.lane32[sv.base : sv.base+sv.n])
+	}
+}
+
 // SetStageBytes overwrites stage l of tree t from src, laid out as
 // AppendStageBytes writes it. src must hold exactly the stage's counters
 // at its lane width, so every value fits the resident lane by

@@ -109,3 +109,31 @@ func TestCloneSharesLayout(t *testing.T) {
 		t.Fatal("clone shares counter storage with its source")
 	}
 }
+
+// TestStageViewAliasesLanes pins StageView to AppendStageBytes: on a
+// little-endian host every stage's view holds the bytes the copy holds,
+// and a later update shows through the view without a new call.
+func TestStageViewAliasesLanes(t *testing.T) {
+	if !nativeLittleEndian {
+		t.Skip("StageView returns nil on big-endian hosts")
+	}
+	s, err := New(Config{K: 2, Trees: 2, Widths: []int{4, 9, 20}, LeafWidth: 44})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte{5, 6, 7, 8}
+	s.Update(key, 700) // reaches the uint32 lane
+	for tr := 0; tr < s.NumTrees(); tr++ {
+		for l := 0; l < s.Depth(); l++ {
+			if v, c := s.StageView(tr, l), s.AppendStageBytes(nil, tr, l); string(v) != string(c) {
+				t.Fatalf("tree %d stage %d: view %x, copy %x", tr, l, v, c)
+			}
+		}
+	}
+	view := s.StageView(0, 0)
+	before := string(view)
+	s.Update([]byte{9, 9, 9, 9}, 1) // a fresh leaf: the first key's is saturated
+	if string(view) == before || string(view) != string(s.AppendStageBytes(nil, 0, 0)) {
+		t.Fatal("the leaf-stage view does not reflect a later update")
+	}
+}

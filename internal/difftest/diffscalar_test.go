@@ -127,17 +127,13 @@ func checkLaneDiff(t *testing.T, cfg core.Config, density string, base, cur *cor
 	}
 	var got []RegisterChange
 	for _, b := range blocks {
-		w := laneBytesOf(cfg.Widths[b.Stage])
-		if len(b.Indexes) == 0 || len(b.Values) != w*len(b.Indexes) {
-			t.Fatalf("tree %d stage %d block: %d indexes, %dB of values, want %dB each",
-				b.Tree, b.Stage, len(b.Indexes), len(b.Values), w)
+		if w := laneBytesOf(cfg.Widths[b.Stage]); b.Size != w {
+			t.Fatalf("tree %d stage %d block: %dB values, want %dB", b.Tree, b.Stage, b.Size, w)
 		}
-		for i, idx := range b.Indexes {
-			var v uint32
-			for j := w - 1; j >= 0; j-- {
-				v = v<<8 | uint32(b.Values[w*i+j])
-			}
-			got = append(got, RegisterChange{Tree: b.Tree, Stage: b.Stage, Index: int(idx), Value: v})
+		if err := b.Each(func(i int, v uint32) {
+			got = append(got, RegisterChange{Tree: b.Tree, Stage: b.Stage, Index: i, Value: v})
+		}); err != nil {
+			t.Fatalf("tree %d stage %d block: %v", b.Tree, b.Stage, err)
 		}
 	}
 	want := DiffScalar(base, cur)

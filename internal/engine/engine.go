@@ -327,7 +327,18 @@ func (e *Engine) Packets() uint64 {
 // as with any streaming snapshot). Each shard is locked only while its
 // registers are copied; the merge runs outside all locks.
 func (e *Engine) Snapshot() (*core.Sketch, uint64) {
-	sk, gen, _ := e.snapshot()
+	sk, gen, _ := e.snapshot(nil)
+	return sk, gen
+}
+
+// SnapshotInto is Snapshot copying into dst, a sketch an earlier Snapshot
+// or SnapshotInto of this engine returned and the caller is done with; it
+// returns dst. A nil dst takes a spare or builds one, as Snapshot does. A
+// caller that cycles its own sketches through it, as the collection
+// server's sessions do, builds none and never passes one through the
+// spare pool.
+func (e *Engine) SnapshotInto(dst *core.Sketch) (*core.Sketch, uint64) {
+	sk, gen, _ := e.snapshot(dst)
 	return sk, gen
 }
 
@@ -336,11 +347,13 @@ func (e *Engine) Snapshot() (*core.Sketch, uint64) {
 // as its register copy, so the count is exactly the packets the returned
 // registers hold.
 func (e *Engine) SnapshotPackets() (*core.Sketch, uint64) {
-	sk, _, packets := e.snapshot()
+	sk, _, packets := e.snapshot(nil)
 	return sk, packets
 }
 
-func (e *Engine) snapshot() (sk *core.Sketch, gen, packets uint64) {
+// snapshot copies shard 0 into dst (a spare or a fresh build when nil) and
+// every other shard into a spare, then merges the copies into dst.
+func (e *Engine) snapshot(dst *core.Sketch) (sk *core.Sketch, gen, packets uint64) {
 	if e.snapSeconds != nil {
 		defer e.snapSeconds.ObserveSince(time.Now())
 	}
@@ -348,6 +361,10 @@ func (e *Engine) snapshot() (sk *core.Sketch, gen, packets uint64) {
 	// a register copy, never for an allocation.
 	copies := make([]*core.Sketch, len(e.shards))
 	for i := range copies {
+		if i == 0 && dst != nil {
+			copies[i] = dst
+			continue
+		}
 		copies[i] = e.spareOrBuild()
 	}
 	for i := range e.shards {
